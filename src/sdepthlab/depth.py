@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import rank_gf2_packed, rank_rows
-from .monomials import InputError, Monomial, QuotientPair
-from .poset import poset_bitset, upward_closure
+from .linalg import boundary_rank
+from .monomials import InputError, Monomial, QuotientPair, canonical_key
+from .poset import poset_view, upward_closure
 
 
 @dataclass(frozen=True)
@@ -93,39 +93,7 @@ class _DegreeBlock:
         got = self._ranks.get(key)
         if got is not None:
             return got
-        rows_basis = self.basis(i)
-        cols = self.colidx(i - 1)
-        if not rows_basis or not cols:
-            got = 0
-        elif char == 2:
-            packed = []
-            for f in rows_basis:
-                row = 0
-                t = f
-                while t:
-                    low = t & -t
-                    col = cols.get(f ^ low)
-                    if col is not None:
-                        row |= 1 << col
-                    t ^= low
-                packed.append(row)
-            got = rank_gf2_packed(packed)
-        else:
-            ncols = len(cols)
-            rows = []
-            for f in rows_basis:
-                row = [0] * ncols
-                t = f
-                pos = 0
-                while t:
-                    low = t & -t
-                    col = cols.get(f ^ low)
-                    if col is not None:
-                        row[col] = -1 if pos & 1 else 1
-                    pos += 1
-                    t ^= low
-                rows.append(row)
-            got = rank_rows(rows, char)
+        got = boundary_rank(self.basis(i), self.colidx(i - 1), char)
         self._ranks[key] = got
         return got
 
@@ -176,7 +144,7 @@ def _candidate_degrees(Q: QuotientPair, pbits: int) -> list[int]:
         if a == 0:
             break
         a = (a - 1) & v
-    cands.sort(key=lambda m: (m.bit_count(), Monomial(m).vars))
+    cands.sort(key=canonical_key)
     return cands
 
 
@@ -184,7 +152,7 @@ def koszul_component(
     Q: QuotientPair, a: Monomial, field: int | None = None
 ) -> KoszulDegreeReport:
     char = Q.field if field is None else field
-    pbits = poset_bitset(Q)
+    pbits = poset_view(Q).bits
     block = _DegreeBlock(a.mask, _p_levels(pbits, a.mask))
     betti = [block.homology(i, char) for i in range(Q.ambient + 1)]
     return KoszulDegreeReport(a=a, betti=tuple(betti), field=char)
@@ -193,7 +161,7 @@ def koszul_component(
 def depth(Q: QuotientPair, field: int | None = None, paranoid: bool = False) -> DepthResult:
     char = Q.field if field is None else field
     n = Q.ambient
-    pbits = poset_bitset(Q)
+    pbits = poset_view(Q).bits
     pd_max = -1
     witness = None
     for a in _candidate_degrees(Q, pbits):
@@ -264,28 +232,11 @@ def _paranoid_scan(Q: QuotientPair, pbits: int, char: int) -> None:
 
 
 def _general_homology(levels: dict[int, list[int]], i: int, char: int) -> int:
-    rows_basis = sorted(levels.get(i, ()))
-    if not rows_basis:
+    if not levels.get(i):
         return 0
 
     def _rank(level: int) -> int:
-        src = sorted(levels.get(level, ()))
-        dst = {f: k for k, f in enumerate(sorted(levels.get(level - 1, ())))}
-        if not src or not dst:
-            return 0
-        rows = []
-        for f in src:
-            row = [0] * len(dst)
-            t = f
-            pos = 0
-            while t:
-                low = t & -t
-                col = dst.get(f ^ low)
-                if col is not None:
-                    row[col] = -1 if pos & 1 else 1
-                pos += 1
-                t ^= low
-            rows.append(row)
-        return rank_rows(rows, char)
+        cols = {f: k for k, f in enumerate(levels.get(level - 1, ()))}
+        return boundary_rank(levels.get(level, []), cols, char)
 
-    return len(rows_basis) - _rank(i) - _rank(i + 1)
+    return len(levels[i]) - _rank(i) - _rank(i + 1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .depth import DepthResult, depth
 from .hilbert import HdepthResult, hdepth1, hilbert_series
 from .monomials import QuotientPair
-from .poset import StrataReport, poset_bitset, strata
+from .poset import StrataReport, poset_view, strata
 from .sdepth import SdepthResult, sdepth
 
 
@@ -29,7 +29,7 @@ class EngineCache:
         k = Q.key()
         got = self._poset.get(k)
         if got is None:
-            got = poset_bitset(Q)
+            got = poset_view(Q).bits
             self._poset[k] = got
         return got
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb
 
 from .monomials import InputError, QuotientPair
-from .poset import poset_bitset
+from .poset import poset_view
 
 
 @dataclass(frozen=True)
@@ -64,19 +64,11 @@ def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
 
 def hilbert_series(Q: QuotientPair) -> HilbertSeries:
     n = Q.ambient
-    counts = [0] * (n + 1)
-    bits = poset_bitset(Q)
-    m = 0
-    while bits:
-        if bits & 1:
-            counts[m.bit_count()] += 1
-        bits >>= 1
-        m += 1
-    # Σ_e counts[e] · t^e (1-t)^(n-e)
+    view = poset_view(Q)
+    # Σ_e |layer e| · t^e (1-t)^(n-e)
     acc = [0] * (n + 1)
-    for e, c in enumerate(counts):
-        if not c:
-            continue
+    for e in range(view.d, n + 1):
+        c = len(view.layer(e))
         for i in range(n - e + 1):
             acc[e + i] += c * comb(n - e, i) * (-1) ** i
     return HilbertSeries(n, _trim(tuple(acc)))

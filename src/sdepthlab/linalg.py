@@ -6,7 +6,8 @@ Three code paths, all exact:
   * odd prime p — dense elimination mod p.
 
 Matrices here are Koszul/boundary incidence matrices with entries in
-{-1, 0, 1} and dimensions rarely beyond a few hundred.
+{-1, 0, 1} and dimensions rarely beyond a few hundred; `boundary_matrix`
+builds them for both the Koszul and the simplicial (Reisner) engines.
 """
 from __future__ import annotations
 
@@ -114,3 +115,40 @@ def rank_rows(rows: list[list[int]], char: int) -> int:
             packed.append(r)
         return rank_gf2_packed(packed)
     return rank_modp(rows, char)
+
+
+def boundary_matrix(src: list[int], cols: dict[int, int], char: int) -> list:
+    """The signed boundary map from the faces `src` to the faces in `cols`.
+
+    Faces are vertex masks.  Face f maps to Σ_{j∈f} (-1)^{pos(j,f)} e_{f\\{j}},
+    where pos(j,f) counts the vertices of f below j; faces missing from
+    `cols` (face -> column index) drop out.  Over characteristic 2 each row
+    is packed into an int, bit c for column c; otherwise rows are dense lists.
+    """
+    packed = char == 2
+    rows: list = []
+    for f in src:
+        row = 0 if packed else [0] * len(cols)
+        t = f
+        while t:
+            low = t & -t
+            t ^= low
+            col = cols.get(f ^ low)
+            if col is None:
+                continue
+            if packed:
+                row |= 1 << col
+            else:
+                row[col] = -1 if (f & (low - 1)).bit_count() & 1 else 1
+        rows.append(row)
+    return rows
+
+
+def boundary_rank(src: list[int], cols: dict[int, int], char: int) -> int:
+    """Rank of `boundary_matrix(src, cols, char)` in characteristic `char`."""
+    if not src or not cols:
+        return 0
+    rows = boundary_matrix(src, cols, char)
+    if char == 2:
+        return rank_gf2_packed(rows)
+    return rank_rows(rows, char)

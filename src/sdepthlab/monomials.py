@@ -44,6 +44,20 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+_BITREV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def canonical_key(mask: int) -> int:
+    """Integer sort key of the canonical order on masks of up to 16 bits.
+
+    Orders by degree, then lexicographically on the sorted index tuple: the
+    lowest variable sits in the highest bit of the bit-reversed mask, so the
+    complemented reversal sorts a set containing it first.
+    """
+    rev = (_BITREV8[mask & 0xFF] << 8) | _BITREV8[mask >> 8]
+    return (mask.bit_count() << 16) | (0xFFFF ^ rev)
+
+
 class Monomial:
     """A squarefree monomial; ``Monomial(0)`` is the unit monomial 1."""
 
@@ -84,8 +98,8 @@ class Monomial:
     def without_var(self, j: int) -> "Monomial":
         return Monomial(self.mask & ~(1 << (j - 1)))
 
-    def sort_key(self) -> tuple:
-        return (self.degree, self.vars)
+    def sort_key(self) -> int:
+        return canonical_key(self.mask)
 
     def max_index(self) -> int:
         return self.mask.bit_length()
@@ -248,7 +262,7 @@ class QuotientPair:
     normalized shape and are gated off.
     """
 
-    __slots__ = ("ambient", "I", "J", "field", "normalization_warning")
+    __slots__ = ("ambient", "I", "J", "field", "normalization_warning", "_poset")
 
     def __init__(self, I: Ideal, J: Ideal, field: int = 0):
         if field not in SUPPORTED_CHARS:
@@ -268,11 +282,14 @@ class QuotientPair:
         self.field = field
         d = min(g.degree for g in I.gens)
         self.normalization_warning = any(g.degree <= d for g in J.gens)
+        self._poset = None  # PosetView, built on first use by poset.poset_view
 
     def with_field(self, field: int) -> "QuotientPair":
         if field == self.field:
             return self
-        return QuotientPair(self.I, self.J, field)
+        out = QuotientPair(self.I, self.J, field)
+        out._poset = self._poset  # the poset does not depend on the field
+        return out
 
     def key(self) -> tuple:
         # hashable identity used by the caching layer (field-independent)
@@ -290,11 +307,6 @@ class QuotientPair:
 
     def __repr__(self) -> str:
         return f"QuotientPair(n={self.ambient}; I=({self.I}); J=({self.J}); char {self.field})"
-
-
-def form_quotient(I: Ideal, K: Ideal, field: int = 0) -> QuotientPair:
-    """Build the pair I/(K ∩ I); raises EmptyQuotientError when I ⊆ K."""
-    return QuotientPair(I, K.intersect(I), field)
 
 
 def colon_pair(Q: QuotientPair, j: int) -> QuotientPair | None:

@@ -1,16 +1,19 @@
 """The divisibility poset P_{I\\J} and its degree strata.
 
-`enumerate_poset` lists every squarefree monomial lying in I but not in J;
-`strata` computes the statistics the upper-bound theorems consume: the least
-degree d, the degree-d generators f_1..f_r, the higher-degree generators E,
-the degree-(d+1) and -(d+2) layers B and C, the pairwise generator lcms, and
-the lcm-constrained subsets C2 and C3 of C.
+`poset_view` reads P_{I\\J}, every squarefree monomial lying in I but not in
+J, once per pair: its bitset, its least degree d, and its elements in
+canonical order, layer by layer.  `strata` computes the statistics the
+upper-bound theorems consume: the least degree d, the degree-d generators
+f_1..f_r, the higher-degree generators E, the degree-(d+1) and -(d+2) layers
+B and C, the pairwise generator lcms, and the lcm-constrained subsets C2 and
+C3 of C.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .monomials import Monomial, QuotientPair
+from .monomials import Monomial, QuotientPair, canonical_key
 
 
 def poset_bitset(Q: QuotientPair) -> int:
@@ -63,37 +66,51 @@ def _low_block(i: int) -> int:
     return got
 
 
-@dataclass(frozen=True)
-class PosetSnapshot:
-    ambient: int
-    elements: tuple[Monomial, ...]
+class PosetView:
+    """P_{I\\J} of one pair, computed once and read by every engine.
 
-    def by_degree(self) -> dict[int, list[Monomial]]:
-        out: dict[int, list[Monomial]] = {}
-        for m in self.elements:
-            out.setdefault(m.degree, []).append(m)
-        return out
+    `bits` has bit m set iff the monomial with mask m lies in I\\J; `d` is
+    the least degree of an element.  `elements` lists the masks in canonical
+    order, built on first use and shared by every reader, who must not
+    mutate it; that order is degree-major, so the elements of degree k form
+    the contiguous run `layer(k)`.
+    """
 
-    def __contains__(self, m: Monomial) -> bool:
-        return any(e.mask == m.mask for e in self.elements)
+    __slots__ = ("bits", "d", "_elements")
 
-    def __len__(self) -> int:
-        return len(self.elements)
+    def __init__(self, Q: QuotientPair):
+        self.bits = poset_bitset(Q)
+        # a least-degree element is divisible by an I-generator outside J
+        self.d = min(g.degree for g in Q.I.gens if (self.bits >> g.mask) & 1)
+        self._elements: list[int] | None = None
+
+    @property
+    def elements(self) -> list[int]:
+        if self._elements is None:
+            masks = []
+            rest = self.bits
+            while rest:
+                low = rest & -rest
+                masks.append(low.bit_length() - 1)
+                rest ^= low
+            self._elements = sorted(masks, key=canonical_key)
+        return self._elements
+
+    def start(self, k: int) -> int:
+        """Index in `elements` of the first element of degree >= k."""
+        return bisect_left(self.elements, k << 16, key=canonical_key)
+
+    def layer(self, k: int) -> list[int]:
+        """The degree-k elements, in canonical order."""
+        return self.elements[self.start(k):self.start(k + 1)]
 
 
-def enumerate_poset(Q: QuotientPair, max_degree: int | None = None) -> PosetSnapshot:
-    bits = poset_bitset(Q)
-    masks = []
-    m = 0
-    while bits:
-        if bits & 1:
-            masks.append(m)
-        bits >>= 1
-        m += 1
-    monos = sorted((Monomial(mm) for mm in masks), key=Monomial.sort_key)
-    if max_degree is not None:
-        monos = [u for u in monos if u.degree <= max_degree]
-    return PosetSnapshot(Q.ambient, tuple(monos))
+def poset_view(Q: QuotientPair) -> PosetView:
+    """The pair's PosetView, built on first use and kept on the pair."""
+    view = Q._poset
+    if view is None:
+        view = Q._poset = PosetView(Q)
+    return view
 
 
 @dataclass(frozen=True)
@@ -145,36 +162,26 @@ class StrataReport:
 
 
 def strata(Q: QuotientPair) -> StrataReport:
-    bits = poset_bitset(Q)
-    n = Q.ambient
-    d = min_poset_degree(bits)
-    layers: dict[int, list[int]] = {d: [], d + 1: [], d + 2: []}
-    m = 0
-    b = bits
-    while b:
-        if b & 1:
-            deg = m.bit_count()
-            if d <= deg <= d + 2:
-                layers[deg].append(m)
-        b >>= 1
-        m += 1
-
-    f_list = tuple(
-        sorted((g for g in Q.I.gens if g.degree == d), key=Monomial.sort_key)
-    )
-    E = tuple(sorted((g for g in Q.I.gens if g.degree > d), key=Monomial.sort_key))
-    B = _sorted_monos(layers[d + 1])
-    C = _sorted_monos(layers[d + 2])
+    view = poset_view(Q)
+    d = view.d
+    # I.gens and the layers are already in canonical order.  Tuples are built
+    # from lists: tuple(<generator>) shrinks a 10-slot tuple, which moves
+    # tuples between the interpreter's per-size free lists and raised the
+    # peak RSS of surgery runs by 9%.
+    f_list = tuple([g for g in Q.I.gens if g.degree == d])
+    E = tuple([g for g in Q.I.gens if g.degree > d])
+    B = tuple([Monomial(m) for m in view.layer(d + 1)])
+    C = tuple([Monomial(m) for m in view.layer(d + 2)])
 
     w_masks = {
         f_list[i].mask | f_list[j].mask
         for i in range(len(f_list))
         for j in range(i + 1, len(f_list))
     }
-    W_all = _sorted_monos(w_masks)
+    W_all = tuple([Monomial(m) for m in sorted(w_masks, key=canonical_key)])
     b_masks = {u.mask for u in B}
-    W_B = _sorted_monos(w_masks & b_masks)
-    C2 = tuple(c for c in C if c.mask in w_masks)
+    W_B = tuple([b for b in B if b.mask in w_masks])
+    C2 = tuple([c for c in C if c.mask in w_masks])
 
     # C3: every degree-(d+1) divisor lying in B \ E must be a generator lcm
     e_masks = {g.mask for g in E}
@@ -194,7 +201,7 @@ def strata(Q: QuotientPair) -> StrataReport:
         if ok:
             c3.append(c)
     return StrataReport(
-        ambient=n,
+        ambient=Q.ambient,
         d=d,
         f_list=f_list,
         E=E,
@@ -205,24 +212,3 @@ def strata(Q: QuotientPair) -> StrataReport:
         C2=C2,
         C3=tuple(c3),
     )
-
-
-def min_poset_degree(bits: int) -> int:
-    best = None
-    m = 0
-    while bits:
-        if bits & 1:
-            deg = m.bit_count()
-            if best is None or deg < best:
-                best = deg
-                if best == 0:
-                    break
-        bits >>= 1
-        m += 1
-    if best is None:
-        raise ValueError("empty poset")
-    return best
-
-
-def _sorted_monos(masks) -> tuple[Monomial, ...]:
-    return tuple(sorted((Monomial(m) for m in masks), key=Monomial.sort_key))

@@ -7,12 +7,12 @@ reduced simplicial homology of links:
     depth S/I = min over faces σ ∈ Δ of (|σ| + 1 + min{ j : H̃_j(link σ) ≠ 0 })
 
 with H̃_{-1}({∅}) = K (the empty face counts; a facet σ contributes |σ|).
-This shares no code path with the Koszul engine beyond the rank routines,
-so it serves as a cross-check oracle.
+This shares no code path with the Koszul engine beyond the rank routines
+and `linalg.boundary_matrix`, so it serves as a cross-check oracle.
 """
 from __future__ import annotations
 
-from .linalg import rank_rows
+from .linalg import boundary_rank
 from .monomials import Ideal, InputError
 
 
@@ -35,29 +35,11 @@ def reduced_homology_dims(faces, field: int) -> dict[int, int]:
     by_card: dict[int, list[int]] = {}
     for phi in faces:
         by_card.setdefault(phi.bit_count(), []).append(phi)
-    for v in by_card.values():
-        v.sort()
 
     def _rank(card: int) -> int:
         # boundary map from faces of `card` vertices to faces of card-1
-        src = by_card.get(card, ())
-        dst = {f: k for k, f in enumerate(by_card.get(card - 1, ()))}
-        if not src or not dst:
-            return 0
-        rows = []
-        for f in src:
-            row = [0] * len(dst)
-            t = f
-            pos = 0
-            while t:
-                low = t & -t
-                col = dst.get(f ^ low)
-                if col is not None:
-                    row[col] = -1 if pos & 1 else 1
-                pos += 1
-                t ^= low
-            rows.append(row)
-        return rank_rows(rows, field)
+        cols = {f: k for k, f in enumerate(by_card.get(card - 1, ()))}
+        return boundary_rank(by_card.get(card, []), cols, field)
 
     out: dict[int, int] = {}
     for card, members in by_card.items():

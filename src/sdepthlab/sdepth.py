@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .monomials import InputError, Monomial, QuotientPair
-from .poset import min_poset_degree, poset_bitset
+from .poset import poset_view
 
 
 class MalformedIntervalError(InputError):
@@ -99,27 +99,18 @@ class SdepthResult:
 
 def verify_partition(Q: QuotientPair, partition: Partition) -> VerifyResult:
     """Disjoint-cover check; reports the first offender in canonical order."""
-    pbits = poset_bitset(Q)
+    view = poset_view(Q)
     counts: dict[int, int] = {}
     for iv in partition.intervals:  # Interval construction enforces lo | hi
         for m in (iv.lo.mask, iv.hi.mask):
-            if not (pbits >> m) & 1:
+            if not (view.bits >> m) & 1:
                 return VerifyResult(
                     False, "interval endpoint outside the poset", Monomial(m)
                 )
         for m in iv.member_masks():
             counts[m] = counts.get(m, 0) + 1
 
-    elems = []
-    bits = pbits
-    m = 0
-    while bits:
-        if bits & 1:
-            elems.append(m)
-        bits >>= 1
-        m += 1
-    elems.sort(key=lambda mm: (mm.bit_count(), Monomial(mm).vars))
-    for mm in elems:
+    for mm in view.elements:
         c = counts.get(mm, 0)
         if c == 0:
             return VerifyResult(False, "monomial not covered", Monomial(mm))
@@ -128,19 +119,7 @@ def verify_partition(Q: QuotientPair, partition: Partition) -> VerifyResult:
     return VerifyResult(True)
 
 
-def _canonical_masks(pbits: int) -> list[int]:
-    out = []
-    m = 0
-    while pbits:
-        if pbits & 1:
-            out.append(m)
-        pbits >>= 1
-        m += 1
-    out.sort(key=lambda mm: (mm.bit_count(), Monomial(mm).vars))
-    return out
-
-
-def _interval_bits(lo: int, hi: int, pbits: int) -> int:
+def _interval_bits(lo: int, hi: int) -> int:
     span = hi & ~lo
     bits = 0
     g = span
@@ -154,28 +133,25 @@ def _interval_bits(lo: int, hi: int, pbits: int) -> int:
 
 def sdepth_decide(Q: QuotientPair, k: int) -> Partition | None:
     """A verified partition witnessing sdepth ≥ k, or None when none exists."""
-    pbits = poset_bitset(Q)
-    d = min_poset_degree(pbits)
-    if not d <= k <= Q.ambient:
-        raise InputError(f"k={k} outside [{d}, {Q.ambient}]")
-    elements = _canonical_masks(pbits)
-    lows = [m for m in elements if m.bit_count() < k]
+    view = poset_view(Q)
+    if not view.d <= k <= Q.ambient:
+        raise InputError(f"k={k} outside [{view.d}, {Q.ambient}]")
+    elements = view.elements
+    lows = elements[:view.start(k)]
     if not lows:
         return _expand(elements, [], k)
 
-    tops = [m for m in elements if m.bit_count() == k]
+    tops = view.layer(k)
     # per low: admissible tops in canonical order
     tops_of = {u: [v for v in tops if u & ~v == 0] for u in lows}
     if any(not ts for ts in tops_of.values()):
         return None
-    # capacity of a top = k - (least degree of a poset element dividing it)
-    cap = {}
-    for v in tops:
-        mindiv = min(
-            (m.bit_count() for m in elements if m & ~v == 0), default=k
-        )
-        cap[v] = k - mindiv
-    mid_lows = [u for u in lows if u.bit_count() == k - 1]
+    # capacity of a top = k - (least degree of a poset element dividing it);
+    # canonical order is degree-major, so the first divisor found is least
+    cap = {
+        v: k - next(m for m in elements if m & ~v == 0).bit_count() for v in tops
+    }
+    mid_lows = view.layer(k - 1)
 
     chosen: list[tuple[int, int]] = []
     covered = 0
@@ -219,7 +195,7 @@ def sdepth_decide(Q: QuotientPair, k: int) -> Partition | None:
         for v in tops_of[u]:
             if (covered >> v) & 1:
                 continue
-            ibits = _interval_bits(u, v, pbits)
+            ibits = _interval_bits(u, v)
             if ibits & covered:
                 continue
             covered |= ibits
@@ -248,9 +224,9 @@ def _expand(
 
 
 def sdepth(Q: QuotientPair) -> SdepthResult:
-    pbits = poset_bitset(Q)
-    d = min_poset_degree(pbits)
-    maxdeg = max(m.bit_count() for m in _canonical_masks(pbits))
+    view = poset_view(Q)
+    d = view.d
+    maxdeg = view.elements[-1].bit_count()
     best = sdepth_decide(Q, d)
     assert best is not None  # k = d has no lows; always satisfiable
     value = d
@@ -267,23 +243,12 @@ def sdepth(Q: QuotientPair) -> SdepthResult:
     return SdepthResult(value=value, certificate=best, refuted_k=refuted)
 
 
-def export_stanley_decomposition(
-    Q: QuotientPair, partition: Partition
-) -> list[tuple[Monomial, tuple[int, ...]]]:
-    """Stanley spaces u·K[{x_j : j ∈ vars(hi)}] for a verified partition."""
-    res = verify_partition(Q, partition)
-    if not res:
-        raise InputError(f"partition does not verify: {res.reason} ({res.offender})")
-    return [(iv.lo, iv.hi.vars) for iv in partition.intervals]
-
-
 def brute_force_sdepth(Q: QuotientPair, limit: int = 14) -> int:
     """Independent oracle: exhaustive search over all interval partitions.
 
     Exponential; guarded by `limit` on the poset size.
     """
-    pbits = poset_bitset(Q)
-    elements = _canonical_masks(pbits)
+    elements = poset_view(Q).elements
     if len(elements) > limit:
         raise InputError(f"poset size {len(elements)} exceeds oracle limit {limit}")
     idx = {m: i for i, m in enumerate(elements)}

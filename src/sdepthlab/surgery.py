@@ -26,7 +26,7 @@ from .monomials import (
     intersect,
     minimalize,
 )
-from .poset import StrataReport, min_poset_degree, poset_bitset, strata
+from .poset import StrataReport, poset_view, strata
 from .sdepth import (
     Interval,
     Partition,
@@ -98,7 +98,7 @@ def normalize_partition(Q: QuotientPair, partition: Partition, k: int) -> Partit
     added as singletons.  Fails if the input's value is below k on the low
     part, since no reshaping can fix that.
     """
-    bits = poset_bitset(Q)
+    bits = poset_view(Q).bits
     covered = 0
     pieces: list[Interval] = []
     for iv in partition.intervals:
@@ -185,8 +185,8 @@ def build_h(Q: QuotientPair, b: Monomial, P_b: Partition) -> HMap:
     """Normalize P_b on the reduced pair and read off the injection h."""
     st = strata(Q)
     pair_b = build_reduced_pair(Q, b)
-    bits_b = poset_bitset(pair_b)
-    d_b = min_poset_degree(bits_b)
+    view_b = poset_view(pair_b)
+    d_b = view_b.d
     partition = normalize_partition(pair_b, P_b, d_b + 2)
     if partition.sdepth_value < d_b + 2:
         raise SurgeryError(
@@ -194,12 +194,7 @@ def build_h(Q: QuotientPair, b: Monomial, P_b: Partition) -> HMap:
         )
 
     by_lo = {iv.lo: iv for iv in partition.intervals}
-    f_rest = tuple(
-        sorted(
-            (m for m in (Monomial(mm) for mm in _mask_layer(bits_b, d_b))),
-            key=Monomial.sort_key,
-        )
-    )
+    f_rest = tuple([Monomial(m) for m in view_b.layer(d_b)])
     tops: dict = {}
     inners: dict = {}
     mapping: dict = {}
@@ -225,7 +220,7 @@ def build_h(Q: QuotientPair, b: Monomial, P_b: Partition) -> HMap:
         inner_all.update(mid)
 
     domain_b = []
-    for mm in _mask_layer(bits_b, d_b + 1):
+    for mm in view_b.layer(d_b + 1):
         m = Monomial(mm)
         if m in inner_all:
             continue
@@ -234,7 +229,6 @@ def build_h(Q: QuotientPair, b: Monomial, P_b: Partition) -> HMap:
             raise SurgeryError(f"degree-(d+1) element {m} is neither inner nor bottom")
         mapping[m] = iv.hi
         domain_b.append(m)
-    domain_b.sort(key=Monomial.sort_key)
 
     if len(set(mapping.values())) != len(mapping):
         raise SurgeryError("top assignment is not injective")
@@ -254,18 +248,6 @@ def build_h(Q: QuotientPair, b: Monomial, P_b: Partition) -> HMap:
         mapping=mapping,
         domain_b=tuple(domain_b),
     )
-
-
-def _mask_layer(bits: int, deg: int) -> list[int]:
-    out = []
-    rest = bits
-    while rest:
-        low = rest & -rest
-        m = low.bit_length() - 1
-        if m.bit_count() == deg:
-            out.append(m)
-        rest ^= low
-    return out
 
 
 @dataclass(frozen=True)
@@ -465,39 +447,6 @@ def swap_into_generator(
     if not vr:
         raise InputError(f"swap broke the partition: {vr.reason}")
     return out
-
-
-def enforce_star(H: HMap, max_rounds: int = 8) -> HMap:
-    """Rewrite until no pairwise-lcm element outside the inner pairs maps
-    into an inner-pair ideal (the r=3 normalization property).
-
-    Each violation h(w) in (u_j) is repaired by swapping w into f_j's
-    interval, which makes w itself an inner.  No-op when already satisfied.
-    """
-    for _ in range(max_rounds):
-        violation = _star_violation(H)
-        if violation is None:
-            return H
-        f, w = violation
-        partition = swap_into_generator(H.pair_b, H.partition, f, w)
-        H = build_h(H.pair, H.b, partition)
-    raise SurgeryError("inner-pair normalization did not stabilize")
-
-
-def _star_violation(H: HMap):
-    inner_all = H.inner_set()
-    for i, fi in enumerate(H.f_rest):
-        for fj in H.f_rest[i + 1:]:
-            w = fi.lcm(fj)
-            if w.degree != fi.degree + 1:
-                continue
-            if w not in H.mapping or w in inner_all:
-                continue
-            c = H.h(w)
-            for f in (fi, fj):
-                if any(u.divides(c) and f.divides(u) for u in H.inners[f]):
-                    return (f, w)
-    return None
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,20 @@
 from __future__ import annotations
 
+from math import comb
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import rank_fraction_gauss, rank_minor_oracle
-from sdepthlab.linalg import rank_char0, rank_gf2_packed, rank_modp, rank_rows
+from sdepthlab.linalg import (
+    boundary_matrix,
+    boundary_rank,
+    rank_char0,
+    rank_gf2_packed,
+    rank_modp,
+    rank_rows,
+)
 
 small_matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda ncols: st.lists(
@@ -68,3 +78,40 @@ def test_bareiss_handles_zero_head_rows():
         [2, 4, 1],
     ]
     assert rank_char0(rows) == rank_fraction_gauss(rows) == 2
+
+
+def _composite_is_zero(outer: list, inner: list, char: int) -> bool:
+    """Whether the product of two boundary matrices vanishes in `char`."""
+    for row in outer:
+        if char == 2:
+            acc = 0
+            for g, irow in enumerate(inner):
+                if (row >> g) & 1:
+                    acc ^= irow
+            if acc:
+                return False
+            continue
+        for h in range(len(inner[0])):
+            total = sum(x * irow[h] for x, irow in zip(row, inner))
+            if total % char if char else total:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_boundary_of_full_simplex(n, char):
+    faces = {k: [f for f in range(1 << n) if f.bit_count() == k] for k in range(n + 1)}
+    cols = {k: {f: c for c, f in enumerate(fs)} for k, fs in faces.items()}
+    for k in range(1, n + 1):
+        # the augmented chain complex of a simplex is exact
+        assert boundary_rank(faces[k], cols[k - 1], char) == comb(n - 1, k - 1)
+        rows = boundary_matrix(faces[k], cols[k - 1], char)
+        dense = boundary_matrix(faces[k], cols[k - 1], 0)
+        assert all(x in (-1, 0, 1) for row in dense for x in row)
+        if char == 2:
+            assert rows == [sum(1 << c for c, x in enumerate(row) if x) for row in dense]
+    for k in range(2, n + 1):
+        outer = boundary_matrix(faces[k], cols[k - 1], char)
+        inner = boundary_matrix(faces[k - 1], cols[k - 2], char)
+        assert _composite_is_zero(outer, inner, char)

@@ -13,8 +13,8 @@ from sdepthlab.monomials import (
     InputError,
     Monomial,
     QuotientPair,
+    canonical_key,
     colon_pair,
-    form_quotient,
     ideal_sum,
     indices_of,
     intersect,
@@ -99,6 +99,13 @@ def test_minimalization_matches_brute(gens):
             assert g.sort_key() < h.sort_key()
 
 
+def test_canonical_key_orders_all_masks():
+    every = range(1 << MAX_AMBIENT)
+    assert sorted(every, key=canonical_key) == sorted(
+        every, key=lambda m: (m.bit_count(), indices_of(m))
+    )
+
+
 @given(st.lists(masks, min_size=0, max_size=5), masks)
 def test_membership_matches_brute(gens, probe):
     I = Ideal(6, [Monomial(m) for m in gens])
@@ -178,14 +185,7 @@ def test_with_field_and_key():
     assert QuotientPair(Q.I, Q.J) == Q
 
 
-def test_form_quotient_and_colon_pair():
-    I = Ideal.from_strs(3, "x1*x2")
-    K = Ideal.from_strs(3, "x3")
-    Q = form_quotient(I, K)
-    assert Q.J == Ideal.from_strs(3, "x1*x2*x3")
-    with pytest.raises(EmptyQuotientError):
-        form_quotient(I, Ideal(3, [Monomial(0)]))
-
+def test_colon_pair():
     Q2 = QuotientPair(Ideal.from_strs(3, "x1"), Ideal.from_strs(3, "x1*x2"))
     assert colon_pair(Q2, 2) is None  # (J:x2) = (x1) = (I:x2)
     cp = colon_pair(Q2, 3)

@@ -1,20 +1,12 @@
 from __future__ import annotations
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import brute_poset_masks, quotient_pairs, si_pair, unit_ideal
 from sdepthlab.io import parse_input
-from sdepthlab.monomials import Ideal, Monomial, QuotientPair
-from sdepthlab.poset import (
-    PosetSnapshot,
-    enumerate_poset,
-    min_poset_degree,
-    poset_bitset,
-    strata,
-    upward_closure,
-)
+from sdepthlab.monomials import Ideal, Monomial, QuotientPair, indices_of
+from sdepthlab.poset import poset_bitset, poset_view, strata, upward_closure
 
 
 def _bits_to_masks(bits: int) -> list[int]:
@@ -131,24 +123,65 @@ def test_strata_to_json_field_names():
     assert payload["B"] == ["x1*x2", "x1*x3"]
 
 
-def test_enumerate_poset_snapshot():
+@given(quotient_pairs(normalized=False))
+def test_poset_view_matches_brute(Q):
+    poset = brute_poset_masks(Q)
+    view = poset_view(Q)
+    assert view.elements == _canonical(poset)
+    assert view.d == min(m.bit_count() for m in poset)
+    for k in range(Q.ambient + 2):
+        assert view.layer(k) == _canonical(m for m in poset if m.bit_count() == k)
+
+
+def _canonical(masks) -> list[int]:
+    return sorted(masks, key=lambda m: (m.bit_count(), indices_of(m)))
+
+
+def test_poset_view_elements_and_layers():
     Q = QuotientPair(Ideal.from_strs(3, "x1"), Ideal.from_strs(3, "x1*x2*x3"))
-    snap = enumerate_poset(Q)
-    assert [str(m) for m in snap.elements] == ["x1", "x1*x2", "x1*x3"]
-    assert len(snap) == 3
-    assert Monomial.of(1, 2) in snap
-    assert Monomial.of(1, 2, 3) not in snap
-    assert snap.by_degree()[2] == [Monomial.of(1, 2), Monomial.of(1, 3)]
-    capped = enumerate_poset(Q, max_degree=1)
-    assert [str(m) for m in capped.elements] == ["x1"]
-    assert isinstance(capped, PosetSnapshot)
+    view = poset_view(Q)
+    assert [str(Monomial(m)) for m in view.elements] == ["x1", "x1*x2", "x1*x3"]
+    assert Monomial.of(1, 2, 3).mask not in view.elements
+    assert view.layer(2) == [Monomial.of(1, 2).mask, Monomial.of(1, 3).mask]
+    assert view.layer(1) == [Monomial.of(1).mask]
+    assert view.layer(3) == []
+    assert poset_view(Q) is view
+    Q2 = Q.with_field(2)
+    assert Q2.field == 2 and poset_view(Q2) is view
 
 
 def test_min_poset_degree():
-    assert min_poset_degree(0b1) == 0
-    assert min_poset_degree(0b10110000) == 1
-    with pytest.raises(ValueError):
-        min_poset_degree(0)
+    assert poset_view(si_pair(Ideal.from_strs(3, "x1*x2"))).d == 0
+    Q = QuotientPair(Ideal.from_strs(4, "x1", "x2*x3"), Ideal.from_strs(4, "x1*x4"))
+    assert poset_view(Q).d == 1
+    # the degree-1 generator lies in J, so the least degree comes from x2*x3
+    Q2 = QuotientPair(Ideal.from_strs(4, "x1", "x2*x3"), Ideal.from_strs(4, "x1"))
+    assert poset_view(Q2).d == 2
+
+
+def test_one_poset_build_per_pair(monkeypatch):
+    import sdepthlab.poset as poset_mod
+    from sdepthlab.depth import depth
+    from sdepthlab.hilbert import hilbert_series
+    from sdepthlab.sdepth import sdepth, verify_partition
+
+    calls = []
+    original = poset_mod.poset_bitset
+
+    def counted(Q):
+        calls.append(Q)
+        return original(Q)
+
+    monkeypatch.setattr(poset_mod, "poset_bitset", counted)
+    Q = parse_input("n=5\nI = x1*x2, x1*x3, x1*x4, x2*x3*x5\nJ = x2*x3*x4*x5\n")
+    strata(Q)
+    res = sdepth(Q)
+    assert verify_partition(Q, res.certificate)
+    hilbert_series(Q)
+    depth(Q, field=0)
+    depth(Q, field=2)
+    depth(Q.with_field(2))
+    assert calls == [Q]
 
 
 def test_unit_quotient_degree_zero():

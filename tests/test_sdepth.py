@@ -7,13 +7,12 @@ from helpers import brute_poset_masks, quotient_pairs
 from sdepthlab.fuzz import FuzzConfig, instance_rng, random_pair
 from sdepthlab.io import parse_input
 from sdepthlab.monomials import Ideal, InputError, Monomial, QuotientPair
-from sdepthlab.poset import min_poset_degree, poset_bitset
+from sdepthlab.poset import poset_bitset, poset_view
 from sdepthlab.sdepth import (
     Interval,
     MalformedIntervalError,
     Partition,
     brute_force_sdepth,
-    export_stanley_decomposition,
     sdepth,
     sdepth_decide,
     verify_partition,
@@ -89,7 +88,7 @@ def test_sdepth_certificate_verifies(Q):
 @settings(max_examples=30)
 def test_decision_is_monotone(Q):
     res = sdepth(Q)
-    d = min_poset_degree(poset_bitset(Q))
+    d = poset_view(Q).d
     for k in range(d, res.value + 1):
         cert = sdepth_decide(Q, k)
         assert cert is not None
@@ -135,12 +134,3 @@ def test_sdepth_pinned_corpus_values():
     )
     assert sdepth(ex3).value == 3
 
-
-def test_export_stanley_decomposition():
-    Q = QuotientPair(Ideal.from_strs(2, "x1"), Ideal(2))
-    P = Partition((Interval(Monomial.of(1), Monomial.of(1, 2)),))
-    assert export_stanley_decomposition(Q, P) == [(Monomial.of(1), (1, 2))]
-    with pytest.raises(InputError):
-        export_stanley_decomposition(
-            Q, Partition((Interval(Monomial.of(1), Monomial.of(1)),))
-        )

@@ -28,7 +28,6 @@ from sdepthlab.surgery import (
     build_h,
     build_reduced_pair,
     check_pair_hypotheses,
-    enforce_star,
     find_paths,
     ml1_candidate_bs,
     ml1_driver,
@@ -219,12 +218,6 @@ def test_swap_into_generator():
     P3 = Partition((Interval(parse_monomial("x1"), parse_monomial("x1*x2*x3")),))
     with pytest.raises(InputError, match="exactly one inner"):
         swap_into_generator(Q3, P3, parse_monomial("x1"), parse_monomial("x1"))
-
-
-def test_enforce_star_noop_when_satisfied():
-    Q, b, listed = _bad_setup()
-    H = build_h(Q, b, listed)
-    assert enforce_star(H) is H
 
 
 def test_check_pair_hypotheses_clauses():
