@@ -155,7 +155,10 @@ def _cmd_sdepth(args) -> int:
                 print(f"  [{iv.lo}, {iv.hi}]")
         return EXIT_OK
     res = EngineCache().sdepth(Q)
-    print(f"sdepth = {res.value}")
+    refuted = ""
+    if res.refuted_by is not None:
+        refuted = f"  (k = {res.refuted_k} refuted by {res.refuted_by})"
+    print(f"sdepth = {res.value}{refuted}")
     for iv in res.certificate.intervals:
         print(f"  [{iv.lo}, {iv.hi}]")
     return EXIT_OK

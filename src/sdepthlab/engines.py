@@ -8,7 +8,7 @@ the cache only avoids recomputation.
 from __future__ import annotations
 
 from .depth import DepthResult, depth
-from .hilbert import HdepthResult, hdepth1, hilbert_series
+from .hilbert import HdepthResult, hdepth1_pair
 from .monomials import QuotientPair
 from .poset import StrataReport, poset_view, strata
 from .sdepth import SdepthResult, sdepth
@@ -62,6 +62,6 @@ class EngineCache:
         k = Q.key()
         got = self._hdepth.get(k)
         if got is None:
-            got = hdepth1(hilbert_series(Q))
+            got = hdepth1_pair(Q)
             self._hdepth[k] = got
         return got

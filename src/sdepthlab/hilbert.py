@@ -159,7 +159,15 @@ def hdepth1(H: HilbertSeries) -> HdepthResult:
 
 
 def hdepth1_pair(Q: QuotientPair) -> HdepthResult:
-    return hdepth1(hilbert_series(Q))
+    """hdepth1 of the pair's series, computed at most once per poset view.
+
+    The series reads only the view's layers and n, so the result is kept on
+    the view and shared by `sdepth` (its search ceiling) and `EngineCache`.
+    """
+    view = poset_view(Q)
+    if view.hdepth is None:
+        view.hdepth = hdepth1(hilbert_series(Q))
+    return view.hdepth
 
 
 def herzog_question(n: int) -> dict:

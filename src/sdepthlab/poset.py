@@ -48,6 +48,17 @@ def upward_closure(bits: int, within: int) -> int:
     return bits
 
 
+def downward_closure(bits: int, within: int) -> int:
+    """Close a subset-indexed bitset downward under removing variables of `within`."""
+    t = within
+    while t:
+        low = t & -t
+        i = low.bit_length() - 1
+        bits |= (bits >> (1 << i)) & _low_block(i)
+        t ^= low
+    return bits
+
+
 _MAXN = 16
 _LOW_BLOCK_CACHE: dict[int, int] = {}
 
@@ -73,16 +84,18 @@ class PosetView:
     the least degree of an element.  `elements` lists the masks in canonical
     order, built on first use and shared by every reader, who must not
     mutate it; that order is degree-major, so the elements of degree k form
-    the contiguous run `layer(k)`.
+    the contiguous run `layer(k)`.  `hdepth` holds the pair's Hilbert depth
+    once `hilbert.hdepth1_pair` has computed it from the layers.
     """
 
-    __slots__ = ("bits", "d", "_elements")
+    __slots__ = ("bits", "d", "_elements", "hdepth")
 
     def __init__(self, Q: QuotientPair):
         self.bits = poset_bitset(Q)
         # a least-degree element is divisible by an I-generator outside J
         self.d = min(g.degree for g in Q.I.gens if (self.bits >> g.mask) & 1)
         self._elements: list[int] | None = None
+        self.hdepth = None
 
     @property
     def elements(self) -> list[int]:

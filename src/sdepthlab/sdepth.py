@@ -16,13 +16,30 @@ Exhaustiveness: the canonically least uncovered low element must be the
 *bottom* of its interval — any strictly smaller bottom would be an earlier,
 already-covered low — so branching over its degree-k tops explores every
 normalized partition.
+
+Ceiling: `sdepth` searches k = d+1 .. hdepth1(I/J) and no further.  A
+Stanley decomposition ⊕ u_i K[Z_i] with |Z_i| ≥ k is also a Hilbert
+decomposition of the Z-graded series into shifted polynomial rings of
+dimension ≥ k, so sdepth ≤ hdepth1; a value that reaches hdepth1 has k+1
+refuted by that count (`refuted_by = "hdepth1"`), not by a search.
+
+Pruning: a node is abandoned when an uncovered low lies under no uncovered
+top (one downward closure of the uncovered tops finds them all), or when
+the uncovered (k-1)-layer admits no assignment to uncovered tops in which a
+top v takes at most k - (least degree of a poset element dividing v) of
+them.  That assignment is warm-started: a child keeps its parent's
+assignment, drops the pairs whose low or top the new interval covers, and
+re-augments only the lows so orphaned.  Augmenting paths reach a maximum
+b-matching from any valid partial one, so every node gets the same verdict
+as an assignment built from scratch, and the search tree is unchanged.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .monomials import InputError, Monomial, QuotientPair
-from .poset import poset_view
+from .hilbert import hdepth1_pair
+from .poset import downward_closure, poset_view
 
 
 class MalformedIntervalError(InputError):
@@ -88,12 +105,14 @@ class SdepthResult:
     value: int
     certificate: Partition
     refuted_k: int | None
+    refuted_by: str | None  # "hdepth1" or "search"; None when value = n
 
     def to_json(self) -> dict:
         return {
             "value": self.value,
             "certificate": self.certificate.to_json(),
             "refuted_k": self.refuted_k,
+            "refuted_by": self.refuted_by,
         }
 
 
@@ -120,14 +139,13 @@ def verify_partition(Q: QuotientPair, partition: Partition) -> VerifyResult:
 
 
 def _interval_bits(lo: int, hi: int) -> int:
+    """Bitset of the masks between lo and hi: one shift-OR per free variable."""
+    bits = 1 << lo
     span = hi & ~lo
-    bits = 0
-    g = span
-    while True:
-        bits |= 1 << (lo | g)
-        if g == 0:
-            break
-        g = (g - 1) & span
+    while span:
+        low = span & -span
+        bits |= bits << low
+        span ^= low
     return bits
 
 
@@ -142,56 +160,89 @@ def sdepth_decide(Q: QuotientPair, k: int) -> Partition | None:
         return _expand(elements, [], k)
 
     tops = view.layer(k)
-    # per low: admissible tops in canonical order
-    tops_of = {u: [v for v in tops if u & ~v == 0] for u in lows}
-    if any(not ts for ts in tops_of.values()):
-        return None
-    # capacity of a top = k - (least degree of a poset element dividing it);
-    # canonical order is degree-major, so the first divisor found is least
-    cap = {
-        v: k - next(m for m in elements if m & ~v == 0).bit_count() for v in tops
-    }
     mid_lows = view.layer(k - 1)
+    low_bits = sum(1 << u for u in lows)
+    top_bits = sum(1 << v for v in tops)
+    every_var = (1 << Q.ambient) - 1
+    # per low: admissible tops in canonical order (tops are visited in it);
+    # capacity of a top = k - (least degree of a poset element dividing it)
+    tops_of: dict[int, list[int]] = {u: [] for u in lows}
+    cap: dict[int, int] = {}
+    for v in tops:
+        least = k
+        g = v
+        while True:
+            if (low_bits >> g) & 1:
+                tops_of[g].append(v)
+                least = min(least, g.bit_count())
+            if not g:
+                break
+            g = (g - 1) & v
+        cap[v] = k - least
 
     chosen: list[tuple[int, int]] = []
     covered = 0
 
-    def _feasible() -> bool:
-        for u in lows:
-            if (covered >> u) & 1:
+    def _has_dead_low() -> bool:
+        # an uncovered low lying under no uncovered top
+        live = downward_closure(top_bits & ~covered, every_var)
+        return bool(low_bits & ~covered & ~live)
+
+    def _augment(u: int, seen: set[int], at: dict, owners: dict) -> bool:
+        for v in tops_of[u]:
+            if (covered >> v) & 1 or v in seen:
                 continue
-            if all((covered >> v) & 1 for v in tops_of[u]):
-                return False
-        # capacity-respecting matching for the one-below-top layer
-        free = [u for u in mid_lows if not (covered >> u) & 1]
-        if not free:
-            return True
-        used: dict[int, int] = {}
-        owner: dict[int, list[int]] = {}
-
-        def try_assign(u: int, seen: set[int]) -> bool:
-            for v in tops_of[u]:
-                if (covered >> v) & 1 or v in seen:
-                    continue
-                seen.add(v)
-                if used.get(v, 0) < cap[v]:
-                    used[v] = used.get(v, 0) + 1
-                    owner.setdefault(v, []).append(u)
+            seen.add(v)
+            ws = owners.get(v, ())
+            if len(ws) < cap[v]:
+                owners[v] = ws + (u,)
+                at[u] = v
+                return True
+            for w in ws:
+                # `seen` holds v, so the deeper search leaves owners[v] alone
+                if _augment(w, seen, at, owners):
+                    owners[v] = tuple([u if x == w else x for x in ws])
+                    at[u] = v
                     return True
-                for w in owner.get(v, []):
-                    if try_assign(w, seen):
-                        owner[v].remove(w)
-                        owner[v].append(u)
-                        return True
-            return False
+        return False
 
-        return all(try_assign(u, set()) for u in free)
+    def _matched(state, u: int, v: int):
+        """The capacity assignment of the uncovered (k-1)-layer after [u, v].
 
-    def _bt() -> bool:
+        `state` is the parent's assignment (None at the root), which matched
+        every (k-1)-element uncovered there.  Its pairs stay valid except
+        those of the lows [u, v] covers and those sent to the top v; only
+        the lows so orphaned are augmented again.  Returns None when some
+        low cannot be placed: no capacity-respecting assignment exists.
+        """
+        if state is None:
+            at: dict[int, int] = {}
+            owners: dict[int, tuple[int, ...]] = {}
+            pending = [w for w in mid_lows if not (covered >> w) & 1]
+        else:
+            at, owners = dict(state[0]), dict(state[1])
+            free = v & ~u
+            while free:
+                bit = free & -free
+                w = v ^ bit
+                t = at.pop(w)
+                owners[t] = tuple([x for x in owners[t] if x != w])
+                free ^= bit
+            pending = owners.pop(v, ())
+            for w in pending:
+                del at[w]
+        for w in pending:
+            if not _augment(w, set(), at, owners):
+                return None
+        return at, owners
+
+    def _bt(i: int, state) -> bool:
         nonlocal covered
-        u = next((m for m in lows if not (covered >> m) & 1), None)
-        if u is None:
+        while i < len(lows) and (covered >> lows[i]) & 1:
+            i += 1
+        if i == len(lows):
             return True
+        u = lows[i]
         for v in tops_of[u]:
             if (covered >> v) & 1:
                 continue
@@ -200,13 +251,15 @@ def sdepth_decide(Q: QuotientPair, k: int) -> Partition | None:
                 continue
             covered |= ibits
             chosen.append((u, v))
-            if _feasible() and _bt():
-                return True
+            if not _has_dead_low():
+                child = _matched(state, u, v)
+                if child is not None and _bt(i + 1, child):
+                    return True
             chosen.pop()
             covered &= ~ibits
         return False
 
-    if not _bt():
+    if _has_dead_low() or not _bt(0, None):
         return None
     return _expand(elements, chosen, k, covered)
 
@@ -226,21 +279,20 @@ def _expand(
 def sdepth(Q: QuotientPair) -> SdepthResult:
     view = poset_view(Q)
     d = view.d
-    maxdeg = view.elements[-1].bit_count()
+    # sdepth <= hdepth1 <= dim I/J = top degree, so the search stops at hdepth1
+    hd = hdepth1_pair(Q).value
     best = sdepth_decide(Q, d)
     assert best is not None  # k = d has no lows; always satisfiable
     value = d
-    for k in range(d + 1, maxdeg + 1):
+    for k in range(d + 1, hd + 1):
         cert = sdepth_decide(Q, k)
         if cert is None:
-            return SdepthResult(value=value, certificate=best, refuted_k=k)
+            return SdepthResult(value, best, refuted_k=k, refuted_by="search")
         best = cert
         value = k
-    refuted = None
-    if value < Q.ambient:
-        assert sdepth_decide(Q, value + 1) is None  # no tops above maxdeg
-        refuted = value + 1
-    return SdepthResult(value=value, certificate=best, refuted_k=refuted)
+    if value == Q.ambient:
+        return SdepthResult(value, best, refuted_k=None, refuted_by=None)
+    return SdepthResult(value, best, refuted_k=value + 1, refuted_by="hdepth1")
 
 
 def brute_force_sdepth(Q: QuotientPair, limit: int = 14) -> int:

@@ -149,6 +149,10 @@ def bounds_report(
             sv,
         )
     )
+    # sdepth() stops its search at hdepth1, so this rule holds by
+    # construction; the unpruned search at hdepth1 + 1 checks the bound in
+    # tests/test_hilbert.py::test_hdepth_dominates_sdepth and
+    # tests/test_sdepth.py::test_hdepth1_refutations_hold_unpruned.
     out.append(
         _rule(
             "sdepth_le_hilbert_depth",

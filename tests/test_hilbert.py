@@ -15,7 +15,7 @@ from sdepthlab.hilbert import (
     hilbert_series,
 )
 from sdepthlab.monomials import Ideal, InputError, Monomial, QuotientPair
-from sdepthlab.sdepth import sdepth
+from sdepthlab.sdepth import sdepth, sdepth_decide
 
 
 @given(quotient_pairs(max_n=4, normalized=False))
@@ -49,7 +49,30 @@ def test_hdepth_certified_by_expansion(Q):
 @given(quotient_pairs(max_n=4))
 @settings(max_examples=30)
 def test_hdepth_dominates_sdepth(Q):
-    assert hdepth1_pair(Q).value >= sdepth(Q).value
+    # sdepth() stops at hdepth1, so check the bound with the search alone
+    hd = hdepth1_pair(Q).value
+    assert hd >= sdepth(Q).value
+    if hd < Q.ambient:
+        assert sdepth_decide(Q, hd + 1) is None
+
+
+def test_hdepth1_computed_once_per_pair(monkeypatch):
+    import sdepthlab.hilbert as hilbert_mod
+    from sdepthlab.engines import EngineCache
+
+    calls = []
+    original = hilbert_mod.hdepth1
+
+    def counted(H):
+        calls.append(H)
+        return original(H)
+
+    monkeypatch.setattr(hilbert_mod, "hdepth1", counted)
+    Q = QuotientPair(Ideal.from_strs(4, "x1*x2", "x3"), Ideal.from_strs(4, "x1*x2*x3"))
+    res = sdepth(Q)
+    assert EngineCache().hdepth(Q) == hdepth1_pair(Q.with_field(2))
+    assert res.value <= hdepth1_pair(Q).value
+    assert len(calls) == 1
 
 
 def test_polynomial_ring_series():

@@ -142,6 +142,7 @@ def test_cli_sdepth(ex1_file, capsys):
     assert cli.main(["sdepth", ex1_file]) == 0
     out = capsys.readouterr().out
     assert "sdepth = 3" in out and "[x1*x2," in out
+    assert "(k = 4 refuted by search)" in out
     assert cli.main(["sdepth", ex1_file, "--decide", "4"]) == 0
     assert "sdepth >= 4: unsat" in capsys.readouterr().out
     assert cli.main(["sdepth", ex1_file, "--decide", "3"]) == 0

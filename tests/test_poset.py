@@ -1,12 +1,21 @@
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import brute_poset_masks, quotient_pairs, si_pair, unit_ideal
 from sdepthlab.io import parse_input
 from sdepthlab.monomials import Ideal, Monomial, QuotientPair, indices_of
-from sdepthlab.poset import poset_bitset, poset_view, strata, upward_closure
+from sdepthlab.poset import (
+    downward_closure,
+    poset_bitset,
+    poset_view,
+    strata,
+    upward_closure,
+)
 
 
 def _bits_to_masks(bits: int) -> list[int]:
@@ -44,6 +53,23 @@ def test_upward_closure_brute(seed_bits, within):
         if extra & ~within == 0
     }
     assert set(_bits_to_masks(closed)) == expected
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_downward_closure_brute(n):
+    rng = random.Random(n)
+    space = 1 << n
+    full = (1 << space) - 1
+    for _ in range(60):
+        seed_bits = rng.randint(0, full) & rng.randint(0, full)
+        within = rng.choice([space - 1, rng.randint(0, space - 1)])
+        seeds = _bits_to_masks(seed_bits)
+        expected = {
+            m
+            for m in range(space)
+            if any(m & ~s == 0 and s & ~m & ~within == 0 for s in seeds)
+        }
+        assert set(_bits_to_masks(downward_closure(seed_bits, within))) == expected
 
 
 @given(quotient_pairs())

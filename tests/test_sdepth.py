@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from helpers import brute_poset_masks, quotient_pairs
 from sdepthlab.fuzz import FuzzConfig, instance_rng, random_pair
@@ -79,9 +79,11 @@ def test_sdepth_certificate_verifies(Q):
     assert d <= res.value <= Q.ambient
     if res.refuted_k is not None:
         assert res.refuted_k == res.value + 1
+        assert res.refuted_by in ("hdepth1", "search")
         assert sdepth_decide(Q, res.refuted_k) is None
     else:
         assert res.value == Q.ambient
+        assert res.refuted_by is None
 
 
 @given(quotient_pairs(max_n=4))
@@ -107,6 +109,39 @@ def test_solver_matches_brute_force_stream():
             continue
         assert sdepth(Q).value == brute_force_sdepth(Q)
         checked += 1
+
+
+@given(quotient_pairs(max_n=5, normalized=False))
+@settings(max_examples=60)
+def test_decide_matches_brute_force_at_every_k(Q):
+    view = poset_view(Q)
+    assume(len(view.elements) <= 14)
+    best = brute_force_sdepth(Q)
+    for k in range(view.d, Q.ambient + 1):
+        assert (sdepth_decide(Q, k) is not None) == (best >= k)
+
+
+def test_hdepth1_refutations_hold_unpruned():
+    # every k+1 that the hdepth1 ceiling refutes is refuted by the search too
+    cfg = FuzzConfig(n=6, seed=2026)
+    by_hdepth = 0
+    for idx in range(200):
+        Q = random_pair(instance_rng(cfg.seed, idx), cfg)
+        res = sdepth(Q)
+        if res.refuted_by == "hdepth1":
+            by_hdepth += 1
+            assert sdepth_decide(Q, res.value + 1) is None
+    assert by_hdepth > 0
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_sdepth_of_maximal_ideal(n):
+    # sdepth(m_n) = ceil(n/2) (Biró–Howard–Keller–Trotter–Young)
+    Q = QuotientPair(Ideal(n, [Monomial.of(i) for i in range(1, n + 1)]), Ideal(n))
+    res = sdepth(Q)
+    assert res.value == (n + 1) // 2
+    assert res.refuted_by == "hdepth1"
+    assert verify_partition(Q, res.certificate)
 
 
 def test_brute_force_limit_guard():
