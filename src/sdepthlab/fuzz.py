@@ -18,9 +18,11 @@ from dataclasses import dataclass, field
 
 from .engines import EngineCache
 from .monomials import Ideal, InputError, Monomial, QuotientPair
+from .poset import strata
 from .surgery import (
     DriverFailure,
     SurgeryError,
+    containment_violators,
     ml1_candidate_bs,
     ml1_driver,
     verify_outcome,
@@ -281,47 +283,24 @@ def sample_ml1_instance(rng: random.Random, n: int = 6,
         I = Ideal(n, gens)
         if len([g for g in I.gens if g.degree == d]) != 2:
             continue
-        Q0 = QuotientPair(I, Ideal(n))
-        j_gens = _containment_closure_jgens(Q0, d, rng)
-        try:
-            Q = QuotientPair(I, Ideal(n, j_gens))
-        except InputError:
-            continue
+        j_gens = _containment_closure_jgens(QuotientPair(I, Ideal(n)), rng)
+        Q = QuotientPair(I, Ideal(n, j_gens))
         bs = ml1_candidate_bs(Q)
         if bs:
             return Q, bs
     return None
 
 
-def _containment_closure_jgens(Q0: QuotientPair, d: int,
+def _containment_closure_jgens(Q0: QuotientPair,
                                rng: random.Random) -> list[Monomial]:
-    """J generators that kill the C-elements breaking containment."""
-    from .poset import strata as strata_fn
-    from .surgery import _containment_violation
-
-    st = strata_fn(Q0)
-    if st.r != 2:
-        return [Monomial(0)]  # force an invalid pair; caller retries
-    kill: list[Monomial] = []
-    seen = set()
-    pair = Q0
-    for _ in range(len(st.C) + 1):
-        st_cur = strata_fn(pair)
-        bad_c = _containment_violation(st_cur)
-        if bad_c is None:
-            break
-        if bad_c in seen:
-            break
-        seen.add(bad_c)
-        kill.append(bad_c)
-        try:
-            pair = QuotientPair(Q0.I, Ideal(Q0.ambient, kill))
-        except InputError:
-            break
-    extras = []
-    st_fin = strata_fn(pair)
-    pool = [c.mask for c in st_fin.C]
+    """J generators that kill the C-elements breaking containment, plus up to
+    two random other elements of C."""
+    st = strata(Q0)
+    # one pass suffices: killing violators changes neither the rest of C nor
+    # whether each of them meets the condition (see containment_violators)
+    j_gens = list(containment_violators(st))
+    pool = [c.mask for c in st.C if c not in j_gens]
     for _ in range(rng.randint(0, 2)):
         if pool:
-            extras.append(Monomial(rng.choice(pool)))
-    return kill + extras
+            j_gens.append(Monomial(rng.choice(pool)))
+    return j_gens

@@ -14,7 +14,7 @@ certificate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .depth import depth
 from .monomials import (
@@ -145,14 +145,13 @@ class HMap:
     bottoms its own interval and contributes h(b') = top.
     """
 
-    pair: QuotientPair
     pair_b: QuotientPair
     b: Monomial
     partition: Partition
     st: StrataReport
     f_rest: tuple[Monomial, ...]
-    tops: dict
     inners: dict
+    inner: frozenset                # every inner element, of all generators
     mapping: dict
     domain_b: tuple[Monomial, ...]
 
@@ -160,16 +159,13 @@ class HMap:
         return self.mapping[m]
 
     def inner_set(self) -> frozenset:
-        out = set()
-        for pair in self.inners.values():
-            out.update(pair)
-        return frozenset(out)
+        return self.inner
 
     def image(self) -> frozenset:
         return frozenset(self.mapping.values())
 
     def in_inner_ideal(self, c: Monomial) -> bool:
-        return any(u.divides(c) for u in self.inner_set())
+        return any(u.divides(c) for u in self.inner)
 
     def to_json(self) -> dict:
         return {
@@ -195,7 +191,6 @@ def build_h(Q: QuotientPair, b: Monomial, P_b: Partition) -> HMap:
 
     by_lo = {iv.lo: iv for iv in partition.intervals}
     f_rest = tuple([Monomial(m) for m in view_b.layer(d_b)])
-    tops: dict = {}
     inners: dict = {}
     mapping: dict = {}
     inner_all = set()
@@ -214,7 +209,6 @@ def build_h(Q: QuotientPair, b: Monomial, P_b: Partition) -> HMap:
                 f"generator interval [{f},{iv.hi}] must contain exactly two "
                 f"degree-{d_b + 1} elements, found {len(mid)}"
             )
-        tops[f] = iv.hi
         inners[f] = mid
         mapping[f] = iv.hi
         inner_all.update(mid)
@@ -237,14 +231,13 @@ def build_h(Q: QuotientPair, b: Monomial, P_b: Partition) -> HMap:
             f"image size {len(mapping)} differs from s-r = {st.s - st.r}"
         )
     return HMap(
-        pair=Q,
         pair_b=pair_b,
         b=b,
         partition=partition,
         st=st,
         f_rest=f_rest,
-        tops=tops,
         inners=inners,
+        inner=frozenset(inner_all),
         mapping=mapping,
         domain_b=tuple(domain_b),
     )
@@ -285,7 +278,7 @@ def find_paths(H: HMap, start: Monomial, limit: int = _MAX_ENUMERATED_PATHS) -> 
     the removed element b; it is bad when the final top is a multiple of b,
     weak when some top along the way lands in the inner-pair ideal.
     """
-    excluded = {H.b} | set(H.inner_set())
+    excluded = H.inner | {H.b}
     if start in excluded or start not in H.mapping:
         raise SurgeryError(f"path start {start} is not admissible")
     paths: list[Path] = []
@@ -313,7 +306,7 @@ def find_paths(H: HMap, start: Monomial, limit: int = _MAX_ENUMERATED_PATHS) -> 
             seen.remove(m)
 
     dfs([start], {start})
-    T = _reach(H, start)
+    T = _bfs(H, start)
     return PathSearch(
         paths=tuple(paths),
         T=frozenset(T),
@@ -322,51 +315,36 @@ def find_paths(H: HMap, start: Monomial, limit: int = _MAX_ENUMERATED_PATHS) -> 
     )
 
 
-def _reach(H: HMap, start: Monomial, forbidden: frozenset = frozenset()) -> set:
-    """Vertices reachable by paths from start (loop-erasure makes BFS exact)."""
-    excluded = {H.b} | set(H.inner_set()) | set(forbidden)
-    seen = {start}
+def _bfs(H: HMap, start: Monomial, forbidden: frozenset = frozenset()) -> dict:
+    """BFS tree of the paths from start: vertex -> predecessor, in visit order.
+
+    Its keys are the reachable vertices (loop-erasure makes BFS exact), and
+    the tree path to the first key with a property is a shortest path to it.
+    """
+    blocked = H.inner | forbidden | {H.b}
+    parent = {start: None}
     queue = [start]
-    while queue:
-        x = queue.pop(0)
+    for x in queue:
         c = H.h(x)
         if H.b.divides(c):
             continue  # rule (iii): nothing extends past a bad top
         for m in _b_divisors(H, c):
-            if m in excluded or m in seen:
-                continue
-            seen.add(m)
-            queue.append(m)
-    return seen
+            if m not in blocked and m not in parent:
+                parent[m] = x
+                queue.append(m)
+    return parent
 
 
-def _shortest_path_to(
-    H: HMap,
-    start: Monomial,
-    hit,
-    forbidden: frozenset = frozenset(),
-):
-    """BFS for the shortest path whose final vertex satisfies `hit`."""
-    excluded = {H.b} | set(H.inner_set()) | set(forbidden)
-    parent = {start: None}
-    queue = [start]
-    while queue:
-        x = queue.pop(0)
-        if hit(x):
-            seq = []
-            while x is not None:
-                seq.append(x)
-                x = parent[x]
-            return list(reversed(seq))
-        c = H.h(x)
-        if H.b.divides(c):
-            continue
-        for m in _b_divisors(H, c):
-            if m in excluded or m in parent:
-                continue
-            parent[m] = x
-            queue.append(m)
-    return None
+def _tree_path(tree: dict, hit) -> list[Monomial] | None:
+    """The tree path to the first visited vertex satisfying `hit`, or None."""
+    x = next((v for v in tree if hit(v)), None)
+    if x is None:
+        return None
+    seq = []
+    while x is not None:
+        seq.append(x)
+        x = tree[x]
+    return seq[::-1]
 
 
 def rotate(Q: QuotientPair, partition: Partition, lows) -> Partition:
@@ -490,28 +468,19 @@ def _switch_bottom(partition: Partition, old_lo: Monomial, new_lo: Monomial):
     return pieces
 
 
-def _containment_violation(st: StrataReport) -> Monomial | None:
-    f1, f2 = st.f_list
-    E = st.E
-    for c in st.C:
-        if f1.divides(c) and f2.divides(c):
-            continue
-        in_E = any(a.divides(c) for a in E)
-        if in_E and (f1.divides(c) or f2.divides(c)):
-            continue
-        pair_hit = False
-        for i, a in enumerate(E):
-            if not a.divides(c):
-                continue
-            for a2 in E[i + 1:]:
-                if a2.divides(c):
-                    pair_hit = True
-                    break
-            if pair_hit:
-                break
-        if not pair_hit:
-            return c
-    return None
+def containment_violators(st: StrataReport) -> tuple[Monomial, ...]:
+    """The elements of C breaking the C-containment condition, in canonical order.
+
+    The condition asks every c in C to be a multiple of two of the
+    generators f_1, f_2 and E.  Whether c meets it reads only those
+    generators and c, so putting some violators into J (which removes just
+    them: their multiples lie above degree d+2) leaves the others' answers
+    unchanged.
+    """
+    gens = [g.mask for g in st.f_list + st.E]
+    return tuple([
+        c for c in st.C if sum(1 for g in gens if g & ~c.mask == 0) < 2
+    ])
 
 
 def check_pair_hypotheses(Q: QuotientPair, st: StrataReport | None = None) -> None:
@@ -532,9 +501,9 @@ def check_pair_hypotheses(Q: QuotientPair, st: StrataReport | None = None) -> No
         raise SurgeryError(
             f"hypothesis 4 <= s <= q+2 fails: s={st.s}, q={st.q}"
         )
-    bad_c = _containment_violation(st)
-    if bad_c is not None:
-        raise SurgeryError(f"hypothesis C-containment fails at {bad_c}")
+    bad_c = containment_violators(st)
+    if bad_c:
+        raise SurgeryError(f"hypothesis C-containment fails at {bad_c[0]}")
 
 
 def ml1_candidate_bs(Q: QuotientPair) -> tuple[Monomial, ...]:
@@ -609,20 +578,19 @@ class _Driver:
                 self.log("trail-revisit rewrite failed verification")
                 break
 
-            T = _reach(H, start, forbidden=trail_set)
-            bad = any(H.b.divides(H.h(x)) for x in T)
-            weak = any(H.in_inner_ideal(H.h(x)) for x in T)
-
-            if bad:
-                result = self._case_bad(H, partition, start, trail, trail_set)
+            tree = _bfs(H, start, trail_set)
+            bad = _tree_path(tree, lambda x: H.b.divides(H.h(x)))
+            if bad is not None:
+                result = self._case_bad(H, partition, bad, trail, trail_set)
                 if isinstance(result, SurgeryOutcome):
                     return result
                 if result is None:
                     break
                 partition, start, trail = result
                 continue
-            if weak:
-                result = self._case_weak(H, partition, start, T, trail, trail_set)
+            weak = _tree_path(tree, lambda x: H.in_inner_ideal(H.h(x)))
+            if weak is not None:
+                result = self._case_weak(H, partition, weak, tree, trail, trail_set)
                 if isinstance(result, SurgeryOutcome):
                     return result
                 if result is None:
@@ -630,16 +598,16 @@ class _Driver:
                 partition, start, trail = result
                 continue
             self.log(f"case 1: no weak or bad path from {start}")
-            outcome = self._finish(H, T, rewritten=bool(trail))
+            outcome = self._finish(H, tree, rewritten=bool(trail))
             if outcome is not None:
                 return outcome
             self.log("case 1 candidates exhausted")
             break
 
-        return self._fallback()
+        return self._fallback(cert)
 
     def _pick_start(self, H: HMap, trail_set: frozenset):
-        blocked = {H.b} | set(H.inner_set()) | set(trail_set)
+        blocked = H.inner | trail_set | {H.b}
         for m in H.st.B:
             if m not in blocked and m in H.mapping:
                 return m
@@ -651,20 +619,17 @@ class _Driver:
         """Shortest path from start touching the trail, as a combined segment."""
         if not trail:
             return None
-        path = _shortest_path_to(
-            H,
-            start,
-            hit=lambda x: any(
+        path = _tree_path(
+            _bfs(H, start),
+            lambda x: any(
                 t.divides(H.h(x)) for t in trail_set
             ) and not H.b.divides(H.h(x)),
         )
         if path is None:
             return None
         last_c = H.h(path[-1])
-        for v, t in enumerate(trail):
-            if t.divides(last_c):
-                return trail[v:] + path
-        return None
+        v = next(v for v, t in enumerate(trail) if t.divides(last_c))
+        return trail[v:] + path
 
     def _revisit_win(self, H, partition, seq, trail):
         """Cyclic rotation pushing a top onto the continuation vertex, then
@@ -691,13 +656,7 @@ class _Driver:
 
     # -- bad paths --------------------------------------------------------
 
-    def _case_bad(self, H, partition, start, trail, trail_set):
-        path = _shortest_path_to(
-            H, start, hit=lambda x: H.b.divides(H.h(x)), forbidden=trail_set
-        )
-        if path is None:
-            self.log("bad vertex unreachable despite classification")
-            return None
+    def _case_bad(self, H, partition, path, trail, trail_set):
         a_t = path[-1]
         c_t = H.h(a_t)
         x_l = Monomial(c_t.mask & ~self.b.mask)
@@ -741,7 +700,7 @@ class _Driver:
                 return outcome
             self.log("trail rotation failed verification")
             return None
-        if fxl in H.inner_set() or fxl == self.b or fxl not in H.mapping:
+        if fxl in H.inner or fxl == self.b or fxl not in H.mapping:
             self.log(f"continuation vertex {fxl} is not admissible")
             return None
         self.log(f"continuing from {fxl}")
@@ -749,16 +708,7 @@ class _Driver:
 
     # -- weak paths -------------------------------------------------------
 
-    def _case_weak(self, H, partition, start, T, trail, trail_set):
-        path = _shortest_path_to(
-            H,
-            start,
-            hit=lambda x: H.in_inner_ideal(H.h(x)),
-            forbidden=trail_set,
-        )
-        if path is None:
-            self.log("weak vertex unreachable despite classification")
-            return None
+    def _case_weak(self, H, partition, path, T, trail, trail_set):
         a_t = path[-1]
         c_t = H.h(a_t)
         mid = H.inners[self.f2]
@@ -806,7 +756,7 @@ class _Driver:
         T_final = set(T) | {u}
         if any(u_prime.divides(c) for c in U1):
             T_final.add(u_prime)
-            T_final |= _reach(H2, u_prime, forbidden=trail_set)
+            T_final.update(_bfs(H2, u_prime, trail_set))
             self.log(f"completing the reach set through {u_prime}")
         outcome = self._finish(H2, frozenset(T_final), rewritten=True)
         if outcome is not None:
@@ -818,11 +768,9 @@ class _Driver:
         """Try to link a_next back onto the current path by one rotation."""
         if a_next in path:
             return None
-        sub = _shortest_path_to(
-            H,
-            a_next,
-            hit=lambda x: any(p.divides(H.h(x)) for p in path),
-            forbidden=trail_set | frozenset(path),
+        sub = _tree_path(
+            _bfs(H, a_next, trail_set | frozenset(path)),
+            lambda x: any(p.divides(H.h(x)) for p in path),
         )
         if sub is None:
             return None
@@ -839,11 +787,11 @@ class _Driver:
 
     # -- endgame ----------------------------------------------------------
 
-    def _finish(self, H: HMap, T: frozenset, rewritten: bool):
+    def _finish(self, H: HMap, T, rewritten: bool):
         st, Q, d = self.st, self.Q, self.d
         B_all = set(st.B)
         G1 = B_all - set(T)
-        G2 = G1 - set(H.inner_set())
+        G2 = G1 - H.inner
         g_variants = []
         for G in ([G2, G1] if rewritten else [G1, G2]):
             if G not in g_variants:
@@ -864,7 +812,7 @@ class _Driver:
                     return outcome
         return None
 
-    def _try_candidate(self, gens, d: int, fallback: bool = False):
+    def _try_candidate(self, gens, d: int):
         Q = self.Q
         if not gens:
             return None
@@ -898,7 +846,6 @@ class _Driver:
                 sub_pair=sub,
                 sdepth_sub=value,
                 depth_rest=depth_rest,
-                fallback=fallback,
                 trace=tuple(self.trace),
             )
         pieces = list(cert_sub.intervals)
@@ -914,14 +861,14 @@ class _Driver:
         return SurgeryOutcome(
             kind="upgraded_partition",
             partition=out,
-            fallback=fallback,
             trace=tuple(self.trace),
         )
 
-    def _fallback(self) -> SurgeryOutcome:
+    def _fallback(self, cert_b: Partition) -> SurgeryOutcome:
+        """Settle the disjunction directly; cert_b is the reduced pair's
+        value-(d+2) partition that `run` started from."""
         self.log("fallback: deciding the disjunction by direct computation")
-        Q, d = self.Q, self.d
-        cert = sdepth_decide(Q, d + 2)
+        cert = sdepth_decide(self.Q, self.d + 2)
         if cert is not None:
             return SurgeryOutcome(
                 kind="upgraded_partition",
@@ -929,27 +876,18 @@ class _Driver:
                 fallback=True,
                 trace=tuple(self.trace),
             )
-        H = build_h(Q, self.b, sdepth_decide(build_reduced_pair(Q, self.b), d + 2))
+        H = build_h(self.Q, self.b, cert_b)
         tried = set()
-        starts = [m for m in H.st.B
-                  if m in H.mapping and m not in H.inner_set() and m != self.b]
-        for a in starts:
-            T = frozenset(_reach(H, a))
+        for a in H.st.B:
+            if a not in H.mapping or a in H.inner or a == self.b:
+                continue
+            T = frozenset(_bfs(H, a))
             if T in tried:
                 continue
             tried.add(T)
             outcome = self._finish(H, T, rewritten=False)
             if outcome is not None:
-                return SurgeryOutcome(
-                    kind=outcome.kind,
-                    partition=outcome.partition,
-                    subideal=outcome.subideal,
-                    sub_pair=outcome.sub_pair,
-                    sdepth_sub=outcome.sdepth_sub,
-                    depth_rest=outcome.depth_rest,
-                    fallback=True,
-                    trace=tuple(self.trace),
-                )
+                return replace(outcome, fallback=True, trace=tuple(self.trace))
         raise DriverFailure(
             "no verified outcome: rewriting and fallback both exhausted",
             tuple(self.trace),

@@ -14,6 +14,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from sdepthlab.monomials import Ideal, Monomial, QuotientPair
+from sdepthlab.poset import strata
 
 
 # -- random instances --------------------------------------------------------
@@ -89,6 +90,29 @@ def brute_monomial_count(Q: QuotientPair, degree: int) -> int:
         return total
 
     return count(0, degree, 0)
+
+
+def containment_kills_one_at_a_time(Q0: QuotientPair) -> list[Monomial]:
+    """The C-containment violators of an r = 2 pair with J = 0, found the
+    slow way: put the first violator into J, recompute the strata, repeat
+    until none is left."""
+    kill: list[Monomial] = []
+    pair = Q0
+    while True:
+        report = strata(pair)
+        f1, f2 = report.f_list
+        bad = None
+        for c in report.C:
+            e_hits = [a for a in report.E if a.divides(c)]
+            f_hit = f1.divides(c) or f2.divides(c)
+            both_f = f1.divides(c) and f2.divides(c)
+            if not (both_f or (e_hits and f_hit) or len(e_hits) >= 2):
+                bad = c
+                break
+        if bad is None:
+            return kill
+        kill.append(bad)
+        pair = QuotientPair(Q0.I, Ideal(Q0.ambient, kill))
 
 
 def rank_fraction_gauss(rows: list[list[int]]) -> int:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import containment_kills_one_at_a_time
+from sdepthlab import fuzz
 from sdepthlab.corpus import BAD_PB_INTERVALS, ITEMS
 from sdepthlab.fuzz import sample_ml1_instance
 from sdepthlab.io import parse_input
@@ -18,16 +20,18 @@ from sdepthlab.monomials import (
     minimalize,
     parse_monomial,
 )
+from sdepthlab.poset import strata
 from sdepthlab.sdepth import Interval, Partition, sdepth_decide, verify_partition
 from sdepthlab.surgery import (
     DriverFailure,
     SurgeryError,
     SurgeryOutcome,
-    _reach,
+    _bfs,
     _truncated_cover,
     build_h,
     build_reduced_pair,
     check_pair_hypotheses,
+    containment_violators,
     find_paths,
     ml1_candidate_bs,
     ml1_driver,
@@ -270,8 +274,13 @@ def test_driver_bad_path_upgrade():
     assert out.partition.sdepth_value == 4
     assert verify_partition(Q, out.partition)
     assert verify_outcome(Q, out)
-    assert any("case 3: bad path" in t for t in out.trace)
-    assert any("upgrade by direct switch at" in t for t in out.trace)
+    assert out.trace == (
+        "reduced pair partition of value 4 found",
+        "stage 0: start x1*x3*x4",
+        "case 3: bad path ['x1*x3*x4', 'x3*x4*x5', 'x3*x4*x6', 'x1*x4*x6'] "
+        "with top x1*x2*x4*x6",
+        "upgrade by direct switch at x1*x4*x6",
+    )
     again = ml1_driver(Q, b)
     assert again == out  # deterministic
     j = out.to_json()
@@ -287,10 +296,15 @@ def test_driver_weak_path_witness():
     assert out.subideal == Ideal.from_strs(6, "x2*x3", "x2*x6")
     assert out.sdepth_sub == 2 and out.depth_rest == 2
     assert verify_outcome(Q, out)
-    assert any("case 2: weak path" in t for t in out.trace)
-    assert any("onto the weak path by rotation" in t for t in out.trace)
-    assert any("swapped" in t for t in out.trace)
-    assert any("completing the reach set through" in t for t in out.trace)
+    assert out.trace == (
+        "reduced pair partition of value 3 found",
+        "stage 0: start x1*x3",
+        "case 2: weak path ['x1*x3', 'x3*x4'] hits (x3*x6) at x3*x4*x6",
+        "joined x4*x6 onto the weak path by rotation",
+        "swapped x4*x6 into the x6 interval",
+        "completing the reach set through x1*x6",
+        "subideal witness (x2*x3, x2*x6): sdepth 2 <= 2",
+    )
     j = out.to_json()
     assert j["subideal"] == ["x2*x3", "x2*x6"]
     assert j["sdepth_sub"] == 2 and j["depth_rest"] == 2
@@ -322,6 +336,63 @@ def test_sampler_yields_hypothesis_satisfying_instances():
     check_pair_hypotheses(Q)
     assert bs == ml1_candidate_bs(Q)
     assert bs
+
+
+def _driver_instances(seeds):
+    for seed in seeds:
+        got = sample_ml1_instance(random.Random(seed), n=6)
+        if got is not None:
+            yield got
+
+
+def test_sampler_closure_matches_one_kill_at_a_time(monkeypatch):
+    tries = []
+    closure = fuzz._containment_closure_jgens
+
+    def spy(Q0, rng):
+        j_gens = closure(Q0, rng)
+        tries.append((Q0, j_gens))
+        return j_gens
+
+    monkeypatch.setattr(fuzz, "_containment_closure_jgens", spy)
+    for _ in _driver_instances(range(40)):
+        pass
+    assert len(tries) > 40
+    # the tries repeat pairs and J's: check each distinct one once
+    kills: dict = {}
+    finals = set()
+    for Q0, j_gens in tries:
+        if Q0.key() not in kills:
+            st0 = strata(Q0)
+            kill = list(containment_violators(st0))
+            assert kill == containment_kills_one_at_a_time(Q0)
+            kills[Q0.key()] = kill, set(st0.C) - set(kill)
+        kill, rest = kills[Q0.key()]
+        assert j_gens[:len(kill)] == kill
+        assert set(j_gens[len(kill):]) <= rest
+        finals.add(QuotientPair(Q0.I, Ideal(Q0.ambient, j_gens)))
+    for Q in finals:
+        assert containment_violators(strata(Q)) == ()
+
+
+def test_reach_set_is_the_union_of_enumerated_paths():
+    cases = 0
+    for Q, bs in _driver_instances(range(40)):
+        d = strata(Q).d
+        for b in bs:
+            cert = sdepth_decide(build_reduced_pair(Q, b), d + 2)
+            if cert is None:
+                continue
+            H = build_h(Q, b, cert)
+            for a in H.mapping:
+                if a in H.inner_set() or a == b:
+                    continue
+                search = find_paths(H, a)
+                assert search.T == frozenset(
+                    m for p in search.paths for m in p.elements
+                )
+                cases += 1
+    assert cases > 500
 
 
 def test_verify_outcome_rejects_tampering():
@@ -386,7 +457,7 @@ def test_witness_chain_on_showcase():
     )
     x1x2 = parse_monomial("x1*x2")
     T = {parse_monomial("x1*x5"), parse_monomial("x2*x5"), x1x2}
-    T |= _reach(H2, x1x2)
+    T |= set(_bfs(H2, x1x2))
     T |= {parse_monomial("x3*x5"), parse_monomial("x1*x3")}
     G = sorted(set(H2.st.B) - T - set(inners), key=Monomial.sort_key)
     assert [str(g) for g in G] == ["x1*x4", "x4*x5", "x5*x6"]
