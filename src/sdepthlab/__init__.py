@@ -22,7 +22,7 @@ from .monomials import (
     parse_monomial,
 )
 from .poset import PosetView, StrataReport, poset_view, strata
-from .depth import DepthResult, KoszulDegreeReport, depth, koszul_component
+from .depth import DepthResult, depth
 from .reisner import reisner_depth_oracle
 from .sdepth import (
     Interval,
@@ -103,7 +103,6 @@ __all__ = [
     "Ideal",
     "InputError",
     "Interval",
-    "KoszulDegreeReport",
     "Monomial",
     "Partition",
     "PosetView",
@@ -118,7 +117,6 @@ __all__ = [
     "hilbert_series",
     "ideal_sum",
     "intersect",
-    "koszul_component",
     "minimalize",
     "parse_monomial",
     "poset_view",

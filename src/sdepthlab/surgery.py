@@ -564,10 +564,7 @@ class _Driver:
             partition = H.partition
             trail_set = frozenset(trail)
             if start is None:
-                start = self._pick_start(H, trail_set)
-                if start is None:
-                    self.log("no admissible start vertex")
-                    break
+                start = self._pick_start(H)
             self.log(f"stage {stage}: start {start}")
 
             hit_seq = self._trail_hit(H, start, trail, trail_set)
@@ -606,12 +603,10 @@ class _Driver:
 
         return self._fallback(cert)
 
-    def _pick_start(self, H: HMap, trail_set: frozenset):
-        blocked = H.inner | trail_set | {H.b}
-        for m in H.st.B:
-            if m not in blocked and m in H.mapping:
-                return m
-        return None
+    def _pick_start(self, H: HMap) -> Monomial:
+        # stage 0 only: B minus b and f2's inner pair keeps s-3 >= 1, all in h's domain
+        blocked = H.inner | {H.b}
+        return next(m for m in H.st.B if m not in blocked and m in H.mapping)
 
     # -- trail revisits --------------------------------------------------
 

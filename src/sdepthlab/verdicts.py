@@ -474,8 +474,8 @@ def consistency_audit(
     dB = cache.depth(Q).depth
     n = Q.ambient
 
-    for j in range(1, n + 1):
-        cp = colon_pair(Q, j)
+    colons = [colon_pair(Q, j) for j in range(1, n + 1)]
+    for j, cp in enumerate(colons, 1):
         if cp is None:
             checks.append(AuditCheck("colon_depth_monotone", f"j={j}", None))
             continue
@@ -489,10 +489,9 @@ def consistency_audit(
             )
         )
 
-    for t in range(1, n + 1):
+    for t, A in enumerate(colons, 1):
         param = f"t={t}"
         var_ideal = Ideal(n, (Monomial.of(t),))
-        A = colon_pair(Q, t)
         K = ideal_sum(Q.J, intersect(Q.I, var_ideal))
         C = None if K.contains_ideal(Q.I) else QuotientPair(Q.I, K, field=Q.field)
         dA = _depth_of(cache, A)

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import proper_ideals, quotient_pairs, si_pair
-from sdepthlab.depth import DepthResult, depth, koszul_component
+from helpers import (
+    koszul_betti,
+    nonsquarefree_koszul_sweep,
+    proper_ideals,
+    quotient_pairs,
+    si_pair,
+)
+from sdepthlab.depth import DepthResult, _candidate_degrees, depth
 from sdepthlab.io import parse_input
 from sdepthlab.monomials import Ideal, Monomial, QuotientPair
 from sdepthlab.reisner import reisner_depth_oracle
@@ -29,14 +36,23 @@ def test_depth_result_invariants(Q):
     assert 0 <= res.depth <= Q.ambient
     assert res.witness_index == res.pd
     # the witness multidegree really carries nonzero Koszul homology
-    report = koszul_component(Q, res.witness_degree)
-    assert report.betti[res.pd] > 0
+    assert koszul_betti(Q, res.witness_degree.mask, Q.field)[res.pd] > 0
+
+
+@given(st.one_of(quotient_pairs(normalized=False), proper_ideals().map(si_pair)))
+def test_homology_lies_in_the_lcm_candidates(Q):
+    cands = set(_candidate_degrees(Q))
+    for char in (0, 2, 3):
+        for a in _all_submasks(Q):
+            if any(koszul_betti(Q, a, char)):
+                assert a in cands, (a, char)
 
 
 @given(quotient_pairs(max_n=4))
 @settings(max_examples=20)
-def test_paranoid_scan_agrees(Q):
-    assert depth(Q, paranoid=True).depth == depth(Q).depth
+def test_nonsquarefree_degrees_have_no_homology(Q):
+    # depth reads squarefree multidegrees only, sound only if these carry none
+    assert nonsquarefree_koszul_sweep(Q, Q.field) == []
 
 
 def test_principal_ideal_is_free():
@@ -86,7 +102,7 @@ def test_witness_is_first_in_canonical_order():
     res = depth(Q)
     rescan = [
         a for a in _all_submasks(Q)
-        if koszul_component(Q, Monomial(a)).betti[res.pd] > 0
+        if koszul_betti(Q, a, Q.field)[res.pd] > 0
     ]
     assert min(rescan, key=lambda m: (bin(m).count("1"), Monomial(m).vars)) \
         == res.witness_degree.mask
