@@ -155,10 +155,12 @@ def _cmd_sdepth(args) -> int:
                 print(f"  [{iv.lo}, {iv.hi}]")
         return EXIT_OK
     res = EngineCache().sdepth(Q)
-    refuted = ""
+    notes = []
     if res.refuted_by is not None:
-        refuted = f"  (k = {res.refuted_k} refuted by {res.refuted_by})"
-    print(f"sdepth = {res.value}{refuted}")
+        notes.append(f"k = {res.refuted_k} refuted by {res.refuted_by}")
+    if res.free:
+        notes.append(f"{res.free} free variable{'s' if res.free > 1 else ''}")
+    print(f"sdepth = {res.value}" + (f"  ({'; '.join(notes)})" if notes else ""))
     for iv in res.certificate.intervals:
         print(f"  [{iv.lo}, {iv.hi}]")
     return EXIT_OK

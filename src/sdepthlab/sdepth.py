@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .monomials import InputError, Monomial, QuotientPair
+from .monomials import Ideal, InputError, Monomial, QuotientPair
 from .hilbert import hdepth1_pair
 from .poset import downward_closure, poset_view
 
@@ -106,6 +106,7 @@ class SdepthResult:
     certificate: Partition
     refuted_k: int | None
     refuted_by: str | None  # "hdepth1" or "search"; None when value = n
+    free: int  # variables that divide no generator of I or J
 
     def to_json(self) -> dict:
         return {
@@ -113,6 +114,7 @@ class SdepthResult:
             "certificate": self.certificate.to_json(),
             "refuted_k": self.refuted_k,
             "refuted_by": self.refuted_by,
+            "free": self.free,
         }
 
 
@@ -277,22 +279,97 @@ def _expand(
 
 
 def sdepth(Q: QuotientPair) -> SdepthResult:
-    view = poset_view(Q)
-    d = view.d
-    # sdepth <= hdepth1 <= dim I/J = top degree, so the search stops at hdepth1
-    hd = hdepth1_pair(Q).value
+    """Exact Stanley depth of I/J, with a certificate and the refuter of k+1.
+
+    Variables that divide no generator of I or J are free: by
+    Herzog–Vladoiu–Zheng, J. Algebra 322 (2009), Lemma 3.6, adjoining one
+    (S' = S[x]) gives sdepth(IS'/JS') = sdepth(I/J) + 1.  In poset terms
+    P_{IS'\\JS'} = P_{I\\J} × {1, x}, and both directions are direct:
+    (≥) a partition of P_{I\\J} into intervals [u, v] lifts to the intervals
+    [u, v·x], which cover each element and its multiple by x once; (≤) the
+    elements of an interval [u, v] of a partition of P_{IS'\\JS'} that x does
+    not divide form [u, v with x removed], or nothing when x | u, so it
+    restricts to a partition of P_{I\\J} whose tops lose at most one degree.  The Hilbert series gains a
+    factor 1/(1-t) per free variable, so hdepth1 also gains exactly one.
+
+    So with f free variables the search runs on the pair restricted to the
+    used ones, relabelled onto x_1..x_m in order, with ceiling
+    hdepth1(I/J) - f, and its certificate lifts interval by interval to
+    [u, v·x_F], x_F the product of the free variables.  The value and
+    `refuted_k` are those of the full pair; `refuted_by` names what refuted
+    the restricted k.
+    """
+    igens, jgens = Q.I.gen_masks(), Q.J.gen_masks()
+    support = 0
+    for g in igens + jgens:
+        support |= g
+    free = ((1 << Q.ambient) - 1) & ~support
+    f = free.bit_count()
+    if not support:  # I = (1), J = 0: S itself is the Stanley space 1·K[x_1..x_n]
+        whole = Partition((Interval(Monomial(0), Monomial(free)),))
+        return SdepthResult(f, whole, refuted_k=None, refuted_by=None, free=f)
+    R = Q
+    if f:
+        m = Q.ambient - f
+        R = QuotientPair(
+            Ideal(m, [Monomial(_squeeze(g, support)) for g in igens]),
+            Ideal(m, [Monomial(_squeeze(g, support)) for g in jgens]),
+            Q.field,
+        )
+    value, best, refuted_by = _search(R, hdepth1_pair(Q).value - f)
+    if f:
+        # relabelling keeps the canonical order, so the lows stay sorted
+        best = Partition(tuple(
+            Interval(Monomial(_spread(iv.lo.mask, support)),
+                     Monomial(_spread(iv.hi.mask, support) | free))
+            for iv in best.intervals
+        ))
+    refuted_k = None if refuted_by is None else value + f + 1
+    return SdepthResult(value + f, best, refuted_k, refuted_by, free=f)
+
+
+def _search(Q: QuotientPair, ceiling: int) -> tuple[int, Partition, str | None]:
+    """sdepth of Q by deciding k = d+1 .. ceiling (≥ sdepth) in turn.
+
+    Returns the value, its certificate, and the refuter of value + 1
+    (None when value is the ambient count).
+    """
+    d = poset_view(Q).d
     best = sdepth_decide(Q, d)
     assert best is not None  # k = d has no lows; always satisfiable
-    value = d
-    for k in range(d + 1, hd + 1):
+    for k in range(d + 1, ceiling + 1):
         cert = sdepth_decide(Q, k)
         if cert is None:
-            return SdepthResult(value, best, refuted_k=k, refuted_by="search")
+            return k - 1, best, "search"
         best = cert
-        value = k
-    if value == Q.ambient:
-        return SdepthResult(value, best, refuted_k=None, refuted_by=None)
-    return SdepthResult(value, best, refuted_k=value + 1, refuted_by="hdepth1")
+    if ceiling == Q.ambient:
+        return ceiling, best, None
+    return ceiling, best, "hdepth1"
+
+
+def _squeeze(mask: int, support: int) -> int:
+    """Relabel the variables of `support` onto x_1..x_m, keeping their order."""
+    out = 0
+    bit = 1
+    while support:
+        low = support & -support
+        if mask & low:
+            out |= bit
+        bit <<= 1
+        support ^= low
+    return out
+
+
+def _spread(mask: int, support: int) -> int:
+    """Inverse of `_squeeze`: send x_i to the i-th variable of `support`."""
+    out = 0
+    while mask and support:
+        low = support & -support
+        if mask & 1:
+            out |= low
+        mask >>= 1
+        support ^= low
+    return out
 
 
 def brute_force_sdepth(Q: QuotientPair, limit: int = 14) -> int:

@@ -66,6 +66,22 @@ def si_pair(I: Ideal, field: int = 0) -> QuotientPair:
     return QuotientPair(unit_ideal(I.ambient), I, field=field)
 
 
+def rename_pair(Q: QuotientPair, n: int, to: dict[int, int]) -> QuotientPair:
+    """Q in ambient n with each used variable x_i renamed x_{to[i]}."""
+    def rename(ideal: Ideal) -> Ideal:
+        return Ideal(n, [Monomial.of(*(to[i] for i in g.vars)) for g in ideal.gens])
+
+    return QuotientPair(rename(Q.I), rename(Q.J), Q.field)
+
+
+def restrict_to_support(Q: QuotientPair) -> tuple[QuotientPair, int]:
+    """Q over only the variables its generators use, renamed x_1..x_m in
+    order, and the number of variables left out."""
+    used = sorted({i for g in Q.I.gens + Q.J.gens for i in g.vars})
+    to = {i: j for j, i in enumerate(used, 1)}
+    return rename_pair(Q, len(used), to), Q.ambient - len(used)
+
+
 # -- brute-force oracles ------------------------------------------------------
 
 def brute_poset_masks(Q: QuotientPair) -> list[int]:

@@ -112,6 +112,7 @@ def test_cli_analyze_json(ex1_file, capsys):
     }
     assert report["strata"]["d"] == 2
     assert report["sdepth"]["value"] == 3
+    assert report["sdepth"]["free"] == 0  # ex1 uses all five variables
     assert report["depth"]["depth"] == 3
     assert report["inconsistent"] == [] and report["findings"] == []
     assert report["audit"]["ok"] is True
@@ -147,6 +148,18 @@ def test_cli_sdepth(ex1_file, capsys):
     assert "sdepth >= 4: unsat" in capsys.readouterr().out
     assert cli.main(["sdepth", ex1_file, "--decide", "3"]) == 0
     assert "certificate" in capsys.readouterr().out
+
+
+def test_cli_sdepth_reports_free_variables(tmp_path, capsys):
+    # x4 divides no generator: the search runs on x1..x3 and adds one
+    path = tmp_path / "free.txt"
+    path.write_text("n=4\nI = x1*x2, x3\nJ = x1*x2*x3\n", encoding="utf-8")
+    assert cli.main(["sdepth", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "sdepth = 3  (k = 4 refuted by hdepth1; 1 free variable)"
+    assert out[1:] == [
+        "  [x3, x1*x3*x4]", "  [x1*x2, x1*x2*x4]", "  [x2*x3, x2*x3*x4]",
+    ]
 
 
 def test_cli_hdepth(tmp_path, capsys):

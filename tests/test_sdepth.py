@@ -2,9 +2,17 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_poset_masks, quotient_pairs
+from helpers import (
+    brute_poset_masks,
+    quotient_pairs,
+    rename_pair,
+    restrict_to_support,
+)
+from sdepthlab.depth import depth
 from sdepthlab.fuzz import FuzzConfig, instance_rng, random_pair
+from sdepthlab.hilbert import hdepth1_pair
 from sdepthlab.io import parse_input
 from sdepthlab.monomials import Ideal, InputError, Monomial, QuotientPair
 from sdepthlab.poset import poset_bitset, poset_view
@@ -169,3 +177,80 @@ def test_sdepth_pinned_corpus_values():
     )
     assert sdepth(ex3).value == 3
 
+
+
+# -- free variables: each one adds exactly one ---------------------------------
+
+@st.composite
+def padded_pairs(draw):
+    """(Q, Q in f more variables interleaved among its own, f)."""
+    Q = draw(quotient_pairs(normalized=False))
+    f = draw(st.integers(min_value=1, max_value=3))
+    n = Q.ambient + f
+    slots = sorted(draw(st.permutations(range(1, n + 1)))[:Q.ambient])
+    return Q, rename_pair(Q, n, dict(enumerate(slots, 1))), f
+
+
+@given(padded_pairs())
+@settings(max_examples=60)
+def test_padding_adds_one_per_free_variable(case):
+    Q, P, f = case
+    res, padded = sdepth(Q), sdepth(P)
+    assert padded.value == res.value + f
+    assert padded.free == res.free + f
+    assert padded.refuted_by == res.refuted_by
+    if res.refuted_k is None:
+        assert padded.refuted_k is None
+    else:
+        assert padded.refuted_k == res.refuted_k + f
+    assert verify_partition(P, padded.certificate)
+    assert padded.certificate.sdepth_value == padded.value
+
+
+def test_free_variable_answers_hold_on_the_full_pair():
+    # first 200 criterion-9 stream pairs with a free variable: the answer
+    # read off the restricted pair, checked on the full pair by unpruned
+    # search and the oracle, and the lemma's +f checked for hdepth1 and depth
+    cfg = FuzzConfig(n=6, seed=2026)
+    checked = by_oracle = 0
+    idx = 0
+    while checked < 200:
+        Q = random_pair(instance_rng(cfg.seed, idx), cfg)
+        idx += 1
+        R, f = restrict_to_support(Q)
+        if not f:
+            continue
+        checked += 1
+        res = sdepth(Q)
+        assert res.free == f
+        cert = sdepth_decide(Q, res.value)
+        assert cert is not None and verify_partition(Q, cert)
+        if res.value < Q.ambient:
+            assert sdepth_decide(Q, res.value + 1) is None
+        if len(poset_view(Q).elements) <= 14:
+            assert brute_force_sdepth(Q) == res.value
+            by_oracle += 1
+        assert hdepth1_pair(R).value + f == hdepth1_pair(Q).value
+        for char in (0, 2):
+            assert depth(R, field=char).depth + f == depth(Q, field=char).depth
+    assert by_oracle > 0
+
+
+@pytest.mark.parametrize("text, value, refuted_k, refuted_by, free", [
+    # empty support: I = (1), J = 0 is S itself
+    ("n=3\nI = 1\nJ = 0\n", 3, None, None, 3),
+    # I = (1), J != 0
+    ("n=4\nI = 1\nJ = x1*x3, x3*x4\n", 2, 3, "hdepth1", 1),
+    # support of one variable
+    ("n=4\nI = 1\nJ = x3\n", 3, 4, "hdepth1", 3),
+    ("n=4\nI = x2\nJ = 0\n", 4, None, None, 3),
+])
+def test_sdepth_edge_supports(text, value, refuted_k, refuted_by, free):
+    Q = parse_input(text)
+    res = sdepth(Q)
+    assert (res.value, res.refuted_k, res.refuted_by, res.free) == (
+        value, refuted_k, refuted_by, free)
+    assert verify_partition(Q, res.certificate)
+    assert res.certificate.sdepth_value == value
+    if free == Q.ambient:  # one interval [1, x1*...*xn], no search
+        assert res.certificate.to_json() == [["1", "x1*x2*x3"]]
