@@ -22,11 +22,13 @@ when the target monomial leaves I\\J.
 Characteristic-0 ranks use a GF(2) screen: for a complex of integer
 matrices, dim H_i over Q ≤ dim H_i over GF(2) (ranks can only grow in
 characteristic 0), so exact Bareiss ranks are computed only where the GF(2)
-homology is nonzero.
+homology is nonzero.  The screen also answers characteristic 2
+(`DepthResult.gf2`): pd over Q ≤ pd over GF(2) in every multidegree, so the
+characteristic-0 walk visits every degree a characteristic-2 walk would.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .linalg import boundary_rank
 from .monomials import InputError, Monomial, QuotientPair, canonical_key
@@ -40,6 +42,8 @@ class DepthResult:
     witness_degree: Monomial
     witness_index: int
     field: int
+    # the characteristic-2 result found by the same walk (char 0 only)
+    gf2: DepthResult | None = dc_field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -66,8 +70,11 @@ def _candidate_degrees(Q: QuotientPair) -> list[int]:
     return sorted(cands, key=canonical_key)
 
 
-def _top_homology(pbits: int, a: int, floor: int, char: int) -> int:
-    """The largest i > floor with H_i ≠ 0 in multidegree `a`, else `floor`.
+def _top_homology(pbits: int, a: int, floor: int, char: int,
+                  screen_floor: int) -> tuple[int, int]:
+    """The largest i > floor with H_i ≠ 0 in multidegree `a`, else `floor`;
+    and the largest i > screen_floor with H_i ≠ 0 over the screen field,
+    else `screen_floor`.  Needs screen_floor ≥ floor.
 
     i walks down from the top nonempty K_i, so each step's rank of d_i is
     the next step's rank of d_{i+1}.
@@ -84,6 +91,7 @@ def _top_homology(pbits: int, a: int, floor: int, char: int) -> int:
     while basis and not basis[-1]:
         basis.pop()
     screen = 2 if char == 0 else char
+    screen_top = screen_floor
     up_screen = up = 0  # ranks of d_{i+1} over `screen` and `char`; None: not computed
     up_cols: dict[int, int] = {}  # column index of K_i
     for i in range(len(basis) - 1, floor, -1):
@@ -92,32 +100,32 @@ def _top_homology(pbits: int, a: int, floor: int, char: int) -> int:
         down_screen = boundary_rank(basis[i], cols, screen)
         down = None
         if dim - down_screen - up_screen:
+            screen_top = max(screen_top, i)
             if screen == char:
-                return i
+                return i, screen_top
             if up is None:
                 up = boundary_rank(basis[i + 1], up_cols, char)
             down = boundary_rank(basis[i], cols, char)
             if dim - down - up:
-                return i
+                return i, screen_top
         up_screen, up, up_cols = down_screen, down, cols
-    return floor
+    return floor, screen_top
 
 
 def depth(Q: QuotientPair, field: int | None = None) -> DepthResult:
     char = Q.field if field is None else field
     pbits = poset_view(Q).bits
-    pd = -1
-    witness = None
+    pd = pd2 = -1  # over `char`, and over its screen field
+    witness = witness2 = None
     for a in _candidate_degrees(Q):
-        top = _top_homology(pbits, a, pd, char)
+        top, top2 = _top_homology(pbits, a, pd, char, pd2)
         if top > pd:
             pd, witness = top, a
+        if top2 > pd2:
+            pd2, witness2 = top2, a
     if witness is None:  # unreachable for a valid pair: H_0 never vanishes
         raise InputError("no nonvanishing Koszul homology found")
-    return DepthResult(
-        depth=Q.ambient - pd,
-        pd=pd,
-        witness_degree=Monomial(witness),
-        witness_index=pd,
-        field=char,
-    )
+    gf2 = None
+    if char == 0:
+        gf2 = DepthResult(Q.ambient - pd2, pd2, Monomial(witness2), pd2, 2)
+    return DepthResult(Q.ambient - pd, pd, Monomial(witness), pd, char, gf2)

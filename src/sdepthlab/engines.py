@@ -3,7 +3,8 @@
 Audits and verdict rules repeatedly query depth/sdepth/strata of the same
 pairs (colon pairs for different variables frequently coincide), so a small
 per-run cache keyed by generator tuples pays for itself.  Results are exact;
-the cache only avoids recomputation.
+the cache only avoids recomputation.  A characteristic-0 depth also fills
+the characteristic-2 entry from the same walk.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ class EngineCache:
         self._sdepth: dict[tuple, SdepthResult] = {}
         self._depth: dict[tuple, DepthResult] = {}
         self._hdepth: dict[tuple, HdepthResult] = {}
+        self._derived: dict[tuple, tuple] = {}  # filled by verdicts._derived_pairs
 
     def clear(self) -> None:
         self.__init__()
@@ -51,11 +53,13 @@ class EngineCache:
 
     def depth(self, Q: QuotientPair, field: int | None = None) -> DepthResult:
         char = Q.field if field is None else field
-        k = (Q.key(), char)
-        got = self._depth.get(k)
+        k = Q.key()
+        got = self._depth.get((k, char))
         if got is None:
             got = depth(Q, field=char)
-            self._depth[k] = got
+            self._depth[(k, char)] = got
+            if got.gf2 is not None:
+                self._depth.setdefault((k, 2), got.gf2)
         return got
 
     def hdepth(self, Q: QuotientPair) -> HdepthResult:

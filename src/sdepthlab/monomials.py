@@ -142,23 +142,25 @@ def parse_monomial(text: str) -> Monomial:
     return Monomial(mask)
 
 
-def _minimal_masks(masks: Iterable[int]) -> list[int]:
-    # antichain of the divisibility-minimal masks
-    uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+def _minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
+    # the divisibility-minimal masks in canonical order; a divisor sorts
+    # before its multiples, so one pass in that order keeps the antichain
     out: list[int] = []
-    for m in uniq:
+    for m in sorted(set(masks), key=canonical_key):
         if not any(g & ~m == 0 for g in out):
             out.append(m)
-    return out
+    return tuple(out)
 
 
 class Ideal:
     """A squarefree monomial ideal given by its minimal generators.
 
     The zero ideal has no generators; the unit ideal is generated by 1.
+    `gens` holds the generators as Monomials and `gen_masks()` the same
+    generators as masks; both are built once, in canonical order.
     """
 
-    __slots__ = ("ambient", "gens")
+    __slots__ = ("ambient", "gens", "_masks")
 
     def __init__(self, ambient: int, gens: Iterable[Monomial] = ()):
         if not 1 <= ambient <= MAX_AMBIENT:
@@ -168,52 +170,59 @@ class Ideal:
             if g.max_index() > ambient:
                 raise InputError(f"generator {g} exceeds ambient n={ambient}")
             masks.append(g.mask)
-        mins = _minimal_masks(masks)
+        self._fill(ambient, masks)
+
+    @classmethod
+    def _of_masks(cls, ambient: int, masks: Iterable[int]) -> "Ideal":
+        """The ideal generated by `masks`, which must lie inside x_1..x_ambient."""
+        ideal = cls.__new__(cls)
+        ideal._fill(ambient, masks)
+        return ideal
+
+    def _fill(self, ambient: int, masks: Iterable[int]) -> None:
         self.ambient = ambient
-        self.gens = tuple(
-            sorted((Monomial(m) for m in mins), key=Monomial.sort_key)
-        )
+        self._masks = _minimal_masks(masks)
+        self.gens = tuple(map(Monomial, self._masks))
 
     @classmethod
     def from_strs(cls, ambient: int, *texts: str) -> "Ideal":
         return cls(ambient, [parse_monomial(t) for t in texts])
 
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self._masks
 
     def is_unit(self) -> bool:
-        return bool(self.gens) and self.gens[0].mask == 0
+        return bool(self._masks) and self._masks[0] == 0
 
     def gen_masks(self) -> tuple[int, ...]:
-        return tuple(g.mask for g in self.gens)
+        return self._masks
 
     def member(self, m: Monomial) -> bool:
-        mm = m.mask
-        return any(g.mask & ~mm == 0 for g in self.gens)
+        return self.member_mask(m.mask)
 
     def member_mask(self, mm: int) -> bool:
-        return any(g & ~mm == 0 for g in self.gen_masks())
+        return any(g & ~mm == 0 for g in self._masks)
 
     def colon_var(self, j: int) -> "Ideal":
         """(self : x_j), also squarefree: divide each generator by x_j if possible."""
         if not 1 <= j <= self.ambient:
             raise InputError(f"variable index {j} out of range")
-        bit = 1 << (j - 1)
-        return Ideal(self.ambient, [Monomial(g.mask & ~bit) for g in self.gens])
+        keep = ~(1 << (j - 1))
+        return Ideal._of_masks(self.ambient, [g & keep for g in self._masks])
 
     def intersect(self, other: "Ideal") -> "Ideal":
         self._check_ambient(other)
-        return Ideal(
-            self.ambient,
-            [Monomial(a.mask | b.mask) for a in self.gens for b in other.gens],
+        return Ideal._of_masks(
+            self.ambient, [a | b for a in self._masks for b in other._masks]
         )
 
     def __add__(self, other: "Ideal") -> "Ideal":
         self._check_ambient(other)
-        return Ideal(self.ambient, self.gens + other.gens)
+        return Ideal._of_masks(self.ambient, self._masks + other._masks)
 
     def contains_ideal(self, other: "Ideal") -> bool:
-        return all(self.member(g) for g in other.gens)
+        mine = self._masks
+        return all(any(g & ~h == 0 for g in mine) for h in other._masks)
 
     def _check_ambient(self, other: "Ideal") -> None:
         if self.ambient != other.ambient:
@@ -225,11 +234,11 @@ class Ideal:
         return (
             isinstance(other, Ideal)
             and self.ambient == other.ambient
-            and self.gens == other.gens
+            and self._masks == other._masks
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self.gens))
+        return hash((self.ambient, self._masks))
 
     def __str__(self) -> str:
         if not self.gens:
@@ -262,7 +271,7 @@ class QuotientPair:
     normalized shape and are gated off.
     """
 
-    __slots__ = ("ambient", "I", "J", "field", "normalization_warning", "_poset")
+    __slots__ = ("ambient", "I", "J", "field", "normalization_warning", "_key", "_poset")
 
     def __init__(self, I: Ideal, J: Ideal, field: int = 0):
         if field not in SUPPORTED_CHARS:
@@ -280,8 +289,10 @@ class QuotientPair:
         self.I = I
         self.J = J
         self.field = field
-        d = min(g.degree for g in I.gens)
+        d = I.gens[0].degree  # canonical order is degree-major
         self.normalization_warning = any(g.degree <= d for g in J.gens)
+        # hashable identity used by the caching layer (field-independent)
+        self._key = (self.ambient, I.gen_masks(), J.gen_masks())
         self._poset = None  # PosetView, built on first use by poset.poset_view
 
     def with_field(self, field: int) -> "QuotientPair":
@@ -292,18 +303,17 @@ class QuotientPair:
         return out
 
     def key(self) -> tuple:
-        # hashable identity used by the caching layer (field-independent)
-        return (self.ambient, self.I.gen_masks(), self.J.gen_masks())
+        return self._key
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QuotientPair)
-            and self.key() == other.key()
+            and self._key == other._key
             and self.field == other.field
         )
 
     def __hash__(self) -> int:
-        return hash((self.key(), self.field))
+        return hash((self._key, self.field))
 
     def __repr__(self) -> str:
         return f"QuotientPair(n={self.ambient}; I=({self.I}); J=({self.J}); char {self.field})"

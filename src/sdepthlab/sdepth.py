@@ -312,8 +312,8 @@ def sdepth(Q: QuotientPair) -> SdepthResult:
     if f:
         m = Q.ambient - f
         R = QuotientPair(
-            Ideal(m, [Monomial(_squeeze(g, support)) for g in igens]),
-            Ideal(m, [Monomial(_squeeze(g, support)) for g in jgens]),
+            Ideal._of_masks(m, [_squeeze(g, support) for g in igens]),
+            Ideal._of_masks(m, [_squeeze(g, support) for g in jgens]),
             Q.field,
         )
     value, best, refuted_by = _search(R, hdepth1_pair(Q).value - f)

@@ -320,18 +320,10 @@ def _colon_restriction_rules(
     monotonicity carries that bound back to the original pair.
     """
     out: list[Verdict] = []
-    bits = cache.poset_bits(Q)
     fired = False
-    for t in range(1, Q.ambient + 1):
-        var = Monomial.of(t)
-        xt = Ideal(Q.ambient, (var,))
-        It = intersect(Q.I, xt)
-        if It.is_zero():
+    for t, (_, Ut, _) in enumerate(_derived_pairs(Q, cache), 1):
+        if Ut is None:
             continue
-        Jt = intersect(Q.J, xt)
-        if Jt == It:
-            continue
-        Ut = QuotientPair(It, Jt, field=Q.field)
         st_t = cache.strata(Ut)
         rp_t = _degree_d_poset_count(cache.poset_bits(Ut), st_t)
         if st_t.s <= st_t.q + rp_t:
@@ -431,14 +423,36 @@ class AuditReport:
         return {"ok": self.ok, "checks": [c.to_json() for c in self.checks]}
 
 
-def _pair_or_none(I: Ideal, J: Ideal, field: int) -> QuotientPair | None:
-    if J == I:
-        return None
-    return QuotientPair(I, J, field=field)
+def _derived_pairs(Q: QuotientPair, cache: EngineCache) -> tuple:
+    """Per x_t: (I:x_t)/(J:x_t), I∩(x_t)/J∩(x_t) and I/(J + I∩(x_t)), or None.
+
+    None depends on the field (callers pass theirs to `cache.depth`).  They
+    are kept on the cache, not on the pair, which may outlive the cache.
+    """
+    k = Q.key()
+    got = cache._derived.get(k)
+    if got is None:
+        n = Q.ambient
+        got = cache._derived[k] = tuple(
+            (colon_pair(Q, t), *_split(Q, intersect(Q.I, Ideal(n, (Monomial.of(t),)))))
+            for t in range(1, n + 1)
+        )
+    return got
 
 
-def _depth_of(cache: EngineCache, pair: QuotientPair | None) -> int:
-    return INF_DEPTH if pair is None else cache.depth(pair).depth
+def _split(Q: QuotientPair, sub: Ideal) -> tuple:
+    """The ends sub/(J∩sub) and I/(J + sub) of 0 → sub/(J∩sub) → I/J →
+    I/(J + sub) → 0 for an ideal sub ⊆ I, each None when it is zero."""
+    Js = intersect(Q.J, sub)
+    K = ideal_sum(Q.J, sub)
+    return (
+        None if Js == sub else QuotientPair(sub, Js, field=Q.field),
+        None if K.contains_ideal(Q.I) else QuotientPair(Q.I, K, field=Q.field),
+    )
+
+
+def _depth_of(cache: EngineCache, pair: QuotientPair | None, field: int) -> int:
+    return INF_DEPTH if pair is None else cache.depth(pair, field).depth
 
 
 def _sequence_checks(
@@ -474,12 +488,12 @@ def consistency_audit(
     dB = cache.depth(Q).depth
     n = Q.ambient
 
-    colons = [colon_pair(Q, j) for j in range(1, n + 1)]
-    for j, cp in enumerate(colons, 1):
+    derived = _derived_pairs(Q, cache)
+    for j, (cp, _, _) in enumerate(derived, 1):
         if cp is None:
             checks.append(AuditCheck("colon_depth_monotone", f"j={j}", None))
             continue
-        dA = cache.depth(cp).depth
+        dA = cache.depth(cp, Q.field).depth
         checks.append(
             AuditCheck(
                 "colon_depth_monotone",
@@ -489,13 +503,10 @@ def consistency_audit(
             )
         )
 
-    for t, A in enumerate(colons, 1):
+    for t, (A, _, C) in enumerate(derived, 1):
         param = f"t={t}"
-        var_ideal = Ideal(n, (Monomial.of(t),))
-        K = ideal_sum(Q.J, intersect(Q.I, var_ideal))
-        C = None if K.contains_ideal(Q.I) else QuotientPair(Q.I, K, field=Q.field)
-        dA = _depth_of(cache, A)
-        dC = _depth_of(cache, C)
+        dA = _depth_of(cache, A, Q.field)
+        dC = _depth_of(cache, C, Q.field)
         checks.extend(_sequence_checks("colon_sequence", param, dA, dB, dC))
         if dC < INF_DEPTH and dB >= dC + 1:
             checks.append(
@@ -518,11 +529,9 @@ def consistency_audit(
         param = f"I'={sub}"
         if sub.is_zero():
             continue
-        A = _pair_or_none(sub, intersect(Q.J, sub), Q.field)
-        K = ideal_sum(Q.J, sub)
-        C = None if K.contains_ideal(Q.I) else QuotientPair(Q.I, K, field=Q.field)
-        dA = _depth_of(cache, A)
-        dC = _depth_of(cache, C)
+        A, C = _split(Q, sub)
+        dA = _depth_of(cache, A, Q.field)
+        dC = _depth_of(cache, C, Q.field)
         checks.extend(_sequence_checks("subideal_sequence", param, dA, dB, dC))
 
     return AuditReport(tuple(checks))

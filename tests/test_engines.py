@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from sdepthlab.depth import depth
 from sdepthlab.engines import EngineCache
+from sdepthlab.fuzz import FuzzConfig, instance_rng, random_pair
 from sdepthlab.io import parse_input
 from sdepthlab.poset import strata
 from sdepthlab.sdepth import sdepth
@@ -40,11 +41,37 @@ def test_depth_cache_keys_on_characteristic():
     cache = EngineCache()
     Q = parse_input(PP2)
     assert cache.depth(Q).depth == 3
+    # the char-0 walk stored its GF(2) answer: the char-2 query is a hit
+    assert cache.depth(Q, field=2) is cache.depth(Q).gf2
     assert cache.depth(Q.with_field(2)).depth == 2
     assert cache.depth(Q, field=2).depth == 2
     assert cache.depth(Q, field=2) is cache.depth(Q.with_field(2), field=2)
     # the char-0 entry is untouched by the char-2 queries
     assert cache.depth(Q).depth == 3
+    # asking for char 2 first runs the char-2 walk, which carries no twin
+    cache = EngineCache()
+    first = cache.depth(Q, field=2)
+    assert first == depth(Q, 2) and first.gf2 is None
+    assert cache.depth(Q) == depth(Q)
+    assert cache.depth(Q, field=2) is first
+
+
+def _twin_pairs():
+    yield parse_input(PP2)  # the characteristics differ: depth 3 vs 2
+    for n, count in ((6, 300), (8, 100)):
+        cfg = FuzzConfig(n=n, seed=2026)
+        for i in range(count):
+            yield random_pair(instance_rng(2026, i), cfg)
+
+
+def test_char0_walk_finds_the_char2_depth():
+    differ = 0
+    for Q in _twin_pairs():
+        zero = depth(Q, 0)
+        # depth, pd, witness_degree, witness_index and field
+        assert zero.gf2 == depth(Q, 2), Q
+        differ += zero.gf2.depth != zero.depth
+    assert differ >= 1
 
 
 def test_clear_resets_entries():

@@ -150,6 +150,22 @@ def test_colon_var_membership(gens, probe, j):
     assert colon.member_mask(probe) == I.member_mask(probe | (1 << (j - 1)))
 
 
+@given(st.lists(masks, max_size=5), st.lists(masks, max_size=5),
+       st.integers(min_value=1, max_value=6))
+def test_ideals_keep_their_masks(ga, gb, j):
+    A = Ideal(6, [Monomial(m) for m in ga])
+    B = Ideal(6, [Monomial(m) for m in gb])
+    for ideal in (A, B, A.colon_var(j), intersect(A, B), ideal_sum(A, B)):
+        assert ideal.gen_masks() == tuple(g.mask for g in ideal.gens)
+        assert ideal.gen_masks() is ideal.gen_masks()
+    assert (A == B) == (A.gen_masks() == B.gen_masks())
+    again = Ideal(6, [Monomial(m) for m in reversed(ga)])
+    assert again == A and hash(again) == hash(A)
+    if A == B:
+        assert hash(A) == hash(B)
+    assert Ideal(5, A.gens[:0]) != Ideal(6, A.gens[:0])  # ambient counts
+
+
 def test_colon_var_range_error():
     with pytest.raises(InputError):
         Ideal(3, [Monomial.of(1)]).colon_var(4)
@@ -190,6 +206,12 @@ def test_colon_pair():
     assert colon_pair(Q2, 2) is None  # (J:x2) = (x1) = (I:x2)
     cp = colon_pair(Q2, 3)
     assert cp is not None and cp.I == Q2.I and cp.J == Q2.J
+
+
+@given(quotient_pairs(normalized=False), st.sampled_from((0, 2, 3, 32003)))
+def test_key_is_the_generator_masks_in_every_field(Q, char):
+    assert Q.key() == (Q.ambient, Q.I.gen_masks(), Q.J.gen_masks())
+    assert Q.with_field(char).key() == Q.key()
 
 
 @given(quotient_pairs(normalized=False))

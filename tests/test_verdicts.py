@@ -6,12 +6,14 @@ from hypothesis import given, settings
 
 from helpers import quotient_pairs
 from sdepthlab.engines import EngineCache
+from sdepthlab.fuzz import FuzzConfig, instance_rng, random_pair
 from sdepthlab.io import parse_input
 from sdepthlab.monomials import Ideal, QuotientPair
 from sdepthlab.verdicts import (
     AuditCheck,
     AuditReport,
     Verdict,
+    _derived_pairs,
     bounds_report,
     consistency_audit,
     inconsistencies,
@@ -202,3 +204,57 @@ def test_stanley_observation():
         "sdepth": 1,
         "depth": 2,
     }
+
+
+def _reports(Q: QuotientPair, cache_for_call) -> list:
+    out = []
+    for char in (0, 2):
+        Qc = Q.with_field(char)
+        out.append([v.to_json() for v in bounds_report(Qc, cache_for_call())])
+        out.append(consistency_audit(Qc, cache_for_call()).to_json())
+    return out
+
+
+# the triangulated projective plane on x1..x6 with x7 free: the colon by x7
+# is the pair again, so derived pairs have depth 4 in char 0 and 3 in char 2
+RP2_FREE = (
+    "n=7\nI = 1\nJ = x1*x2*x4, x1*x2*x5, x1*x3*x5, x1*x3*x6, x1*x4*x6, "
+    "x2*x3*x4, x2*x3*x6, x2*x5*x6, x3*x4*x5, x4*x5*x6\n"
+)
+
+
+def test_shared_cache_reports_match_fresh_caches():
+    # one warm cache across both characteristics, as in fuzz.run_instance,
+    # against a cold cache per call (which computes char-2 depths directly)
+    Q = parse_input(RP2_FREE)
+    assert _reports(Q, EngineCache)[1] != _reports(Q, EngineCache)[3]
+    shared = EngineCache()
+    assert _reports(Q, lambda: shared) == _reports(Q, EngineCache)
+    for n, count in ((6, 200), (7, 100)):
+        cfg = FuzzConfig(n=n, seed=2026)
+        for i in range(count):
+            Q = random_pair(instance_rng(2026, i), cfg)
+            shared = EngineCache()
+            assert _reports(Q, lambda: shared) == _reports(Q, EngineCache), (n, i)
+
+
+def _holds_pair(value) -> bool:
+    if isinstance(value, QuotientPair):
+        return True
+    return isinstance(value, tuple) and any(_holds_pair(v) for v in value)
+
+
+def test_derived_pairs_live_on_the_cache_not_the_pair():
+    Q = parse_input("n=5\nI = x1*x2, x1*x3, x1*x4, x2*x3*x5\nJ = x2*x3*x4*x5\n")
+    cache = EngineCache()
+    bounds_report(Q, cache)
+    consistency_audit(Q.with_field(2), cache)
+    derived = _derived_pairs(Q, cache)
+    assert len(derived) == Q.ambient and _holds_pair(derived)
+    assert _derived_pairs(Q.with_field(2), cache) is derived
+    held = [getattr(Q, name) for name in QuotientPair.__slots__]
+    held += [getattr(Q._poset, name) for name in type(Q._poset).__slots__]
+    assert not any(_holds_pair(v) for v in held)
+    cache.clear()
+    rebuilt = _derived_pairs(Q, cache)
+    assert rebuilt is not derived and rebuilt == derived
