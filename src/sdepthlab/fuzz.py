@@ -15,14 +15,15 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import combinations
 
 from .engines import EngineCache
-from .monomials import Ideal, InputError, Monomial, QuotientPair
-from .poset import strata
+from .monomials import Ideal, InputError, Monomial, QuotientPair, canonical_key
+from .poset import _filter_bitset
 from .surgery import (
     DriverFailure,
     SurgeryError,
-    containment_violators,
     ml1_candidate_bs,
     ml1_driver,
     verify_outcome,
@@ -263,8 +264,18 @@ def sample_ml1_instance(rng: random.Random, n: int = 6,
 
     Construction: two degree-d generators sharing d-1 variables (so their
     lcm sits in B), optional degree-(d+1) extra generators, and a J built
-    from the degree-(d+1)/(d+2) elements violating the C-containment
-    condition, topped up with random picks.  Returns (pair, eligible bs).
+    from the degree-(d+2) elements violating the C-containment condition,
+    topped up with random picks.  Returns (pair, eligible bs).
+
+    Each try is screened on masks before any pair is built, and the screen
+    is exact.  r = 2 and "E in degree d+1" hold by construction.  J is 0 or
+    generated in degree d+2, so the pair carries no normalization warning,
+    B is the degree-(d+1) layer of I, and C is the degree-(d+2) layer minus
+    J's generators.  Killing the violators leaves the other elements of C
+    meeting the containment condition, so the final pair has none.  That
+    leaves 4 <= s <= q+2, which the screen reads off the masks; a try that
+    passes it becomes a QuotientPair and `ml1_candidate_bs` re-checks every
+    hypothesis.
     """
     for _ in range(max_tries):
         d = rng.randint(1, 2)
@@ -280,27 +291,43 @@ def sample_ml1_instance(rng: random.Random, n: int = 6,
             e = Monomial.of(*vars_)
             if not (f1.divides(e) or f2.divides(e)):
                 gens.append(e)
+        # r = 2 by construction: f1 != f2 have degree d, the extras degree d+1
         I = Ideal(n, gens)
-        if len([g for g in I.gens if g.degree == d]) != 2:
+        kills, picks, s, q = _containment_closure(I, d, rng)
+        if not 4 <= s <= q + 2:
             continue
-        j_gens = _containment_closure_jgens(QuotientPair(I, Ideal(n)), rng)
-        Q = QuotientPair(I, Ideal(n, j_gens))
+        Q = QuotientPair(I, Ideal._of_masks(n, kills + picks))
         bs = ml1_candidate_bs(Q)
         if bs:
             return Q, bs
     return None
 
 
-def _containment_closure_jgens(Q0: QuotientPair,
-                               rng: random.Random) -> list[Monomial]:
-    """J generators that kill the C-elements breaking containment, plus up to
-    two random other elements of C."""
-    st = strata(Q0)
-    # one pass suffices: killing violators changes neither the rest of C nor
-    # whether each of them meets the condition (see containment_violators)
-    j_gens = list(containment_violators(st))
-    pool = [c.mask for c in st.C if c not in j_gens]
+def _containment_closure(I: Ideal, d: int, rng: random.Random
+                         ) -> tuple[list[int], list[int], int, int]:
+    """For I/0 with least degree d: the masks of the C-elements breaking
+    containment (kills), up to two random other elements of C (picks), and
+    s and q of the pair I/J with J generated by kills and picks."""
+    n = I.ambient
+    gens = I.gen_masks()
+    once = _filter_bitset(n, gens)
+    # c lies above two generators exactly when it lies above their lcm
+    twice = _filter_bitset(n, tuple({a | b for a, b in combinations(gens, 2)}))
+    B = [m for m in _degree_masks(n, d + 1) if once >> m & 1]
+    C = [m for m in _degree_masks(n, d + 2) if once >> m & 1]
+    kills = [c for c in C if not twice >> c & 1]
+    pool = [c for c in C if twice >> c & 1]
+    picks = []
     for _ in range(rng.randint(0, 2)):
         if pool:
-            j_gens.append(Monomial(rng.choice(pool)))
-    return j_gens
+            picks.append(rng.choice(pool))
+    # J lies in degree d+2, so it leaves B alone and removes its own
+    # generators from C
+    return kills, picks, len(B), len(C) - len(set(kills + picks))
+
+
+@cache
+def _degree_masks(n: int, k: int) -> tuple[int, ...]:
+    """The degree-k masks of n variables, in canonical order."""
+    return tuple(sorted((m for m in range(1 << n) if m.bit_count() == k),
+                        key=canonical_key))

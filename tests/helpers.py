@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from sdepthlab.linalg import boundary_rank
 from sdepthlab.monomials import Ideal, Monomial, QuotientPair
 from sdepthlab.poset import strata
+from sdepthlab.surgery import containment_violators, ml1_candidate_bs
 
 
 # -- random instances --------------------------------------------------------
@@ -186,6 +187,39 @@ def containment_kills_one_at_a_time(Q0: QuotientPair) -> list[Monomial]:
             return kill
         kill.append(bad)
         pair = QuotientPair(Q0.I, Ideal(Q0.ambient, kill))
+
+
+def reference_ml1_sampler(rng, n: int = 6, max_tries: int = 400):
+    """`sample_ml1_instance` tried the slow way, with the same RNG draws:
+    every try builds I/0 and its strata, kills the containment violators
+    found there plus up to two random other elements of C, and asks
+    `ml1_candidate_bs` of the pair I/J."""
+    for _ in range(max_tries):
+        d = rng.randint(1, 2)
+        common = rng.sample(range(1, n + 1), d - 1) if d > 1 else []
+        rest = [v for v in range(1, n + 1) if v not in common]
+        x_a, x_b = rng.sample(rest, 2)
+        f1 = Monomial.of(*(common + [x_a]))
+        f2 = Monomial.of(*(common + [x_b]))
+        gens = [f1, f2]
+        for _ in range(rng.randint(0, 2)):
+            e = Monomial.of(*rng.sample(range(1, n + 1), d + 1))
+            if not (f1.divides(e) or f2.divides(e)):
+                gens.append(e)
+        I = Ideal(n, gens)
+        if len([g for g in I.gens if g.degree == d]) != 2:
+            continue
+        st0 = strata(QuotientPair(I, Ideal(n)))
+        j_gens = list(containment_violators(st0))
+        pool = [c.mask for c in st0.C if c not in j_gens]
+        for _ in range(rng.randint(0, 2)):
+            if pool:
+                j_gens.append(Monomial(rng.choice(pool)))
+        Q = QuotientPair(I, Ideal(n, j_gens))
+        bs = ml1_candidate_bs(Q)
+        if bs:
+            return Q, bs
+    return None
 
 
 def rank_fraction_gauss(rows: list[list[int]]) -> int:

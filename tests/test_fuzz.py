@@ -2,15 +2,18 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 
 import pytest
 
+from helpers import reference_ml1_sampler
 from sdepthlab.fuzz import (
     FuzzConfig,
     instance_rng,
     random_pair,
     run_fuzz,
     run_instance,
+    sample_ml1_instance,
 )
 from sdepthlab.monomials import InputError
 
@@ -91,3 +94,16 @@ def test_run_instance_record_shape():
     assert record["findings_count"] == len(findings)
     assert isinstance(record["verdicts"], list) and record["verdicts"]
     assert record["strata"].keys() == {"d", "r", "s", "q", "E_size"}
+
+
+@pytest.mark.parametrize("n, seeds", [(5, 30), (6, 60), (7, 30)])
+def test_ml1_sampler_replays_the_strata_based_tries(n, seeds):
+    for seed in range(seeds):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = sample_ml1_instance(rng, n=n)
+        want = reference_ml1_sampler(ref_rng, n=n)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[0].key() == want[0].key()
+            assert got[1] == want[1]
+        assert rng.getstate() == ref_rng.getstate()

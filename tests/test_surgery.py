@@ -347,32 +347,35 @@ def _driver_instances(seeds):
 
 def test_sampler_closure_matches_one_kill_at_a_time(monkeypatch):
     tries = []
-    closure = fuzz._containment_closure_jgens
+    closure = fuzz._containment_closure
 
-    def spy(Q0, rng):
-        j_gens = closure(Q0, rng)
-        tries.append((Q0, j_gens))
-        return j_gens
+    def spy(I, d, rng):
+        got = closure(I, d, rng)
+        tries.append((I, got))
+        return got
 
-    monkeypatch.setattr(fuzz, "_containment_closure_jgens", spy)
+    monkeypatch.setattr(fuzz, "_containment_closure", spy)
     for _ in _driver_instances(range(40)):
         pass
     assert len(tries) > 40
-    # the tries repeat pairs and J's: check each distinct one once
-    kills: dict = {}
+    # the tries repeat ideals and J's: check each distinct one once
+    kills_of: dict = {}
     finals = set()
-    for Q0, j_gens in tries:
-        if Q0.key() not in kills:
-            st0 = strata(Q0)
-            kill = list(containment_violators(st0))
-            assert kill == containment_kills_one_at_a_time(Q0)
-            kills[Q0.key()] = kill, set(st0.C) - set(kill)
-        kill, rest = kills[Q0.key()]
-        assert j_gens[:len(kill)] == kill
-        assert set(j_gens[len(kill):]) <= rest
-        finals.add(QuotientPair(Q0.I, Ideal(Q0.ambient, j_gens)))
-    for Q in finals:
-        assert containment_violators(strata(Q)) == ()
+    for I, (kills, picks, s, q) in tries:
+        n = I.ambient
+        if I not in kills_of:
+            Q0 = QuotientPair(Ideal(n, map(Monomial, I.gen_masks())), Ideal(n))
+            kill = [c.mask for c in containment_kills_one_at_a_time(Q0)]
+            kills_of[I] = kill, {c.mask for c in strata(Q0).C} - set(kill)
+        kill, rest = kills_of[I]
+        assert kills == kill
+        assert len(picks) <= 2 and set(picks) <= rest
+        J = Ideal(n, map(Monomial, kills + picks))
+        finals.add((QuotientPair(I, J), s, q))
+    for Q, s, q in finals:
+        st = strata(Q)
+        assert containment_violators(st) == ()
+        assert (st.s, st.q) == (s, q)
 
 
 def test_reach_set_is_the_union_of_enumerated_paths():
