@@ -21,7 +21,7 @@ when the target monomial leaves I\\J.
 
 Characteristic-0 ranks use a GF(2) screen: for a complex of integer
 matrices, dim H_i over Q ≤ dim H_i over GF(2) (ranks can only grow in
-characteristic 0), so exact Bareiss ranks are computed only where the GF(2)
+characteristic 0), so exact ranks over Q are computed only where the GF(2)
 homology is nonzero.  The screen also answers characteristic 2
 (`DepthResult.gf2`): pd over Q ≤ pd over GF(2) in every multidegree, so the
 characteristic-0 walk visits every degree a characteristic-2 walk would.

@@ -1,15 +1,30 @@
-"""Exact rank computation for the small incidence matrices of this package.
+"""Exact rank computation for the sparse incidence matrices of this package.
 
-Three code paths, all exact:
-  * characteristic 2 — rows packed into Python ints, XOR elimination;
-  * characteristic 0 — fraction-free Bareiss elimination over the integers;
-  * odd prime p — dense elimination mod p.
+Two code paths, both exact, both online echelon forms: a dict maps each
+pivot column to the basis row that claimed it, and each incoming row is
+reduced at its lead column until it vanishes or claims that column.
+  * characteristic 2 — rows packed into Python ints, lead at the lowest
+    bit, reduced by XOR;
+  * characteristic 0 and odd primes p — rows as {column: entry} dicts of
+    their nonzero entries, lead at the largest column.  Mod p each pivot
+    row is scaled to lead 1 and a row r with lead entry c becomes
+    r − c·b.  Over Q the entries stay integers: with b's lead entry
+    e = ±1, r becomes r − (c/e)·b; otherwise r becomes e·r − c·b (an
+    invertible step over Q, since e ≠ 0) and is divided by the gcd of
+    its entries.
+
+The char-0 step stays exact because nothing else gives the rank over Q:
+floats round, and a rank mod p is smaller whenever p divides every
+nonzero maximal minor, which would overstate the homology.
 
 Matrices here are Koszul/boundary incidence matrices with entries in
-{-1, 0, 1} and dimensions rarely beyond a few hundred; `boundary_matrix`
-builds them for both the Koszul and the simplicial (Reisner) engines.
+{-1, 0, 1}, a few percent nonzero, and dimensions rarely beyond a few
+hundred; `boundary_matrix` builds them for both the Koszul and the
+simplicial (Reisner) engines.
 """
 from __future__ import annotations
+
+from math import gcd
 
 
 def rank_gf2_packed(rows: list[int]) -> int:
@@ -28,93 +43,58 @@ def rank_gf2_packed(rows: list[int]) -> int:
     return rank
 
 
-def rank_char0(rows: list[list[int]]) -> int:
-    """Rank over Q via Bareiss fraction-free elimination (integer-exact)."""
-    if not rows:
-        return 0
-    a = [row[:] for row in rows]
-    nrows = len(a)
-    ncols = len(a[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        piv = None
-        for i in range(row, nrows):
-            if a[i][col]:
-                piv = i
+def rank_char0(rows: list[dict[int, int]]) -> int:
+    """Rank over Q of integer rows {column: entry}, by exact elimination over Z."""
+    basis: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = {j: x for j, x in row.items() if x}
+        while r:
+            lead = max(r)
+            b = basis.get(lead)
+            if b is None:
+                basis[lead] = r
                 break
-        if piv is None:
-            continue
-        if piv != row:
-            a[row], a[piv] = a[piv], a[row]
-        pivot = a[row][col]
-        for i in range(row + 1, nrows):
-            head = a[i][col]
-            ri = a[i]
-            rr = a[row]
-            # every row below the pivot must be rescaled, even when head == 0;
-            # skipping would break the exactness of the division by `prev`
-            for j in range(col, ncols):
-                ri[j] = (pivot * ri[j] - head * rr[j]) // prev
-        prev = pivot
-        row += 1
-        rank += 1
-    return rank
+            c, e = r[lead], b[lead]
+            unit = e in (1, -1)
+            if unit:
+                c *= e  # c / e
+            else:
+                r = {j: e * x for j, x in r.items()}
+            for j, x in b.items():
+                y = r.get(j, 0) - c * x
+                if y:
+                    r[j] = y
+                else:
+                    del r[j]  # c·x ≠ 0, so a zero here cancels an entry of r
+            if not unit and r:
+                g = gcd(*r.values())
+                if g != 1:
+                    r = {j: x // g for j, x in r.items()}
+    return len(basis)
 
 
-def rank_modp(rows: list[list[int]], p: int) -> int:
-    if not rows:
-        return 0
-    a = [[x % p for x in row] for row in rows]
-    nrows = len(a)
-    ncols = len(a[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        piv = None
-        for i in range(row, nrows):
-            if a[i][col]:
-                piv = i
+def rank_modp(rows: list[dict[int, int]], p: int) -> int:
+    """Rank over GF(p), p prime, of integer rows {column: entry}."""
+    basis: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = {j: x % p for j, x in row.items() if x % p}
+        while r:
+            lead = max(r)
+            b = basis.get(lead)
+            c = r[lead]
+            if b is None:
+                if c != 1:
+                    inv = pow(c, -1, p)
+                    r = {j: x * inv % p for j, x in r.items()}
+                basis[lead] = r  # pivot entry 1
                 break
-        if piv is None:
-            continue
-        if piv != row:
-            a[row], a[piv] = a[piv], a[row]
-        inv = pow(a[row][col], p - 2, p)
-        arow = a[row]
-        for i in range(row + 1, nrows):
-            head = a[i][col]
-            if head:
-                factor = (head * inv) % p
-                ri = a[i]
-                for j in range(col, ncols):
-                    ri[j] = (ri[j] - factor * arow[j]) % p
-        row += 1
-        rank += 1
-    return rank
-
-
-def rank_rows(rows: list[list[int]], char: int) -> int:
-    """Rank over the field of the given characteristic (0 or a prime)."""
-    if not rows or not rows[0]:
-        return 0
-    if char == 0:
-        return rank_char0(rows)
-    if char == 2:
-        packed = []
-        for row in rows:
-            r = 0
-            for j, x in enumerate(row):
-                if x & 1:
-                    r |= 1 << j
-            packed.append(r)
-        return rank_gf2_packed(packed)
-    return rank_modp(rows, char)
+            for j, x in b.items():
+                y = (r.get(j, 0) - c * x) % p
+                if y:
+                    r[j] = y
+                else:
+                    del r[j]  # c·x ≢ 0 mod p, so a zero here cancels an entry of r
+    return len(basis)
 
 
 def boundary_matrix(src: list[int], cols: dict[int, int], char: int) -> list:
@@ -123,12 +103,13 @@ def boundary_matrix(src: list[int], cols: dict[int, int], char: int) -> list:
     Faces are vertex masks.  Face f maps to Σ_{j∈f} (-1)^{pos(j,f)} e_{f\\{j}},
     where pos(j,f) counts the vertices of f below j; faces missing from
     `cols` (face -> column index) drop out.  Over characteristic 2 each row
-    is packed into an int, bit c for column c; otherwise rows are dense lists.
+    is packed into an int, bit c for column c; otherwise each row is a dict
+    {column: ±1} of its nonzero entries.
     """
     packed = char == 2
     rows: list = []
     for f in src:
-        row = 0 if packed else [0] * len(cols)
+        row = 0 if packed else {}
         t = f
         while t:
             low = t & -t
@@ -151,4 +132,6 @@ def boundary_rank(src: list[int], cols: dict[int, int], char: int) -> int:
     rows = boundary_matrix(src, cols, char)
     if char == 2:
         return rank_gf2_packed(rows)
-    return rank_rows(rows, char)
+    if char == 0:
+        return rank_char0(rows)
+    return rank_modp(rows, char)

@@ -7,8 +7,11 @@ reduced simplicial homology of links:
     depth S/I = min over faces σ ∈ Δ of (|σ| + 1 + min{ j : H̃_j(link σ) ≠ 0 })
 
 with H̃_{-1}({∅}) = K (the empty face counts; a facet σ contributes |σ|).
-This shares no code path with the Koszul engine beyond the rank routines
-and `linalg.boundary_matrix`, so it serves as a cross-check oracle.
+It shares with the Koszul engine only `linalg.boundary_rank`, the signed
+boundary matrices and the rank kernels behind them: the complexes, their
+bases and the homology bookkeeping are its own, so it cross-checks the
+Koszul walk.  It does not check the ranks themselves; tests/test_linalg.py
+compares those with independent oracles.
 """
 from __future__ import annotations
 

@@ -240,12 +240,58 @@ def rank_fraction_gauss(rows: list[list[int]]) -> int:
         for i in range(nrows):
             if i != row and a[i][col]:
                 f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[row])]
         row += 1
         rank += 1
         if row == nrows:
             break
     return rank
+
+
+def rank_modp_dense(rows: list[list[int]], p: int) -> int:
+    """Rank over GF(p) by dense row reduction of the whole matrix, column by
+    column, with the pivot row swapped up."""
+    if not rows or not rows[0]:
+        return 0
+    a = [[x % p for x in row] for row in rows]
+    nrows, ncols = len(a), len(a[0])
+    rank = 0
+    row = 0
+    for col in range(ncols):
+        if row >= nrows:
+            break
+        piv = next((i for i in range(row, nrows) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = pow(a[row][col], p - 2, p)
+        arow = a[row]
+        for i in range(row + 1, nrows):
+            head = a[i][col]
+            if head:
+                factor = (head * inv) % p
+                ri = a[i]
+                for j in range(col, ncols):
+                    ri[j] = (ri[j] - factor * arow[j]) % p
+        row += 1
+        rank += 1
+    return rank
+
+
+def sparse_rows(dense: list[list[int]]) -> list[dict[int, int]]:
+    """Dense rows as the {column: entry} dicts of their nonzero entries."""
+    return [{j: x for j, x in enumerate(row) if x} for row in dense]
+
+
+def dense_rows(sparse: list[dict[int, int]], ncols: int) -> list[list[int]]:
+    """{column: entry} rows as dense lists of length `ncols`."""
+    out = []
+    for row in sparse:
+        dense = [0] * ncols
+        for j, x in row.items():
+            dense[j] = x
+        out.append(dense)
+    return out
 
 
 def _det_int(mat: list[list[int]]) -> int:
