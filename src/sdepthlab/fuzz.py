@@ -98,6 +98,12 @@ def _upper_elements(I: Ideal, d: int) -> list[int]:
     return out
 
 
+def _pair_json(Q: QuotientPair) -> dict:
+    return {"n": Q.ambient,
+            "I": [str(g) for g in Q.I.gens],
+            "J": [str(g) for g in Q.J.gens]}
+
+
 def _ml1_entries(Q: QuotientPair, cfg: FuzzConfig, findings: list[dict]) -> list[dict]:
     entries: list[dict] = []
     for b in ml1_candidate_bs(Q)[: cfg.ml1_max_runs]:
@@ -114,9 +120,7 @@ def _ml1_entries(Q: QuotientPair, cfg: FuzzConfig, findings: list[dict]) -> list
             entry["reason"] = str(exc)
             findings.append({
                 "kind": "ml1_driver_failure",
-                "pair": {"n": Q.ambient,
-                         "I": [str(g) for g in Q.I.gens],
-                         "J": [str(g) for g in Q.J.gens]},
+                "pair": _pair_json(Q),
                 "b": str(b),
                 "trace": list(exc.trace),
             })
@@ -132,9 +136,7 @@ def _ml1_entries(Q: QuotientPair, cfg: FuzzConfig, findings: list[dict]) -> list
         if outcome.fallback or not verified:
             findings.append({
                 "kind": "ml1_driver_anomaly",
-                "pair": {"n": Q.ambient,
-                         "I": [str(g) for g in Q.I.gens],
-                         "J": [str(g) for g in Q.J.gens]},
+                "pair": _pair_json(Q),
                 "b": str(b),
                 "fallback": outcome.fallback,
                 "verified": verified,
@@ -153,9 +155,7 @@ def run_instance(Q: QuotientPair, cfg: FuzzConfig,
     sres = cache.sdepth(Q)
     depths = {str(c): cache.depth(Q, field=c).depth for c in (0, 2)}
     record: dict = {
-        "instance": {"n": Q.ambient,
-                     "I": [str(g) for g in Q.I.gens],
-                     "J": [str(g) for g in Q.J.gens]},
+        "instance": _pair_json(Q),
         "strata": {"d": st.d, "r": st.r, "s": st.s, "q": st.q,
                    "E_size": len(st.E)},
         "sdepth": sres.value,
@@ -223,9 +223,7 @@ def run_fuzz(cfg: FuzzConfig, keep_records: bool = False) -> FuzzReport:
             if cache.poset_bits(Q).bit_count() > cfg.poset_budget:
                 record = dict(header)
                 record.update({
-                    "instance": {"n": Q.ambient,
-                                 "I": [str(g) for g in Q.I.gens],
-                                 "J": [str(g) for g in Q.J.gens]},
+                    "instance": _pair_json(Q),
                     "skipped": "poset budget exceeded",
                 })
                 report.skipped += 1

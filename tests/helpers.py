@@ -18,6 +18,22 @@ from sdepthlab.monomials import Ideal, Monomial, QuotientPair
 from sdepthlab.poset import strata
 from sdepthlab.surgery import containment_violators, ml1_candidate_bs
 
+# frozen driver instances found by the deterministic sampler
+CASE_BAD_PATH = (
+    "n=6\nI = x1*x4, x4*x5, x2*x4*x6, x3*x4*x6\n"
+    "J = x1*x2*x3*x4, x1*x4*x5*x6, x2*x3*x4*x5\n"
+)
+CASE_WEAK_PATH = (
+    "n=6\nI = x3, x6, x1*x4, x4*x5\n"
+    "J = x1*x2*x3, x1*x2*x4, x1*x2*x6, x1*x3*x5, x1*x5*x6, x2*x3*x4, "
+    "x2*x3*x5, x2*x4*x5, x2*x4*x6, x2*x5*x6\n"
+)
+# sampler seed 2 at n=6: its driver run from x1*x2*x3 wins at stage 1
+CASE_TRAIL_REVISIT = (
+    "n=6\nI = x1*x3, x1*x4, x1*x2*x5, x1*x5*x6\n"
+    "J = x1*x2*x3*x6, x1*x2*x4*x6\n"
+)
+
 
 # -- random instances --------------------------------------------------------
 

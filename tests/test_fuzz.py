@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import reference_ml1_sampler
+from helpers import CASE_BAD_PATH, reference_ml1_sampler
 from sdepthlab.fuzz import (
     FuzzConfig,
     instance_rng,
@@ -15,6 +15,7 @@ from sdepthlab.fuzz import (
     run_instance,
     sample_ml1_instance,
 )
+from sdepthlab.io import parse_input
 from sdepthlab.monomials import InputError
 
 
@@ -94,6 +95,38 @@ def test_run_instance_record_shape():
     assert record["findings_count"] == len(findings)
     assert isinstance(record["verdicts"], list) and record["verdicts"]
     assert record["strata"].keys() == {"d", "r", "s", "q", "E_size"}
+
+
+def test_run_instance_reports_driver_runs_and_the_fallback():
+    Q = parse_input(CASE_BAD_PATH)
+    record, findings = run_instance(Q, FuzzConfig(n=6, ml1_max_runs=6))
+    ok = {"status": "ok", "kind": "upgraded_partition", "verified": True}
+    assert record["ml1"] == [
+        {"b": b, **ok, "fallback": b == "x3*x4*x5"}
+        for b in ("x1*x2*x4", "x1*x3*x4", "x1*x4*x6", "x2*x4*x5",
+                  "x3*x4*x5", "x4*x5*x6")
+    ]
+    pair = {
+        "n": 6,
+        "I": ["x1*x4", "x4*x5", "x2*x4*x6", "x3*x4*x6"],
+        "J": ["x1*x2*x3*x4", "x1*x4*x5*x6", "x2*x3*x4*x5"],
+    }
+    assert record["instance"] == pair
+    assert findings == [{
+        "kind": "ml1_driver_anomaly",
+        "pair": pair,
+        "b": "x3*x4*x5",
+        "fallback": True,
+        "verified": True,
+        "trace": [
+            "reduced pair partition of value 4 found",
+            "stage 0: start x1*x3*x4",
+            "case 3: bad path ['x1*x3*x4'] with top x1*x3*x4*x5",
+            "continuation vertex x1*x4*x5 is not admissible",
+            "fallback: deciding the disjunction by direct computation",
+        ],
+    }]
+    assert record["findings_count"] == 1
 
 
 @pytest.mark.parametrize("n, seeds", [(5, 30), (6, 60), (7, 30)])

@@ -6,8 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import containment_kills_one_at_a_time
-from sdepthlab import fuzz
+from helpers import (
+    CASE_BAD_PATH,
+    CASE_TRAIL_REVISIT,
+    CASE_WEAK_PATH,
+    containment_kills_one_at_a_time,
+)
+from sdepthlab import fuzz, surgery
 from sdepthlab.corpus import BAD_PB_INTERVALS, ITEMS
 from sdepthlab.fuzz import sample_ml1_instance
 from sdepthlab.io import parse_input
@@ -39,17 +44,6 @@ from sdepthlab.surgery import (
     rotate,
     swap_into_generator,
     verify_outcome,
-)
-
-# frozen driver instances found by the deterministic sampler
-CASE_BAD_PATH = (
-    "n=6\nI = x1*x4, x4*x5, x2*x4*x6, x3*x4*x6\n"
-    "J = x1*x2*x3*x4, x1*x4*x5*x6, x2*x3*x4*x5\n"
-)
-CASE_WEAK_PATH = (
-    "n=6\nI = x3, x6, x1*x4, x4*x5\n"
-    "J = x1*x2*x3, x1*x2*x4, x1*x2*x6, x1*x3*x5, x1*x5*x6, x2*x3*x4, "
-    "x2*x3*x5, x2*x4*x5, x2*x4*x6, x2*x5*x6\n"
 )
 
 
@@ -130,7 +124,7 @@ def test_build_h_reads_off_listed_assignment():
     Q, b, listed = _bad_setup()
     H = build_h(Q, b, listed)
     assert H.partition.sdepth_value == 3
-    assert H.f_rest == (parse_monomial("x2"), parse_monomial("x3"))
+    assert tuple(H.inners) == (parse_monomial("x2"), parse_monomial("x3"))
     assert H.to_json() == {
         "b": "x1*x4",
         "mapping": {
@@ -146,14 +140,14 @@ def test_build_h_reads_off_listed_assignment():
             "x3": ["x1*x3", "x3*x5"],
         },
     }
-    assert H.domain_b == tuple(
+    assert tuple(m for m in H.mapping if m not in H.inners) == tuple(
         parse_monomial(t) for t in ("x1*x5", "x2*x5", "x4*x5", "x5*x6")
     )
     assert H.h(parse_monomial("x4*x5")) == parse_monomial("x1*x4*x5")
-    assert H.inner_set() == frozenset(
+    assert H.inner == frozenset(
         parse_monomial(t) for t in ("x1*x2", "x2*x3", "x1*x3", "x3*x5")
     )
-    assert len(H.image()) == 6
+    assert len(set(H.mapping.values())) == 6
     assert H.in_inner_ideal(parse_monomial("x1*x2*x5"))
     assert not H.in_inner_ideal(parse_monomial("x4*x5*x6"))
 
@@ -310,6 +304,55 @@ def test_driver_weak_path_witness():
     assert j["sdepth_sub"] == 2 and j["depth_rest"] == 2
 
 
+def test_driver_trail_revisit_at_stage_1():
+    Q = parse_input(CASE_TRAIL_REVISIT)
+    out = ml1_driver(Q, parse_monomial("x1*x2*x3"))
+    assert out.kind == "upgraded_partition" and not out.fallback
+    assert out.partition.sdepth_value == 4
+    assert verify_outcome(Q, out)
+    assert out.trace == (
+        "reduced pair partition of value 4 found",
+        "stage 0: start x1*x2*x5",
+        "case 3: bad path ['x1*x2*x5'] with top x1*x2*x3*x5",
+        "continuing from x1*x3*x5",
+        "stage 1: start x1*x3*x5",
+        "upgrade via trail revisit at x1*x3*x5",
+    )
+
+
+def test_driver_falls_back_at_an_inadmissible_continuation():
+    Q = parse_input(CASE_BAD_PATH)
+    out = ml1_driver(Q, parse_monomial("x3*x4*x5"))
+    assert out.kind == "upgraded_partition" and out.fallback
+    assert out.partition.sdepth_value == 4
+    assert verify_outcome(Q, out)
+    assert out.trace == (
+        "reduced pair partition of value 4 found",
+        "stage 0: start x1*x3*x4",
+        "case 3: bad path ['x1*x3*x4'] with top x1*x3*x4*x5",
+        "continuation vertex x1*x4*x5 is not admissible",
+        "fallback: deciding the disjunction by direct computation",
+    )
+
+
+@pytest.mark.parametrize("text, b", [
+    (CASE_WEAK_PATH, "x2*x3"),
+    (CASE_TRAIL_REVISIT, "x1*x2*x3"),
+    (CASE_BAD_PATH, "x3*x4*x5"),
+], ids=["weak_path", "trail_revisit", "fallback"])
+def test_driver_builds_one_reduced_pair_per_run(monkeypatch, text, b):
+    calls = []
+    build = surgery.build_reduced_pair
+
+    def spy(Q, b):
+        calls.append(b)
+        return build(Q, b)
+
+    monkeypatch.setattr(surgery, "build_reduced_pair", spy)
+    ml1_driver(parse_input(text), parse_monomial(b))
+    assert calls == [parse_monomial(b)]
+
+
 def test_driver_rejects_bad_inputs():
     with pytest.raises(SurgeryError, match="r=2 fails"):
         ml1_driver(parse_input(ITEMS["bad"]), parse_monomial("x1*x4"))
@@ -388,7 +431,7 @@ def test_reach_set_is_the_union_of_enumerated_paths():
                 continue
             H = build_h(Q, b, cert)
             for a in H.mapping:
-                if a in H.inner_set() or a == b:
+                if a in H.inner or a == b:
                     continue
                 search = find_paths(H, a)
                 assert search.T == frozenset(
@@ -454,7 +497,7 @@ def test_witness_chain_on_showcase():
     swapped = swap_into_generator(pair_b, H.partition, parse_monomial("x2"),
                                   parse_monomial("x2*x5"))
     H2 = build_h(Q, b, swapped)
-    inners = H2.inner_set()
+    inners = H2.inner
     assert inners == frozenset(
         parse_monomial(t) for t in ("x2*x3", "x2*x5", "x1*x3", "x3*x5")
     )
