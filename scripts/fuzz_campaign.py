@@ -13,6 +13,7 @@ import sys
 import time
 
 from sdepthlab.fuzz import FuzzConfig, run_fuzz
+from sdepthlab.monomials import InputError
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -38,6 +39,11 @@ def main(argv: list[str] | None = None) -> int:
         out=args.out,
         findings=args.findings,
     )
+    try:
+        cfg.validate()
+    except InputError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     t0 = time.perf_counter()
     report = run_fuzz(cfg)
     elapsed = time.perf_counter() - t0

@@ -22,6 +22,7 @@ from .monomials import (
     intersect,
     minimalize,
     parse_monomial,
+    split_pair,
 )
 from .poset import PosetView, StrataReport, poset_view, strata
 from .depth import DepthResult, depth
@@ -125,6 +126,7 @@ __all__ = [
     "reisner_depth_oracle",
     "sdepth",
     "sdepth_decide",
+    "split_pair",
     "strata",
     "verify_partition",
 ]

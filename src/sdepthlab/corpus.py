@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .engines import EngineCache
 from .hilbert import herzog_question
 from .io import parse_input
-from .monomials import Monomial, QuotientPair, parse_monomial
+from .monomials import Monomial, QuotientPair, minimalize, parse_monomial, split_pair
 from .reisner import reisner_depth_oracle
 from .surgery import build_h, build_reduced_pair, find_paths
 from .verdicts import bounds_report
@@ -322,11 +322,8 @@ def _check_bad(exp: dict, cache: EngineCache) -> list[GoldenCheck]:
          found[0].maximal if found else None),
     ))
     # the witness subideal: small Stanley depth, complement keeps depth d+1
-    from .monomials import QuotientPair as QP, ideal_sum, intersect, minimalize
-
     I_w = minimalize(Q.ambient, [parse_monomial(t) for t in exp["witness"]])
-    sub = QP(I_w, intersect(Q.J, I_w), field=Q.field)
-    rest = QP(Q.I, ideal_sum(Q.J, I_w), field=Q.field)
+    sub, rest = split_pair(Q, I_w)
     checks.append(GoldenCheck(
         "bad", "witness sdepth <= 2",
         (None, True),

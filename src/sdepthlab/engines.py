@@ -1,10 +1,11 @@
 """Shared memoization for the exact engines.
 
-Audits and verdict rules repeatedly query depth/sdepth/strata of the same
-pairs (colon pairs for different variables frequently coincide), so a small
+Audits and verdict rules repeatedly query depth/sdepth of the same pairs
+(colon pairs for different variables frequently coincide), so a small
 per-run cache keyed by generator tuples pays for itself.  Results are exact;
 the cache only avoids recomputation.  A characteristic-0 depth also fills
-the characteristic-2 entry from the same walk.
+the characteristic-2 entry from the same walk.  The poset bitset, strata and
+hdepth1 are kept on the pair's PosetView, so the cache reads them there.
 """
 from __future__ import annotations
 
@@ -17,31 +18,18 @@ from .sdepth import SdepthResult, sdepth
 
 class EngineCache:
     def __init__(self):
-        self._poset: dict[tuple, int] = {}
-        self._strata: dict[tuple, StrataReport] = {}
         self._sdepth: dict[tuple, SdepthResult] = {}
         self._depth: dict[tuple, DepthResult] = {}
-        self._hdepth: dict[tuple, HdepthResult] = {}
         self._derived: dict[tuple, tuple] = {}  # filled by verdicts._derived_pairs
 
     def clear(self) -> None:
         self.__init__()
 
     def poset_bits(self, Q: QuotientPair) -> int:
-        k = Q.key()
-        got = self._poset.get(k)
-        if got is None:
-            got = poset_view(Q).bits
-            self._poset[k] = got
-        return got
+        return poset_view(Q).bits
 
     def strata(self, Q: QuotientPair) -> StrataReport:
-        k = Q.key()
-        got = self._strata.get(k)
-        if got is None:
-            got = strata(Q)
-            self._strata[k] = got
-        return got
+        return strata(Q)
 
     def sdepth(self, Q: QuotientPair) -> SdepthResult:
         k = Q.key()
@@ -63,9 +51,4 @@ class EngineCache:
         return got
 
     def hdepth(self, Q: QuotientPair) -> HdepthResult:
-        k = Q.key()
-        got = self._hdepth.get(k)
-        if got is None:
-            got = hdepth1_pair(Q)
-            self._hdepth[k] = got
-        return got
+        return hdepth1_pair(Q)

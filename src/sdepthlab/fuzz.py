@@ -36,6 +36,9 @@ from .verdicts import (
 )
 
 _SEED_STRIDE = 1_000_003
+_J_RATE = 0.6             # share of pairs that get a nonzero J
+_MAX_J_PICKS = 4          # most elements drawn into J
+_AUDIT_CHARS = (0, 2)     # characteristics the verdicts and audit run in
 
 
 @dataclass(frozen=True)
@@ -45,11 +48,8 @@ class FuzzConfig:
     seed: int = 0
     max_gens: int = 5
     max_degree: int = 3
-    j_rate: float = 0.6
-    max_j_picks: int = 4
     poset_budget: int = 4096
     ml1_max_runs: int = 4
-    audit_chars: tuple[int, ...] = (0, 2)
     out: str | None = None
     findings: str | None = None
 
@@ -60,6 +60,8 @@ class FuzzConfig:
             )
         if self.count < 0:
             raise InputError("count must be nonnegative")
+        if self.max_gens < 1:
+            raise InputError("max_gens must be at least 1")
         if not 1 <= self.max_degree <= self.n:
             raise InputError("max_degree must lie in [1, n]")
 
@@ -77,13 +79,13 @@ def random_pair(rng: random.Random, cfg: FuzzConfig) -> QuotientPair:
         vars_ = rng.sample(range(1, n + 1), deg)
         gens.append(Monomial.of(*vars_))
     I = Ideal(n, gens)
-    d = min(g.degree for g in I.gens)
+    d = min(m.bit_count() for m in I.gen_masks())
 
     J = Ideal(n)
-    if rng.random() < cfg.j_rate:
+    if rng.random() < _J_RATE:
         pool = _upper_elements(I, d)
         if pool:
-            picks = rng.randint(1, cfg.max_j_picks)
+            picks = rng.randint(1, _MAX_J_PICKS)
             J = Ideal(n, [Monomial(rng.choice(pool)) for _ in range(picks)])
     return QuotientPair(I, J)
 
@@ -164,7 +166,7 @@ def run_instance(Q: QuotientPair, cfg: FuzzConfig,
     }
     bad: list[dict] = []
     verdicts_json: list[dict] = []
-    for char in cfg.audit_chars:
+    for char in _AUDIT_CHARS:
         Qc = Q.with_field(char)
         verdicts = bounds_report(Qc, cache=cache)
         audit = consistency_audit(Qc, cache=cache)

@@ -162,7 +162,8 @@ def hdepth1_pair(Q: QuotientPair) -> HdepthResult:
     """hdepth1 of the pair's series, computed at most once per poset view.
 
     The series reads only the view's layers and n, so the result is kept on
-    the view and shared by `sdepth` (its search ceiling) and `EngineCache`.
+    the view, next to the pair's strata, and shared by `sdepth` (its search
+    ceiling) and `EngineCache.hdepth`, which keeps no copy of its own.
     """
     view = poset_view(Q)
     if view.hdepth is None:

@@ -92,12 +92,6 @@ class Monomial:
     def gcd(self, other: "Monomial") -> "Monomial":
         return Monomial(self.mask & other.mask)
 
-    def times_var(self, j: int) -> "Monomial":
-        return Monomial(self.mask | (1 << (j - 1)))
-
-    def without_var(self, j: int) -> "Monomial":
-        return Monomial(self.mask & ~(1 << (j - 1)))
-
     def sort_key(self) -> int:
         return canonical_key(self.mask)
 
@@ -156,11 +150,11 @@ class Ideal:
     """A squarefree monomial ideal given by its minimal generators.
 
     The zero ideal has no generators; the unit ideal is generated by 1.
-    `gens` holds the generators as Monomials and `gen_masks()` the same
-    generators as masks; both are built once, in canonical order.
+    The ideal keeps only its generator masks, `gen_masks()`, in canonical
+    order; `gens` builds the same generators as Monomials when read.
     """
 
-    __slots__ = ("ambient", "gens", "_masks")
+    __slots__ = ("ambient", "_masks")
 
     def __init__(self, ambient: int, gens: Iterable[Monomial] = ()):
         if not 1 <= ambient <= MAX_AMBIENT:
@@ -182,7 +176,10 @@ class Ideal:
     def _fill(self, ambient: int, masks: Iterable[int]) -> None:
         self.ambient = ambient
         self._masks = _minimal_masks(masks)
-        self.gens = tuple(map(Monomial, self._masks))
+
+    @property
+    def gens(self) -> tuple[Monomial, ...]:
+        return tuple(map(Monomial, self._masks))
 
     @classmethod
     def from_strs(cls, ambient: int, *texts: str) -> "Ideal":
@@ -241,7 +238,7 @@ class Ideal:
         return hash((self.ambient, self._masks))
 
     def __str__(self) -> str:
-        if not self.gens:
+        if not self._masks:
             return "0"
         return ", ".join(str(g) for g in self.gens)
 
@@ -289,8 +286,8 @@ class QuotientPair:
         self.I = I
         self.J = J
         self.field = field
-        d = I.gens[0].degree  # canonical order is degree-major
-        self.normalization_warning = any(g.degree <= d for g in J.gens)
+        d = I.gen_masks()[0].bit_count()  # canonical order is degree-major
+        self.normalization_warning = any(m.bit_count() <= d for m in J.gen_masks())
         # hashable identity used by the caching layer (field-independent)
         self._key = (self.ambient, I.gen_masks(), J.gen_masks())
         self._poset = None  # PosetView, built on first use by poset.poset_view
@@ -326,3 +323,19 @@ def colon_pair(Q: QuotientPair, j: int) -> QuotientPair | None:
     if Jc.contains_ideal(Ic):
         return None
     return QuotientPair(Ic, Jc, Q.field)
+
+
+def split_pair(Q: QuotientPair, sub: Ideal) -> tuple:
+    """The ends sub/(J∩sub) and I/(J + sub) of 0 → sub/(J∩sub) → I/J →
+    I/(J + sub) → 0 for an ideal sub ⊆ I, each None when it is zero.
+
+    sub = I gives (Q, None): the first end is Q itself and shares its view.
+    """
+    if sub == Q.I:
+        return Q, None
+    Js = Q.J.intersect(sub)
+    K = Q.J + sub
+    return (
+        None if Js == sub else QuotientPair(sub, Js, Q.field),
+        None if K.contains_ideal(Q.I) else QuotientPair(Q.I, K, Q.field),
+    )

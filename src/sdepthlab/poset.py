@@ -2,11 +2,11 @@
 
 `poset_view` reads P_{I\\J}, every squarefree monomial lying in I but not in
 J, once per pair: its bitset, its least degree d, and its elements in
-canonical order, layer by layer.  `strata` computes the statistics the
-upper-bound theorems consume: the least degree d, the degree-d generators
-f_1..f_r, the higher-degree generators E, the degree-(d+1) and -(d+2) layers
-B and C, the pairwise generator lcms, and the lcm-constrained subsets C2 and
-C3 of C.
+canonical order, layer by layer.  `strata` reads off the view, once per
+pair, the statistics the upper-bound theorems consume: the least degree d,
+the degree-d generators f_1..f_r, the higher-degree generators E, the
+degree-(d+1) and -(d+2) layers B and C, the pairwise generator lcms, and the
+lcm-constrained subsets C2 and C3 of C.
 """
 from __future__ import annotations
 
@@ -84,18 +84,20 @@ class PosetView:
     the least degree of an element.  `elements` lists the masks in canonical
     order, built on first use and shared by every reader, who must not
     mutate it; that order is degree-major, so the elements of degree k form
-    the contiguous run `layer(k)`.  `hdepth` holds the pair's Hilbert depth
-    once `hilbert.hdepth1_pair` has computed it from the layers.
+    the contiguous run `layer(k)`.  `hdepth` and `strata` hold the pair's
+    Hilbert depth and StrataReport once `hilbert.hdepth1_pair` and `strata`
+    have computed them from the layers.
     """
 
-    __slots__ = ("bits", "d", "_elements", "hdepth")
+    __slots__ = ("bits", "d", "_elements", "hdepth", "strata")
 
     def __init__(self, Q: QuotientPair):
         self.bits = poset_bitset(Q)
-        # a least-degree element is divisible by an I-generator outside J
-        self.d = min(g.degree for g in Q.I.gens if (self.bits >> g.mask) & 1)
+        # a least-degree element is an I-generator outside J
+        self.d = min(m.bit_count() for m in Q.I.gen_masks() if (self.bits >> m) & 1)
         self._elements: list[int] | None = None
         self.hdepth = None
+        self.strata = None
 
     @property
     def elements(self) -> list[int]:
@@ -175,14 +177,22 @@ class StrataReport:
 
 
 def strata(Q: QuotientPair) -> StrataReport:
+    """The pair's StrataReport, built on first use and kept on its PosetView."""
     view = poset_view(Q)
+    if view.strata is None:
+        view.strata = _strata_report(Q, view)
+    return view.strata
+
+
+def _strata_report(Q: QuotientPair, view: PosetView) -> StrataReport:
     d = view.d
-    # I.gens and the layers are already in canonical order.  Tuples are built
-    # from lists: tuple(<generator>) shrinks a 10-slot tuple, which moves
-    # tuples between the interpreter's per-size free lists and raised the
-    # peak RSS of surgery runs by 9%.
-    f_list = tuple([g for g in Q.I.gens if g.degree == d])
-    E = tuple([g for g in Q.I.gens if g.degree > d])
+    # I's masks and the layers are already in canonical order.  Tuples are
+    # built from lists: tuple(<generator>) shrinks a 10-slot tuple, which
+    # moves tuples between the interpreter's per-size free lists and raised
+    # the peak RSS of surgery runs by 9%.
+    masks = Q.I.gen_masks()
+    f_list = tuple([Monomial(m) for m in masks if m.bit_count() == d])
+    E = tuple([Monomial(m) for m in masks if m.bit_count() > d])
     B = tuple([Monomial(m) for m in view.layer(d + 1)])
     C = tuple([Monomial(m) for m in view.layer(d + 2)])
 

@@ -23,9 +23,9 @@ from .monomials import (
     InputError,
     Monomial,
     QuotientPair,
-    ideal_sum,
     intersect,
     minimalize,
+    split_pair,
 )
 from .poset import StrataReport, poset_view, strata
 from .sdepth import (
@@ -476,9 +476,9 @@ def containment_violators(st: StrataReport) -> tuple[Monomial, ...]:
     ])
 
 
-def check_pair_hypotheses(Q: QuotientPair, st: StrataReport | None = None) -> None:
+def check_pair_hypotheses(Q: QuotientPair) -> None:
     """Validate the two-generator lemma's pair-level hypotheses, by name."""
-    st = st if st is not None else strata(Q)
+    st = strata(Q)
     if st.r != 2:
         raise SurgeryError(f"hypothesis r=2 fails: r={st.r}")
     if Q.normalization_warning:
@@ -506,7 +506,7 @@ def ml1_candidate_bs(Q: QuotientPair) -> tuple[Monomial, ...]:
     by the driver itself."""
     st = strata(Q)
     try:
-        check_pair_hypotheses(Q, st)
+        check_pair_hypotheses(Q)
     except SurgeryError:
         return ()
     return tuple(
@@ -528,7 +528,7 @@ class _Driver:
 
     def check_hypotheses(self) -> None:
         st, Q, b = self.st, self.Q, self.b
-        check_pair_hypotheses(Q, st)
+        check_pair_hypotheses(Q)
         if b not in st.B:
             raise SurgeryError(f"b={b} is not in B")
         f1 = _designated_generator(st, b)
@@ -782,12 +782,9 @@ class _Driver:
         I_sub = minimalize(Q.ambient, gens)
         if I_sub.is_zero() or I_sub.contains_ideal(Q.I):
             return None
-        J_sub = intersect(Q.J, I_sub)
-        if J_sub == I_sub:
+        sub, rest = split_pair(Q, I_sub)
+        if sub is None:
             return None
-        sub = QuotientPair(I_sub, J_sub, field=Q.field)
-        K = ideal_sum(Q.J, I_sub)
-        rest = None if K.contains_ideal(Q.I) else QuotientPair(Q.I, K, field=Q.field)
         cert_sub = sdepth_decide(sub, d + 2)
         if cert_sub is None:
             depth_rest = None
@@ -882,14 +879,9 @@ def verify_outcome(Q: QuotientPair, outcome: SurgeryOutcome) -> bool:
     I_sub = outcome.subideal
     if I_sub.is_zero() or I_sub.contains_ideal(Q.I):
         return False
-    if not all(Q.I.member(g) for g in I_sub.gens):
+    if not Q.I.contains_ideal(I_sub):
         return False
-    sub = QuotientPair(I_sub, intersect(Q.J, I_sub), field=Q.field)
-    if sdepth_decide(sub, d + 2) is not None:
+    sub, rest = split_pair(Q, I_sub)
+    if sub is None or sdepth_decide(sub, d + 2) is not None:
         return False
-    K = ideal_sum(Q.J, I_sub)
-    if not K.contains_ideal(Q.I):
-        rest = QuotientPair(Q.I, K, field=Q.field)
-        if depth(rest).depth < d + 1:
-            return False
-    return True
+    return rest is None or depth(rest).depth >= d + 1

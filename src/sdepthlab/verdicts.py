@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .engines import EngineCache
-from .monomials import Ideal, Monomial, QuotientPair, colon_pair, ideal_sum, intersect
-from .poset import StrataReport
+from .monomials import Ideal, Monomial, QuotientPair, colon_pair, intersect, split_pair
+from .poset import StrataReport, poset_view
 
 # depth of the zero module, for Depth-Lemma arithmetic on short exact sequences
 INF_DEPTH = 10**9
@@ -87,11 +87,6 @@ def _rule(
     )
 
 
-def _degree_d_poset_count(bits: int, st: StrataReport) -> int:
-    # degree-d poset elements are exactly the degree-d generators not in J
-    return sum(1 for f in st.f_list if (bits >> f.mask) & 1)
-
-
 def _support_escape(st: StrataReport) -> Monomial | None:
     union = 0
     for f in st.f_list:
@@ -112,19 +107,17 @@ def _conjecture_case(st: StrataReport) -> str | None:
 
 
 def bounds_report(
-    Q: QuotientPair,
-    cache: EngineCache | None = None,
-    colon_rules: bool = True,
+    Q: QuotientPair, cache: EngineCache | None = None
 ) -> tuple[Verdict, ...]:
     cache = cache if cache is not None else EngineCache()
     st = cache.strata(Q)
-    bits = cache.poset_bits(Q)
     sv = cache.sdepth(Q).value
     dep = cache.depth(Q).depth
     hd = cache.hdepth(Q).value
     warn = Q.normalization_warning
     d, r, s, q = st.d, st.r, st.s, st.q
-    rp = _degree_d_poset_count(bits, st)
+    # the degree-d poset elements: the degree-d generators outside J
+    rp = len(poset_view(Q).layer(d))
     out = []
 
     out.append(
@@ -303,8 +296,7 @@ def bounds_report(
         )
     )
 
-    if colon_rules:
-        out.extend(_colon_restriction_rules(Q, cache, dep))
+    out.extend(_colon_restriction_rules(Q, cache, dep))
     return tuple(out)
 
 
@@ -325,7 +317,7 @@ def _colon_restriction_rules(
         if Ut is None:
             continue
         st_t = cache.strata(Ut)
-        rp_t = _degree_d_poset_count(cache.poset_bits(Ut), st_t)
+        rp_t = len(poset_view(Ut).layer(st_t.d))
         if st_t.s <= st_t.q + rp_t:
             continue
         fired = True
@@ -427,28 +419,18 @@ def _derived_pairs(Q: QuotientPair, cache: EngineCache) -> tuple:
     """Per x_t: (I:x_t)/(J:x_t), I∩(x_t)/J∩(x_t) and I/(J + I∩(x_t)), or None.
 
     None depends on the field (callers pass theirs to `cache.depth`).  They
-    are kept on the cache, not on the pair, which may outlive the cache.
+    are kept on the cache, not on the pair, which may outlive the cache.  A
+    restriction equal to I/J is Q itself, so it shares Q's view and strata.
     """
     k = Q.key()
     got = cache._derived.get(k)
     if got is None:
         n = Q.ambient
         got = cache._derived[k] = tuple(
-            (colon_pair(Q, t), *_split(Q, intersect(Q.I, Ideal(n, (Monomial.of(t),)))))
+            (colon_pair(Q, t), *split_pair(Q, intersect(Q.I, Ideal(n, (Monomial.of(t),)))))
             for t in range(1, n + 1)
         )
     return got
-
-
-def _split(Q: QuotientPair, sub: Ideal) -> tuple:
-    """The ends sub/(J∩sub) and I/(J + sub) of 0 → sub/(J∩sub) → I/J →
-    I/(J + sub) → 0 for an ideal sub ⊆ I, each None when it is zero."""
-    Js = intersect(Q.J, sub)
-    K = ideal_sum(Q.J, sub)
-    return (
-        None if Js == sub else QuotientPair(sub, Js, field=Q.field),
-        None if K.contains_ideal(Q.I) else QuotientPair(Q.I, K, field=Q.field),
-    )
 
 
 def _depth_of(cache: EngineCache, pair: QuotientPair | None, field: int) -> int:
@@ -529,7 +511,7 @@ def consistency_audit(
         param = f"I'={sub}"
         if sub.is_zero():
             continue
-        A, C = _split(Q, sub)
+        A, C = split_pair(Q, sub)
         dA = _depth_of(cache, A, Q.field)
         dC = _depth_of(cache, C, Q.field)
         checks.extend(_sequence_checks("subideal_sequence", param, dA, dB, dC))

@@ -21,6 +21,7 @@ from sdepthlab.monomials import (
     mask_of,
     minimalize,
     parse_monomial,
+    split_pair,
 )
 
 masks = st.integers(min_value=0, max_value=(1 << 6) - 1)
@@ -37,9 +38,6 @@ def test_monomial_basics():
     assert not Monomial.of(2).divides(Monomial.of(1, 3))
     assert Monomial.of(1, 2).lcm(Monomial.of(2, 3)) == Monomial.of(1, 2, 3)
     assert Monomial.of(1, 2).gcd(Monomial.of(2, 3)) == Monomial.of(2)
-    assert Monomial.of(1).times_var(3) == Monomial.of(1, 3)
-    assert Monomial.of(1, 3).without_var(3) == Monomial.of(1)
-    assert Monomial.of(1, 3).without_var(2) == Monomial.of(1, 3)
     assert Monomial.of(2, 7).max_index() == 7
 
 
@@ -206,6 +204,23 @@ def test_colon_pair():
     assert colon_pair(Q2, 2) is None  # (J:x2) = (x1) = (I:x2)
     cp = colon_pair(Q2, 3)
     assert cp is not None and cp.I == Q2.I and cp.J == Q2.J
+
+
+def test_split_pair():
+    I = Ideal.from_strs(3, "x1", "x2")
+    Q = QuotientPair(I, Ideal.from_strs(3, "x1*x2"), field=2)
+    assert split_pair(Q, Q.I) == (Q, None)
+    assert split_pair(Q, Ideal.from_strs(3, "x2", "x1"))[0] is Q
+    A, C = split_pair(Q, Ideal.from_strs(3, "x1"))
+    assert (A.I, A.J, A.field) == (Ideal.from_strs(3, "x1"), Q.J, 2)
+    assert (C.I, C.J, C.field) == (I, Ideal.from_strs(3, "x1"), 2)
+    # a subideal inside J has a zero first end
+    A, C = split_pair(Q, Ideal.from_strs(3, "x1*x2"))
+    assert A is None and C == Q and C is not Q
+    # J + sub = I gives a zero last end
+    Q2 = QuotientPair(I, Ideal.from_strs(3, "x2"))
+    A, C = split_pair(Q2, Ideal.from_strs(3, "x1"))
+    assert (A.I, A.J, C) == (Ideal.from_strs(3, "x1"), Ideal.from_strs(3, "x1*x2"), None)
 
 
 @given(quotient_pairs(normalized=False), st.sampled_from((0, 2, 3, 32003)))

@@ -6,9 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import brute_poset_masks, quotient_pairs, si_pair, unit_ideal
+from helpers import (
+    CASE_BAD_PATH,
+    CASE_WEAK_PATH,
+    brute_poset_masks,
+    quotient_pairs,
+    si_pair,
+    unit_ideal,
+)
 from sdepthlab.io import parse_input
-from sdepthlab.monomials import Ideal, Monomial, QuotientPair, indices_of
+from sdepthlab.monomials import Ideal, Monomial, QuotientPair, indices_of, parse_monomial
 from sdepthlab.poset import (
     downward_closure,
     poset_bitset,
@@ -108,7 +115,7 @@ def test_strata_lcm_sets_match_brute(Q):
         expected_ok = all(
             not (div in b_set and div not in e_set and div not in wb_set)
             for j in c.vars
-            for div in [c.without_var(j)]
+            for div in [Monomial(c.mask & ~(1 << (j - 1)))]
         )
         assert (c in set(rep.C3)) == expected_ok
 
@@ -188,8 +195,16 @@ def test_min_poset_degree():
 def test_one_poset_build_per_pair(monkeypatch):
     import sdepthlab.poset as poset_mod
     from sdepthlab.depth import depth
+    from sdepthlab.engines import EngineCache
     from sdepthlab.hilbert import hilbert_series
-    from sdepthlab.sdepth import sdepth, verify_partition
+    from sdepthlab.sdepth import sdepth, sdepth_decide, verify_partition
+    from sdepthlab.surgery import (
+        build_h,
+        build_reduced_pair,
+        ml1_candidate_bs,
+        ml1_driver,
+        verify_outcome,
+    )
 
     calls = []
     original = poset_mod.poset_bitset
@@ -198,7 +213,15 @@ def test_one_poset_build_per_pair(monkeypatch):
         calls.append(Q)
         return original(Q)
 
+    reports = []
+    original_report = poset_mod.StrataReport
+
+    def counted_report(**fields):
+        reports.append(fields)
+        return original_report(**fields)
+
     monkeypatch.setattr(poset_mod, "poset_bitset", counted)
+    monkeypatch.setattr(poset_mod, "StrataReport", counted_report)
     Q = parse_input("n=5\nI = x1*x2, x1*x3, x1*x4, x2*x3*x5\nJ = x2*x3*x4*x5\n")
     strata(Q)
     res = sdepth(Q)
@@ -208,6 +231,20 @@ def test_one_poset_build_per_pair(monkeypatch):
     depth(Q, field=2)
     depth(Q.with_field(2))
     assert calls == [Q]
+    assert len(reports) == 1
+
+    # the cache and every surgery entry point read the pair's one report
+    for text, b in ((CASE_BAD_PATH, "x1*x2*x4"), (CASE_WEAK_PATH, "x2*x3")):
+        reports.clear()
+        Q = parse_input(text)
+        b = parse_monomial(b)
+        cache = EngineCache()
+        assert cache.strata(Q) is cache.strata(Q.with_field(2)) is strata(Q)
+        assert b in ml1_candidate_bs(Q)
+        assert verify_outcome(Q, ml1_driver(Q, b))
+        P_b = sdepth_decide(build_reduced_pair(Q, b), strata(Q).d + 2)
+        build_h(Q, b, P_b)
+        assert len(reports) == 1
 
 
 def test_unit_quotient_degree_zero():

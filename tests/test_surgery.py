@@ -478,6 +478,12 @@ def test_verify_outcome_rejects_tampering():
         SurgeryOutcome(kind="subideal_witness",
                        subideal=Ideal.from_strs(6, "x3")),
     )
+    # a subideal inside J: its end of the sequence is zero, not an error
+    assert not verify_outcome(
+        parse_input(ITEMS["bad"]),
+        SurgeryOutcome(kind="subideal_witness",
+                       subideal=Ideal.from_strs(6, "x2*x4")),
+    )
 
 
 def test_driver_failure_carries_trace():

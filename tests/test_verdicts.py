@@ -113,9 +113,6 @@ def test_colon_restriction_not_applicable_row():
     counts = [v for v in verdicts if v.rule == "colon_restriction_count"]
     assert len(counts) == 1
     assert counts[0].applicable is False
-    assert [v.rule for v in bounds_report(Q, colon_rules=False)].count(
-        "colon_restriction_count"
-    ) == 0
 
 
 def test_verdict_json_shape():
@@ -258,3 +255,11 @@ def test_derived_pairs_live_on_the_cache_not_the_pair():
     cache.clear()
     rebuilt = _derived_pairs(Q, cache)
     assert rebuilt is not derived and rebuilt == derived
+
+
+def test_a_restriction_equal_to_the_pair_is_the_pair():
+    # I∩(x1) = I, so the restriction by x1 is Q itself and shares its view
+    Q = QuotientPair(Ideal.from_strs(3, "x1*x2", "x1*x3"), Ideal.from_strs(3, "x1*x2*x3"))
+    derived = _derived_pairs(Q, EngineCache())
+    assert derived[0][1] is Q and derived[0][2] is None
+    assert derived[1][1].I == Ideal.from_strs(3, "x1*x2")  # I∩(x2)
