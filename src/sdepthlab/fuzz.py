@@ -39,6 +39,7 @@ _SEED_STRIDE = 1_000_003
 _J_RATE = 0.6             # share of pairs that get a nonzero J
 _MAX_J_PICKS = 4          # most elements drawn into J
 _AUDIT_CHARS = (0, 2)     # characteristics the verdicts and audit run in
+_ML1_MAX_RUNS = 4         # most driver runs per pair, in candidate order
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,6 @@ class FuzzConfig:
     max_gens: int = 5
     max_degree: int = 3
     poset_budget: int = 4096
-    ml1_max_runs: int = 4
     out: str | None = None
     findings: str | None = None
 
@@ -106,9 +106,9 @@ def _pair_json(Q: QuotientPair) -> dict:
             "J": [str(g) for g in Q.J.gens]}
 
 
-def _ml1_entries(Q: QuotientPair, cfg: FuzzConfig, findings: list[dict]) -> list[dict]:
+def _ml1_entries(Q: QuotientPair, findings: list[dict]) -> list[dict]:
     entries: list[dict] = []
-    for b in ml1_candidate_bs(Q)[: cfg.ml1_max_runs]:
+    for b in ml1_candidate_bs(Q)[:_ML1_MAX_RUNS]:
         entry: dict = {"b": str(b)}
         try:
             outcome = ml1_driver(Q, b)
@@ -150,7 +150,11 @@ def _ml1_entries(Q: QuotientPair, cfg: FuzzConfig, findings: list[dict]) -> list
 
 def run_instance(Q: QuotientPair, cfg: FuzzConfig,
                  cache: EngineCache | None = None) -> tuple[dict, list[dict]]:
-    """Full pipeline on one pair; returns (record, findings)."""
+    """Full pipeline on one pair; returns (record, findings).
+
+    `cfg` is the configuration of the stream that drew Q; no field of it
+    changes the record.
+    """
     cache = cache or EngineCache()
     findings: list[dict] = []
     st = cache.strata(Q)
@@ -181,7 +185,7 @@ def run_instance(Q: QuotientPair, cfg: FuzzConfig,
             findings.append(obs)
     record["verdicts"] = verdicts_json
     record["inconsistent"] = bad
-    record["ml1"] = _ml1_entries(Q, cfg, findings)
+    record["ml1"] = _ml1_entries(Q, findings)
     record["findings_count"] = len(findings)
     return record, findings
 

@@ -2,7 +2,7 @@
 
 The (Z-graded) Hilbert series of I/J is K(t)/(1-t)^n with the K-polynomial
 
-    K(t) = Σ_{u ∈ P_{I\\J}} t^{deg u} (1-t)^{n - deg u},
+    K(t) = Σ_e α_e t^e (1-t)^{n-e},   α_e = |P_e| = |{u ∈ P_{I\\J} : deg u = e}|,
 
 because the monomials of I\\J of degree k are counted by squarefree radical:
 each u ∈ P contributes binom(k-1, deg u - 1) monomials with radical u.
@@ -11,12 +11,20 @@ hdepth1(H) is the largest p ≤ n such that K(t)/(1-t)^{n-p} has nonnegative
 coefficients: a graded module with series H decomposes as a direct sum of
 shifted polynomial subrings of dimension ≥ p iff that quotient is
 coefficientwise nonnegative, so this is the Hilbert-series relaxation of the
-Stanley depth.  All arithmetic is exact (integers and rationals).
+Stanley depth.  It is decided on the layer counts alone, as in the Hilbert-depth
+test of Ichim–Katthän–Moyano-Fernández, Math. Comp. 86 (2017).  The quotient is
+Σ_e α_e t^e (1-t)^{p-e}; a term with e > p is t^e/(1-t)^{e-p}, nonnegative and
+zero below degree e, and a term with e ≤ p is a polynomial of degree ≤ p.  So
+no coefficient past degree p is negative, and hdepth1 ≥ p iff
+
+    β_j^p = Σ_{e≤j} (-1)^{j-e} binom(p-e, j-e) α_e ≥ 0   for every j ≤ p.
+
+The first j with β_j^{p+1} < 0 is the series' first negative coefficient at
+p+1.  All arithmetic is in integers, and every check is finite.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .monomials import InputError, QuotientPair
@@ -83,79 +91,29 @@ class HdepthResult:
         return {"value": self.value, "failing_coefficient": self.failing_coefficient}
 
 
-def _nonneg_quotient(k_poly: tuple[int, ...], m: int) -> int | None:
-    """None if K(t)/(1-t)^m is coefficientwise ≥ 0, else a failing index.
-
-    Head (k ≤ deg K): m rounds of prefix sums.  Tail (k > deg K): the
-    coefficient is the polynomial P(k) = Σ_j K_j·binom(k-j+m-1, m-1) of
-    degree ≤ m-1; its sign stabilizes to the sign of the leading coefficient
-    beyond the Cauchy root bound, so finitely many integer checks decide.
-    """
-    coeffs = list(k_poly)
-    D = len(coeffs) - 1
-    cur = coeffs[:]
-    for _ in range(m):
-        run = 0
-        for i in range(len(cur)):
-            run += cur[i]
-            cur[i] = run
-    for k, c in enumerate(cur):
-        if c < 0:
-            return k
-    if m == 0:
-        return None
-
-    # exact tail polynomial in k (degree ≤ m-1), coefficients over Q
-    tail = [Fraction(0)] * m
-    for j, kj in enumerate(coeffs):
-        if not kj:
-            continue
-        # binom(k-j+m-1, m-1) = Π_{i=1}^{m-1} (k-j+m-1-(i-1)) / (m-1)!
-        poly = [Fraction(1)]
-        for i in range(m - 1):
-            shift = Fraction(m - 1 - j - i)
-            poly = _poly_mul_linear(poly, shift)
-        fact = 1
-        for i in range(1, m):
-            fact *= i
-        for i, c in enumerate(poly):
-            tail[i] += kj * c / fact
-    while len(tail) > 1 and tail[-1] == 0:
-        tail.pop()
-    if len(tail) == 1 and tail[0] == 0:
-        return None
-    lead = tail[-1]
-    if len(tail) == 1:
-        return None if lead >= 0 else D + 1
-    bound = 1 + max(abs(c / lead) for c in tail[:-1])
-    hi = max(D + 1, int(bound) + 1)
-    for k in range(D + 1, hi + 1):
-        val = sum(c * k**i for i, c in enumerate(tail))
-        if val < 0:
-            return k
-    if lead < 0:
-        return hi + 1
-    return None
-
-
-def _poly_mul_linear(poly: list[Fraction], shift: Fraction) -> list[Fraction]:
-    # poly(k) * (k + shift)
-    out = [Fraction(0)] * (len(poly) + 1)
-    for i, c in enumerate(poly):
-        out[i + 1] += c
-        out[i] += c * shift
-    return out
+def _layer_counts(H: HilbertSeries) -> list[int]:
+    """The layer counts α_0..α_n of H: α_e = Σ_{j≤e} K_j·binom(n-j, e-j)."""
+    n, k_poly = H.denom_exp, H.k_poly
+    alpha = [sum(kj * comb(n - j, e - j) for j, kj in enumerate(k_poly[: e + 1]))
+             for e in range(n + 1)]
+    if len(k_poly) > n + 1 or min(alpha) < 0:
+        raise InputError(f"{H} is not a squarefree module series: deg K > n "
+                         "or a negative layer count")
+    return alpha
 
 
 def hdepth1(H: HilbertSeries) -> HdepthResult:
-    n = H.denom_exp
+    """hdepth1 of a squarefree module series; InputError on any other."""
+    alpha = _layer_counts(H)
     failing = None
-    for p in range(n, -1, -1):
-        idx = _nonneg_quotient(H.k_poly, n - p)
-        if idx is None:
+    # β_0^0 = α_0 ≥ 0, so p = 0 always holds
+    for p in range(H.denom_exp, 0, -1):
+        beta = [sum((-1) ** (j - e) * comb(p - e, j - e) * alpha[e] for e in range(j + 1))
+                for j in range(p + 1)]
+        if min(beta) >= 0:
             return HdepthResult(value=p, failing_coefficient=failing)
-        failing = idx
-    raise InputError("series has a negative coefficient; not a module series")
+        failing = next(j for j, b in enumerate(beta) if b < 0)
+    return HdepthResult(value=0, failing_coefficient=failing)
 
 
 def hdepth1_pair(Q: QuotientPair) -> HdepthResult:

@@ -181,10 +181,6 @@ class Ideal:
     def gens(self) -> tuple[Monomial, ...]:
         return tuple(map(Monomial, self._masks))
 
-    @classmethod
-    def from_strs(cls, ambient: int, *texts: str) -> "Ideal":
-        return cls(ambient, [parse_monomial(t) for t in texts])
-
     def is_zero(self) -> bool:
         return not self._masks
 

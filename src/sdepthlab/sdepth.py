@@ -21,7 +21,9 @@ Ceiling: `sdepth` searches k = d+1 .. hdepth1(I/J) and no further.  A
 Stanley decomposition ⊕ u_i K[Z_i] with |Z_i| ≥ k is also a Hilbert
 decomposition of the Z-graded series into shifted polynomial rings of
 dimension ≥ k, so sdepth ≤ hdepth1; a value that reaches hdepth1 has k+1
-refuted by that count (`refuted_by = "hdepth1"`), not by a search.
+refuted by that count (`refuted_by = "hdepth1"`), not by a search.  hdepth1
+is a finite integer check on the pair's layer counts |P_e| (see `hilbert`),
+so the ceiling costs no series expansion and cannot stall.
 
 Pruning: a node is abandoned when an uncovered low lies under no uncovered
 top (one downward closure of the uncovered tops finds them all), or when

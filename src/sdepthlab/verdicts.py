@@ -159,7 +159,13 @@ def bounds_report(
     )
 
     # pure counting in the poset: a partition of value >= d+2 forces
-    # s >= 2*(#degree-d elements) and s <= q + (#degree-d elements)
+    # s >= 2*(#degree-d elements) and s <= q + (#degree-d elements).
+    # These are the k = d+2 case of the Hilbert-depth test in hilbert.py,
+    # on the layer counts (r', s, q) of degrees d, d+1, d+2:
+    # β_{d+1}^{d+2} = s - 2r' and β_{d+2}^{d+2} = q - s + r'.  So when
+    # d+2 <= n, one of the two rules applies iff hdepth1 <= d+1, and they
+    # restate `sdepth_le_hilbert_depth` there.  Their names stay, because
+    # the fuzz JSONL records them.
     out.append(
         _rule(
             "b_count_exceeds_c_plus_r_sdepth",

@@ -14,7 +14,7 @@ from itertools import combinations, product
 from hypothesis import strategies as st
 
 from sdepthlab.linalg import boundary_rank
-from sdepthlab.monomials import Ideal, Monomial, QuotientPair
+from sdepthlab.monomials import Ideal, Monomial, QuotientPair, parse_monomial
 from sdepthlab.poset import strata
 from sdepthlab.surgery import containment_violators, ml1_candidate_bs
 
@@ -72,6 +72,12 @@ def proper_ideals(draw, max_n: int = 5, max_gens: int = 4) -> Ideal:
     gens = [Monomial(draw(st.integers(min_value=1, max_value=(1 << n) - 1)))
             for _ in range(k)]
     return Ideal(n, gens)
+
+
+def from_strs(ambient: int, *texts: str) -> Ideal:
+    """The ideal of `ambient` variables generated by the monomials written
+    in `texts`, such as "x1*x2"."""
+    return Ideal(ambient, [parse_monomial(t) for t in texts])
 
 
 def unit_ideal(n: int) -> Ideal:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    from_strs,
     koszul_betti,
     nonsquarefree_koszul_sweep,
     proper_ideals,
@@ -58,7 +59,7 @@ def test_nonsquarefree_degrees_have_no_homology(Q):
 def test_principal_ideal_is_free():
     # x1*S is a rank-one free module: depth n in any characteristic
     for n in (1, 2, 3, 4):
-        Q = QuotientPair(Ideal.from_strs(n, "x1"), Ideal(n))
+        Q = QuotientPair(from_strs(n, "x1"), Ideal(n))
         for char in (0, 2, 3, 32003):
             assert depth(Q, field=char).depth == n
 

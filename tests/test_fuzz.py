@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from helpers import CASE_BAD_PATH, reference_ml1_sampler
+from sdepthlab import fuzz
 from sdepthlab.fuzz import (
     FuzzConfig,
     instance_rng,
@@ -107,9 +108,11 @@ def test_run_instance_record_shape():
     assert record["strata"].keys() == {"d", "r", "s", "q", "E_size"}
 
 
-def test_run_instance_reports_driver_runs_and_the_fallback():
+def test_run_instance_reports_driver_runs_and_the_fallback(monkeypatch):
+    # the pair has six candidate bs; lift the per-pair cap to reach them all
+    monkeypatch.setattr(fuzz, "_ML1_MAX_RUNS", 6)
     Q = parse_input(CASE_BAD_PATH)
-    record, findings = run_instance(Q, FuzzConfig(n=6, ml1_max_runs=6))
+    record, findings = run_instance(Q, FuzzConfig(n=6))
     ok = {"status": "ok", "kind": "upgraded_partition", "verified": True}
     assert record["ml1"] == [
         {"b": b, **ok, "fallback": b == "x3*x4*x5"}

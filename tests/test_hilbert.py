@@ -4,8 +4,16 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_monomial_count, expand_series, quotient_pairs, si_pair, unit_ideal
+from helpers import (
+    brute_monomial_count,
+    expand_series,
+    from_strs,
+    quotient_pairs,
+    si_pair,
+    unit_ideal,
+)
 from sdepthlab.hilbert import (
     HdepthResult,
     HilbertSeries,
@@ -68,11 +76,59 @@ def test_hdepth1_computed_once_per_pair(monkeypatch):
         return original(H)
 
     monkeypatch.setattr(hilbert_mod, "hdepth1", counted)
-    Q = QuotientPair(Ideal.from_strs(4, "x1*x2", "x3"), Ideal.from_strs(4, "x1*x2*x3"))
+    Q = QuotientPair(from_strs(4, "x1*x2", "x3"), from_strs(4, "x1*x2*x3"))
     res = sdepth(Q)
     assert EngineCache().hdepth(Q) == hdepth1_pair(Q.with_field(2))
     assert res.value <= hdepth1_pair(Q).value
     assert len(calls) == 1
+
+
+def gapped_pair(n: int) -> QuotientPair:
+    """I = (x4, x2*x5*x10), J = (x4*x_j : j != 4): layer counts 1 in degree 1,
+    none in degree 2, then binom(n-4, e-3) in each degree e >= 3."""
+    I = Ideal(n, [Monomial.of(4), Monomial.of(2, 5, 10)])
+    J = Ideal(n, [Monomial.of(4, j) for j in range(1, n + 1) if j != 4])
+    return QuotientPair(I, J)
+
+
+@pytest.mark.parametrize("n", range(10, 17))
+def test_hdepth1_of_a_gapped_pair(n):
+    # an empty layer between nonempty ones, at every n up to the largest
+    assert hdepth1_pair(gapped_pair(n)) == HdepthResult(value=1, failing_coefficient=2)
+
+
+@st.composite
+def layer_counts(draw) -> tuple[int, list[int]]:
+    """An ambient n <= 16 and counts α_0..α_n >= 0, zero layers allowed."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    return n, [draw(st.one_of(st.just(0), st.integers(0, comb(n, e))))
+               for e in range(n + 1)]
+
+
+@given(layer_counts())
+@settings(max_examples=80)
+def test_hdepth1_from_layer_counts_matches_expansion(counts):
+    n, alpha = counts
+    k_poly = [0] * (n + 1)
+    for e, a in enumerate(alpha):
+        for i in range(n - e + 1):
+            k_poly[e + i] += a * (-1) ** i * comb(n - e, i)
+    res = hdepth1(HilbertSeries(n, tuple(k_poly)))
+    horizon = 3 * n + 25
+    assert min(expand_series(tuple(k_poly), n - res.value, horizon)) >= 0
+    if res.value == n:
+        assert res.failing_coefficient is None
+    else:
+        above = expand_series(tuple(k_poly), n - res.value - 1, horizon)
+        first = next(i for i, c in enumerate(above) if c < 0)
+        assert first == res.failing_coefficient
+
+
+@pytest.mark.parametrize("H", [HilbertSeries(1, (1, 0, -1)), HilbertSeries(2, (1, -3))])
+def test_hdepth1_rejects_series_without_layer_counts(H):
+    # deg K > n, and a negative count α_1 = 2 - 3
+    with pytest.raises(InputError):
+        hdepth1(H)
 
 
 def test_polynomial_ring_series():
@@ -84,7 +140,7 @@ def test_polynomial_ring_series():
 
 
 def test_maximal_ideal_n2():
-    Q = QuotientPair(Ideal.from_strs(2, "x1", "x2"), Ideal(2))
+    Q = QuotientPair(from_strs(2, "x1", "x2"), Ideal(2))
     H = hilbert_series(Q)
     assert H.k_poly == (0, 2, -1)  # 2t - t^2
     assert [H.coefficient(k) for k in range(4)] == [0, 2, 3, 4]
@@ -121,7 +177,7 @@ def test_herzog_comparison_table():
 
 
 def test_si_form_series_matches_counts():
-    I = Ideal.from_strs(4, "x1*x2", "x3*x4")
+    I = from_strs(4, "x1*x2", "x3*x4")
     Q = si_pair(I)
     H = hilbert_series(Q)
     for k in range(6):

@@ -150,6 +150,19 @@ def test_cli_sdepth(ex1_file, capsys):
     assert "certificate" in capsys.readouterr().out
 
 
+def test_cli_hdepth_and_sdepth_on_a_gapped_pair(tmp_path, capsys):
+    # hdepth1 comes from the layer counts, so n = 16 answers at once
+    path = tmp_path / "gapped16.txt"
+    j = ", ".join(f"x{min(k, 4)}*x{max(k, 4)}" for k in range(1, 17) if k != 4)
+    path.write_text(f"n=16\nI = x4, x2*x5*x10\nJ = {j}\n")
+    assert cli.main(["hdepth", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "hdepth1 = 1" in out
+    assert "(coefficient 2 fails at value+1)" in out
+    assert cli.main(["sdepth", str(path)]) == 0
+    assert "sdepth = 1  (k = 2 refuted by hdepth1)" in capsys.readouterr().out
+
+
 def test_cli_sdepth_reports_free_variables(tmp_path, capsys):
     # x4 divides no generator: the search runs on x1..x3 and adds one
     path = tmp_path / "free.txt"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import quotient_pairs
+from helpers import from_strs, quotient_pairs
 from sdepthlab.monomials import (
     MAX_AMBIENT,
     AmbientMismatchError,
@@ -127,7 +127,7 @@ def test_ideal_flags_and_str():
     assert Ideal(3).is_zero()
     assert str(Ideal(3)) == "0"
     assert Ideal(3, [Monomial(0)]).is_unit()
-    assert Ideal.from_strs(3, "x1*x2", "x1").gens == (Monomial.of(1),)
+    assert from_strs(3, "x1*x2", "x1").gens == (Monomial.of(1),)
     assert minimalize(3, [Monomial.of(1), Monomial.of(1, 2)]).gens == (Monomial.of(1),)
 
 
@@ -170,9 +170,9 @@ def test_colon_var_range_error():
 
 
 def test_quotient_pair_validation():
-    I = Ideal.from_strs(3, "x1", "x2")
+    I = from_strs(3, "x1", "x2")
     with pytest.raises(InputError):
-        QuotientPair(I, Ideal.from_strs(3, "x3"))  # J not inside I
+        QuotientPair(I, from_strs(3, "x3"))  # J not inside I
     with pytest.raises(EmptyQuotientError):
         QuotientPair(I, I)
     with pytest.raises(InputError):
@@ -184,14 +184,14 @@ def test_quotient_pair_validation():
 
 
 def test_normalization_warning():
-    I = Ideal.from_strs(3, "x1", "x2")
-    assert QuotientPair(I, Ideal.from_strs(3, "x2")).normalization_warning
-    assert not QuotientPair(I, Ideal.from_strs(3, "x1*x2")).normalization_warning
+    I = from_strs(3, "x1", "x2")
+    assert QuotientPair(I, from_strs(3, "x2")).normalization_warning
+    assert not QuotientPair(I, from_strs(3, "x1*x2")).normalization_warning
     assert not QuotientPair(I, Ideal(3)).normalization_warning
 
 
 def test_with_field_and_key():
-    Q = QuotientPair(Ideal.from_strs(3, "x1"), Ideal(3))
+    Q = QuotientPair(from_strs(3, "x1"), Ideal(3))
     Q2 = Q.with_field(2)
     assert Q2.field == 2 and Q2.key() == Q.key()
     assert Q.with_field(0) is Q
@@ -200,27 +200,27 @@ def test_with_field_and_key():
 
 
 def test_colon_pair():
-    Q2 = QuotientPair(Ideal.from_strs(3, "x1"), Ideal.from_strs(3, "x1*x2"))
+    Q2 = QuotientPair(from_strs(3, "x1"), from_strs(3, "x1*x2"))
     assert colon_pair(Q2, 2) is None  # (J:x2) = (x1) = (I:x2)
     cp = colon_pair(Q2, 3)
     assert cp is not None and cp.I == Q2.I and cp.J == Q2.J
 
 
 def test_split_pair():
-    I = Ideal.from_strs(3, "x1", "x2")
-    Q = QuotientPair(I, Ideal.from_strs(3, "x1*x2"), field=2)
+    I = from_strs(3, "x1", "x2")
+    Q = QuotientPair(I, from_strs(3, "x1*x2"), field=2)
     assert split_pair(Q, Q.I) == (Q, None)
-    assert split_pair(Q, Ideal.from_strs(3, "x2", "x1"))[0] is Q
-    A, C = split_pair(Q, Ideal.from_strs(3, "x1"))
-    assert (A.I, A.J, A.field) == (Ideal.from_strs(3, "x1"), Q.J, 2)
-    assert (C.I, C.J, C.field) == (I, Ideal.from_strs(3, "x1"), 2)
+    assert split_pair(Q, from_strs(3, "x2", "x1"))[0] is Q
+    A, C = split_pair(Q, from_strs(3, "x1"))
+    assert (A.I, A.J, A.field) == (from_strs(3, "x1"), Q.J, 2)
+    assert (C.I, C.J, C.field) == (I, from_strs(3, "x1"), 2)
     # a subideal inside J has a zero first end
-    A, C = split_pair(Q, Ideal.from_strs(3, "x1*x2"))
+    A, C = split_pair(Q, from_strs(3, "x1*x2"))
     assert A is None and C == Q and C is not Q
     # J + sub = I gives a zero last end
-    Q2 = QuotientPair(I, Ideal.from_strs(3, "x2"))
-    A, C = split_pair(Q2, Ideal.from_strs(3, "x1"))
-    assert (A.I, A.J, C) == (Ideal.from_strs(3, "x1"), Ideal.from_strs(3, "x1*x2"), None)
+    Q2 = QuotientPair(I, from_strs(3, "x2"))
+    A, C = split_pair(Q2, from_strs(3, "x1"))
+    assert (A.I, A.J, C) == (from_strs(3, "x1"), from_strs(3, "x1*x2"), None)
 
 
 @given(quotient_pairs(normalized=False), st.sampled_from((0, 2, 3, 32003)))

@@ -10,6 +10,7 @@ from helpers import (
     CASE_BAD_PATH,
     CASE_WEAK_PATH,
     brute_poset_masks,
+    from_strs,
     quotient_pairs,
     si_pair,
     unit_ideal,
@@ -42,7 +43,7 @@ def test_poset_bitset_matches_brute(Q):
 
 
 def test_poset_of_si_form_contains_unit():
-    Q = si_pair(Ideal.from_strs(3, "x1*x2"))
+    Q = si_pair(from_strs(3, "x1*x2"))
     masks = _bits_to_masks(poset_bitset(Q))
     assert 0 in masks  # the monomial 1 lies in S \ I
     assert Monomial.of(1, 2).mask not in masks
@@ -147,7 +148,7 @@ def test_strata_pinned_examples():
 
 
 def test_strata_to_json_field_names():
-    Q = QuotientPair(Ideal.from_strs(3, "x1"), Ideal(3))
+    Q = QuotientPair(from_strs(3, "x1"), Ideal(3))
     payload = strata(Q).to_json()
     assert set(payload) == {
         "d", "r", "f_list", "E", "B", "C", "s", "q", "W_B", "W_all", "C2", "C3",
@@ -171,7 +172,7 @@ def _canonical(masks) -> list[int]:
 
 
 def test_poset_view_elements_and_layers():
-    Q = QuotientPair(Ideal.from_strs(3, "x1"), Ideal.from_strs(3, "x1*x2*x3"))
+    Q = QuotientPair(from_strs(3, "x1"), from_strs(3, "x1*x2*x3"))
     view = poset_view(Q)
     assert [str(Monomial(m)) for m in view.elements] == ["x1", "x1*x2", "x1*x3"]
     assert Monomial.of(1, 2, 3).mask not in view.elements
@@ -184,11 +185,11 @@ def test_poset_view_elements_and_layers():
 
 
 def test_min_poset_degree():
-    assert poset_view(si_pair(Ideal.from_strs(3, "x1*x2"))).d == 0
-    Q = QuotientPair(Ideal.from_strs(4, "x1", "x2*x3"), Ideal.from_strs(4, "x1*x4"))
+    assert poset_view(si_pair(from_strs(3, "x1*x2"))).d == 0
+    Q = QuotientPair(from_strs(4, "x1", "x2*x3"), from_strs(4, "x1*x4"))
     assert poset_view(Q).d == 1
     # the degree-1 generator lies in J, so the least degree comes from x2*x3
-    Q2 = QuotientPair(Ideal.from_strs(4, "x1", "x2*x3"), Ideal.from_strs(4, "x1"))
+    Q2 = QuotientPair(from_strs(4, "x1", "x2*x3"), from_strs(4, "x1"))
     assert poset_view(Q2).d == 2
 
 
@@ -248,6 +249,6 @@ def test_one_poset_build_per_pair(monkeypatch):
 
 
 def test_unit_quotient_degree_zero():
-    Q = si_pair(Ideal.from_strs(2, "x1*x2"))
+    Q = si_pair(from_strs(2, "x1*x2"))
     assert strata(Q).d == 0
     assert unit_ideal(2).is_unit()

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     brute_poset_masks,
+    from_strs,
     quotient_pairs,
     rename_pair,
     restrict_to_support,
@@ -49,7 +50,7 @@ def test_partition_value_and_json():
 
 
 def test_verify_partition_offenders():
-    Q = QuotientPair(Ideal.from_strs(2, "x1"), Ideal(2))  # poset: x1, x1*x2
+    Q = QuotientPair(from_strs(2, "x1"), Ideal(2))  # poset: x1, x1*x2
     ok = verify_partition(Q, Partition((
         Interval(Monomial.of(1), Monomial.of(1, 2)),
     )))
@@ -153,7 +154,7 @@ def test_sdepth_of_maximal_ideal(n):
 
 
 def test_brute_force_limit_guard():
-    Q = QuotientPair(Ideal.from_strs(5, "x1"), Ideal(5))  # 16 poset elements
+    Q = QuotientPair(from_strs(5, "x1"), Ideal(5))  # 16 poset elements
     with pytest.raises(InputError):
         brute_force_sdepth(Q, limit=14)
     assert brute_force_sdepth(Q, limit=16) == 5

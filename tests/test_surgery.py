@@ -11,6 +11,7 @@ from helpers import (
     CASE_TRAIL_REVISIT,
     CASE_WEAK_PATH,
     containment_kills_one_at_a_time,
+    from_strs,
 )
 from sdepthlab import fuzz, surgery
 from sdepthlab.corpus import BAD_PB_INTERVALS, ITEMS
@@ -60,7 +61,7 @@ def _bad_setup():
 def test_build_reduced_pair():
     Q, b, _ = _bad_setup()
     pair_b = build_reduced_pair(Q, b)
-    assert pair_b.I == Ideal.from_strs(6, "x2", "x3", "x1*x5", "x4*x5", "x5*x6")
+    assert pair_b.I == from_strs(6, "x2", "x3", "x1*x5", "x4*x5", "x5*x6")
     assert not pair_b.I.member(b)
     assert pair_b.J == intersect(Q.J, pair_b.I)
     with pytest.raises(SurgeryError, match="not a degree"):
@@ -98,7 +99,7 @@ def test_truncated_cover_partitions_low_part(data):
 
 
 def test_normalize_partition_truncates_and_fills():
-    Q = QuotientPair(Ideal.from_strs(3, "x1"), Ideal(3))
+    Q = QuotientPair(from_strs(3, "x1"), Ideal(3))
     big = Partition((Interval(parse_monomial("x1"), parse_monomial("x1*x2*x3")),))
     out = normalize_partition(Q, big, 2)
     assert verify_partition(Q, out)
@@ -107,7 +108,7 @@ def test_normalize_partition_truncates_and_fills():
     unchanged = normalize_partition(Q, big, 3)
     assert unchanged.intervals == big.intervals
 
-    Q2 = QuotientPair(Ideal.from_strs(2, "x1"), Ideal(2))
+    Q2 = QuotientPair(from_strs(2, "x1"), Ideal(2))
     with pytest.raises(InputError, match="tops out below degree 2"):
         normalize_partition(
             Q2, Partition((Interval(parse_monomial("x1"), parse_monomial("x1")),)), 2
@@ -212,7 +213,7 @@ def test_swap_into_generator():
         swap_into_generator(
             pair_b, H.partition, parse_monomial("x1*x5"), parse_monomial("x1*x5")
         )
-    Q3 = QuotientPair(Ideal.from_strs(3, "x1"), Ideal(3))
+    Q3 = QuotientPair(from_strs(3, "x1"), Ideal(3))
     P3 = Partition((Interval(parse_monomial("x1"), parse_monomial("x1*x2*x3")),))
     with pytest.raises(InputError, match="exactly one inner"):
         swap_into_generator(Q3, P3, parse_monomial("x1"), parse_monomial("x1"))
@@ -224,23 +225,23 @@ def test_check_pair_hypotheses_clauses():
     # r is checked before the normalization warning
     with pytest.raises(SurgeryError, match=r"r=2 fails: r=3"):
         check_pair_hypotheses(
-            QuotientPair(Ideal.from_strs(4, "x1", "x2", "x3"), Ideal.from_strs(4, "x3"))
+            QuotientPair(from_strs(4, "x1", "x2", "x3"), from_strs(4, "x3"))
         )
     with pytest.raises(SurgeryError, match="degrees > d"):
         check_pair_hypotheses(
-            QuotientPair(Ideal.from_strs(3, "x1", "x2"), Ideal.from_strs(3, "x2"))
+            QuotientPair(from_strs(3, "x1", "x2"), from_strs(3, "x2"))
         )
     with pytest.raises(SurgeryError, match="degree d\\+1"):
         check_pair_hypotheses(
-            QuotientPair(Ideal.from_strs(5, "x1", "x2", "x3*x4*x5"), Ideal(5))
+            QuotientPair(from_strs(5, "x1", "x2", "x3*x4*x5"), Ideal(5))
         )
     with pytest.raises(SurgeryError, match=r"4 <= s <= q\+2 fails: s=3, q=1"):
         check_pair_hypotheses(
-            QuotientPair(Ideal.from_strs(4, "x1*x2", "x1*x3"), Ideal(4))
+            QuotientPair(from_strs(4, "x1*x2", "x1*x3"), Ideal(4))
         )
     with pytest.raises(SurgeryError, match=r"C-containment fails at x1\*x2\*x4\*x5"):
         check_pair_hypotheses(
-            QuotientPair(Ideal.from_strs(5, "x1*x2", "x2*x3"), Ideal(5))
+            QuotientPair(from_strs(5, "x1*x2", "x2*x3"), Ideal(5))
         )
     Q = parse_input(CASE_BAD_PATH)
     check_pair_hypotheses(Q)  # must not raise
@@ -287,7 +288,7 @@ def test_driver_weak_path_witness():
     b = parse_monomial("x2*x3")
     out = ml1_driver(Q, b)
     assert out.kind == "subideal_witness" and not out.fallback
-    assert out.subideal == Ideal.from_strs(6, "x2*x3", "x2*x6")
+    assert out.subideal == from_strs(6, "x2*x3", "x2*x6")
     assert out.sdepth_sub == 2 and out.depth_rest == 2
     assert verify_outcome(Q, out)
     assert out.trace == (
@@ -471,18 +472,18 @@ def test_verify_outcome_rejects_tampering():
     assert not verify_outcome(
         Qw,
         SurgeryOutcome(kind="subideal_witness",
-                       subideal=Ideal.from_strs(6, "x1*x2")),
+                       subideal=from_strs(6, "x1*x2")),
     )
     assert not verify_outcome(
         Qw,
         SurgeryOutcome(kind="subideal_witness",
-                       subideal=Ideal.from_strs(6, "x3")),
+                       subideal=from_strs(6, "x3")),
     )
     # a subideal inside J: its end of the sequence is zero, not an error
     assert not verify_outcome(
         parse_input(ITEMS["bad"]),
         SurgeryOutcome(kind="subideal_witness",
-                       subideal=Ideal.from_strs(6, "x2*x4")),
+                       subideal=from_strs(6, "x2*x4")),
     )
 
 

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 from hypothesis import given, settings
 
-from helpers import quotient_pairs
+from helpers import from_strs, quotient_pairs
 from sdepthlab.engines import EngineCache
 from sdepthlab.fuzz import FuzzConfig, instance_rng, random_pair
 from sdepthlab.io import parse_input
@@ -66,7 +66,7 @@ def test_no_inconsistencies_on_random_pairs(Q):
 
 
 def test_warning_pair_gates_depth_rules():
-    Q = QuotientPair(Ideal.from_strs(3, "x1", "x2"), Ideal.from_strs(3, "x2"))
+    Q = QuotientPair(from_strs(3, "x1", "x2"), from_strs(3, "x2"))
     assert Q.normalization_warning
     verdicts = bounds_report(Q)
     by_rule = {v.rule: v for v in verdicts if v.rule in ALWAYS_PRESENT}
@@ -76,6 +76,26 @@ def test_warning_pair_gates_depth_rules():
     assert by_rule["depth_ge_min_degree"].applicable
     assert by_rule["sdepth_ge_min_degree"].applicable
     assert inconsistencies(verdicts) == ()
+
+
+def test_counting_rules_are_the_hilbert_depth_test_at_d_plus_2():
+    # β_{d+1}^{d+2} = s - 2r' and β_{d+2}^{d+2} = q - s + r' on the layer
+    # counts, so one of the two rules applies iff hdepth1 <= d+1
+    seen = 0
+    for n in range(3, 9):
+        cfg = FuzzConfig(n=n, seed=2026)
+        for index in range(100):
+            Q = random_pair(instance_rng(cfg.seed, index), cfg)
+            cache = EngineCache()
+            d = cache.strata(Q).d
+            if d + 2 > n:
+                continue
+            by_rule = {v.rule: v for v in bounds_report(Q, cache)}
+            fired = (by_rule["b_count_exceeds_c_plus_r_sdepth"].applicable
+                     or by_rule["b_count_below_2r_sdepth"].applicable)
+            assert fired == (cache.hdepth(Q).value <= d + 1), (n, index)
+            seen += 1
+    assert seen > 400
 
 
 def test_three_generator_rule_fires_on_known_pairs():
@@ -108,7 +128,7 @@ def test_colon_restriction_rules_on_four_generator_pair():
 
 
 def test_colon_restriction_not_applicable_row():
-    Q = QuotientPair(Ideal.from_strs(2, "x1"), Ideal(2))
+    Q = QuotientPair(from_strs(2, "x1"), Ideal(2))
     verdicts = bounds_report(Q)
     counts = [v for v in verdicts if v.rule == "colon_restriction_count"]
     assert len(counts) == 1
@@ -163,7 +183,7 @@ def test_audit_check_names_and_json():
 
 def test_audit_handles_degenerate_colon():
     # I:(x2) and J:(x2) coincide, so the colon row is not applicable
-    Q = QuotientPair(Ideal.from_strs(2, "x1"), Ideal.from_strs(2, "x1*x2"))
+    Q = QuotientPair(from_strs(2, "x1"), from_strs(2, "x1*x2"))
     audit = consistency_audit(Q)
     row = next(
         c for c in audit.checks
@@ -175,7 +195,7 @@ def test_audit_handles_degenerate_colon():
 
 def test_audit_extra_subideals():
     Q = parse_input("n=4\nI = x1*x2, x2*x3, x3*x4\nJ = 0\n")
-    sub = Ideal.from_strs(4, "x1*x2")
+    sub = from_strs(4, "x1*x2")
     audit = consistency_audit(Q, extra_subideals=(sub,))
     params = {c.param for c in audit.checks if c.name.startswith("subideal")}
     assert f"I'={sub}" in params
@@ -259,7 +279,7 @@ def test_derived_pairs_live_on_the_cache_not_the_pair():
 
 def test_a_restriction_equal_to_the_pair_is_the_pair():
     # I∩(x1) = I, so the restriction by x1 is Q itself and shares its view
-    Q = QuotientPair(Ideal.from_strs(3, "x1*x2", "x1*x3"), Ideal.from_strs(3, "x1*x2*x3"))
+    Q = QuotientPair(from_strs(3, "x1*x2", "x1*x3"), from_strs(3, "x1*x2*x3"))
     derived = _derived_pairs(Q, EngineCache())
     assert derived[0][1] is Q and derived[0][2] is None
-    assert derived[1][1].I == Ideal.from_strs(3, "x1*x2")  # I∩(x2)
+    assert derived[1][1].I == from_strs(3, "x1*x2")  # I∩(x2)
