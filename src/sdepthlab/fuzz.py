@@ -19,8 +19,16 @@ from functools import cache
 from itertools import combinations
 
 from .engines import EngineCache
-from .monomials import Ideal, InputError, Monomial, QuotientPair, canonical_key
-from .poset import _filter_bitset
+from .monomials import (
+    MAX_AMBIENT,
+    Ideal,
+    InputError,
+    Monomial,
+    QuotientPair,
+    canonical_key,
+    mask_of,
+)
+from .poset import upward_closure
 from .surgery import (
     DriverFailure,
     SurgeryError,
@@ -269,65 +277,92 @@ def sample_ml1_instance(rng: random.Random, n: int = 6,
     Construction: two degree-d generators sharing d-1 variables (so their
     lcm sits in B), optional degree-(d+1) extra generators, and a J built
     from the degree-(d+2) elements violating the C-containment condition,
-    topped up with random picks.  Returns (pair, eligible bs).
+    topped up with random picks.  Returns (pair, eligible bs).  n must lie
+    in [3, MAX_AMBIENT]: the construction draws two variables outside d-1
+    common ones, and d+1 of them for an extra.
 
-    Each try is screened on masks before any pair is built, and the screen
-    is exact.  r = 2 and "E in degree d+1" hold by construction.  J is 0 or
-    generated in degree d+2, so the pair carries no normalization warning,
-    B is the degree-(d+1) layer of I, and C is the degree-(d+2) layer minus
-    J's generators.  Killing the violators leaves the other elements of C
-    meeting the containment condition, so the final pair has none.  That
-    leaves 4 <= s <= q+2, which the screen reads off the masks; a try that
-    passes it becomes a QuotientPair and `ml1_candidate_bs` re-checks every
-    hypothesis.
+    Each try is screened on masks before any object is built, and the
+    screen is exact.  r = 2 and "E in degree d+1" hold by construction: f1
+    and f2 are distinct of degree d, and an extra is kept only when neither
+    divides it, so the distinct generators drawn are the minimal ones.  J
+    is 0 or generated in degree d+2, so the pair carries no normalization
+    warning, B is the degree-(d+1) layer of I, and C is the degree-(d+2)
+    layer minus J's generators.  Killing the violators leaves the other
+    elements of C meeting the containment condition, so the final pair has
+    none.  That leaves 4 <= s <= q+2, which the screen reads off popcounts;
+    a try that passes it becomes a QuotientPair and `ml1_candidate_bs`
+    re-checks every hypothesis.
     """
+    if not 3 <= n <= MAX_AMBIENT:
+        raise InputError(
+            f"ml1 sampler ambient n={n} outside the supported range [3, {MAX_AMBIENT}]"
+        )
+    filters = _PrincipalFilters(n)
     for _ in range(max_tries):
         d = rng.randint(1, 2)
         common = rng.sample(range(1, n + 1), d - 1) if d > 1 else []
         rest = [v for v in range(1, n + 1) if v not in common]
         x_a, x_b = rng.sample(rest, 2)
-        f1 = Monomial.of(*(common + [x_a]))
-        f2 = Monomial.of(*(common + [x_b]))
-        gens = [f1, f2]
+        f1 = mask_of(common + [x_a])
+        f2 = mask_of(common + [x_b])
+        extras = []
         for _ in range(rng.randint(0, 2)):
-            deg = d + 1
-            vars_ = rng.sample(range(1, n + 1), deg)
-            e = Monomial.of(*vars_)
-            if not (f1.divides(e) or f2.divides(e)):
-                gens.append(e)
-        # r = 2 by construction: f1 != f2 have degree d, the extras degree d+1
-        I = Ideal(n, gens)
-        kills, picks, s, q = _containment_closure(I, d, rng)
+            e = mask_of(rng.sample(range(1, n + 1), d + 1))
+            if f1 & ~e and f2 & ~e:
+                extras.append(e)
+        gens = (f1, f2, *dict.fromkeys(extras))
+        kills, picks, s, q = _containment_closure(n, gens, d, rng, filters)
         if not 4 <= s <= q + 2:
             continue
-        Q = QuotientPair(I, Ideal._of_masks(n, kills + picks))
+        J = [c for c in _degree_masks(n, d + 2) if kills >> c & 1] + picks
+        Q = QuotientPair(Ideal._of_masks(n, gens), Ideal._of_masks(n, J))
         bs = ml1_candidate_bs(Q)
         if bs:
             return Q, bs
     return None
 
 
-def _containment_closure(I: Ideal, d: int, rng: random.Random
-                         ) -> tuple[list[int], list[int], int, int]:
-    """For I/0 with least degree d: the masks of the C-elements breaking
-    containment (kills), up to two random other elements of C (picks), and
-    s and q of the pair I/J with J generated by kills and picks."""
-    n = I.ambient
-    gens = I.gen_masks()
-    once = _filter_bitset(n, gens)
+class _PrincipalFilters(dict):
+    """mask -> bitset of its principal filter {x : mask ⊆ x} over n
+    variables, computed on first lookup."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.every_var = (1 << n) - 1
+
+    def __missing__(self, mask: int) -> int:
+        bits = self[mask] = upward_closure(1 << mask, self.every_var)
+        return bits
+
+
+def _containment_closure(n: int, gens: tuple[int, ...], d: int,
+                         rng: random.Random, filters: _PrincipalFilters
+                         ) -> tuple[int, list[int], int, int]:
+    """For I/0, I generated by `gens` in degrees d and d+1: the bitset of
+    the C-elements breaking containment (kills), up to two random other
+    elements of C (picks), and s and q of the pair I/J with J generated by
+    kills and picks.  `filters` is shared by the tries of one sampler call."""
+    once = 0
+    for g in gens:
+        once |= filters[g]
     # c lies above two generators exactly when it lies above their lcm
-    twice = _filter_bitset(n, tuple({a | b for a, b in combinations(gens, 2)}))
-    B = [m for m in _degree_masks(n, d + 1) if once >> m & 1]
-    C = [m for m in _degree_masks(n, d + 2) if once >> m & 1]
-    kills = [c for c in C if not twice >> c & 1]
-    pool = [c for c in C if twice >> c & 1]
+    twice = 0
+    for a, b in combinations(gens, 2):
+        twice |= filters[a | b]
+    C = once & _degree_bits(n, d + 2)
+    kills, pool_bits = C & ~twice, C & twice
     picks = []
-    for _ in range(rng.randint(0, 2)):
-        if pool:
-            picks.append(rng.choice(pool))
+    count = rng.randint(0, 2)
+    if count and pool_bits:
+        pool = [c for c in _degree_masks(n, d + 2) if pool_bits >> c & 1]
+        picks = [rng.choice(pool) for _ in range(count)]
     # J lies in degree d+2, so it leaves B alone and removes its own
     # generators from C
-    return kills, picks, len(B), len(C) - len(set(kills + picks))
+    killed = kills
+    for c in picks:
+        killed |= 1 << c
+    s = (once & _degree_bits(n, d + 1)).bit_count()
+    return kills, picks, s, C.bit_count() - killed.bit_count()
 
 
 @cache
@@ -335,3 +370,12 @@ def _degree_masks(n: int, k: int) -> tuple[int, ...]:
     """The degree-k masks of n variables, in canonical order."""
     return tuple(sorted((m for m in range(1 << n) if m.bit_count() == k),
                         key=canonical_key))
+
+
+@cache
+def _degree_bits(n: int, k: int) -> int:
+    """Bitset of the degree-k masks of n variables."""
+    bits = 0
+    for m in _degree_masks(n, k):
+        bits |= 1 << m
+    return bits

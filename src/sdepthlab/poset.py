@@ -10,8 +10,8 @@ lcm-constrained subsets C2 and C3 of C.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .monomials import Monomial, QuotientPair, canonical_key
 
@@ -89,31 +89,45 @@ class PosetView:
     have computed them from the layers.
     """
 
-    __slots__ = ("bits", "d", "_elements", "hdepth", "strata")
+    __slots__ = ("bits", "d", "_elements", "_starts", "hdepth", "strata")
 
     def __init__(self, Q: QuotientPair):
         self.bits = poset_bitset(Q)
         # a least-degree element is an I-generator outside J
         self.d = min(m.bit_count() for m in Q.I.gen_masks() if (self.bits >> m) & 1)
         self._elements: list[int] | None = None
+        self._starts: list[int] = []
         self.hdepth = None
         self.strata = None
 
     @property
     def elements(self) -> list[int]:
         if self._elements is None:
-            masks = []
-            rest = self.bits
-            while rest:
-                low = rest & -rest
-                masks.append(low.bit_length() - 1)
-                rest ^= low
-            self._elements = sorted(masks, key=canonical_key)
+            self._index()
         return self._elements
 
     def start(self, k: int) -> int:
         """Index in `elements` of the first element of degree >= k."""
-        return bisect_left(self.elements, k << 16, key=canonical_key)
+        if self._elements is None:
+            self._index()
+        starts = self._starts
+        return starts[min(max(k, 0), len(starts) - 1)]
+
+    def _index(self) -> None:
+        """Sort the elements and count them by degree, once."""
+        masks = []
+        rest = self.bits
+        while rest:
+            low = rest & -rest
+            masks.append(low.bit_length() - 1)
+            rest ^= low
+        self._elements = sorted(masks, key=canonical_key)
+        # _starts[k] = number of elements of degree < k, for k up to one
+        # past the top degree
+        counts = [0] * (self._elements[-1].bit_count() + 1)
+        for m in masks:
+            counts[m.bit_count()] += 1
+        self._starts = list(accumulate(counts, initial=0))
 
     def layer(self, k: int) -> list[int]:
         """The degree-k elements, in canonical order."""

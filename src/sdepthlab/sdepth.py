@@ -154,10 +154,27 @@ def _interval_bits(lo: int, hi: int) -> int:
 
 
 def sdepth_decide(Q: QuotientPair, k: int) -> Partition | None:
-    """A verified partition witnessing sdepth ≥ k, or None when none exists."""
+    """A verified partition witnessing sdepth ≥ k, or None when none exists.
+
+    With f free variables (see `sdepth`) the search decides k - f on the
+    pair restricted to its support and lifts the certificate; when
+    k - f < d, the lifted partition of value d answers yes.
+    """
     view = poset_view(Q)
     if not view.d <= k <= Q.ambient:
         raise InputError(f"k={k} outside [{view.d}, {Q.ambient}]")
+    support, free = _support(Q)
+    if not free:
+        return _decide(Q, k)
+    if not support:
+        return _whole_ring(free)
+    cert = _decide(_restrict(Q, support), max(k - free.bit_count(), view.d))
+    return None if cert is None else _lift(cert, support, free)
+
+
+def _decide(Q: QuotientPair, k: int) -> Partition | None:
+    """`sdepth_decide` by search on the whole poset; d <= k <= n."""
+    view = poset_view(Q)
     elements = view.elements
     lows = elements[:view.start(k)]
     if not lows:
@@ -301,33 +318,51 @@ def sdepth(Q: QuotientPair) -> SdepthResult:
     `refuted_k` are those of the full pair; `refuted_by` names what refuted
     the restricted k.
     """
-    igens, jgens = Q.I.gen_masks(), Q.J.gen_masks()
-    support = 0
-    for g in igens + jgens:
-        support |= g
-    free = ((1 << Q.ambient) - 1) & ~support
+    support, free = _support(Q)
     f = free.bit_count()
     if not support:  # I = (1), J = 0: S itself is the Stanley space 1·K[x_1..x_n]
-        whole = Partition((Interval(Monomial(0), Monomial(free)),))
-        return SdepthResult(f, whole, refuted_k=None, refuted_by=None, free=f)
-    R = Q
-    if f:
-        m = Q.ambient - f
-        R = QuotientPair(
-            Ideal._of_masks(m, [_squeeze(g, support) for g in igens]),
-            Ideal._of_masks(m, [_squeeze(g, support) for g in jgens]),
-            Q.field,
-        )
+        return SdepthResult(f, _whole_ring(free), refuted_k=None,
+                            refuted_by=None, free=f)
+    R = _restrict(Q, support) if f else Q
     value, best, refuted_by = _search(R, hdepth1_pair(Q).value - f)
     if f:
-        # relabelling keeps the canonical order, so the lows stay sorted
-        best = Partition(tuple(
-            Interval(Monomial(_spread(iv.lo.mask, support)),
-                     Monomial(_spread(iv.hi.mask, support) | free))
-            for iv in best.intervals
-        ))
+        best = _lift(best, support, free)
     refuted_k = None if refuted_by is None else value + f + 1
     return SdepthResult(value + f, best, refuted_k, refuted_by, free=f)
+
+
+def _support(Q: QuotientPair) -> tuple[int, int]:
+    """The masks of the variables that divide a generator of I or J, and of
+    the free ones."""
+    support = 0
+    for g in Q.I.gen_masks() + Q.J.gen_masks():
+        support |= g
+    return support, ((1 << Q.ambient) - 1) & ~support
+
+
+def _restrict(Q: QuotientPair, support: int) -> QuotientPair:
+    """Q restricted to the variables of `support`, relabelled onto x_1..x_m."""
+    m = support.bit_count()
+    return QuotientPair(
+        Ideal._of_masks(m, [_squeeze(g, support) for g in Q.I.gen_masks()]),
+        Ideal._of_masks(m, [_squeeze(g, support) for g in Q.J.gen_masks()]),
+        Q.field,
+    )
+
+
+def _lift(partition: Partition, support: int, free: int) -> Partition:
+    """A partition of the restricted pair, interval by interval [u, v·x_F]."""
+    # relabelling keeps the canonical order, so the lows stay sorted
+    return Partition(tuple(
+        Interval(Monomial(_spread(iv.lo.mask, support)),
+                 Monomial(_spread(iv.hi.mask, support) | free))
+        for iv in partition.intervals
+    ))
+
+
+def _whole_ring(free: int) -> Partition:
+    """The partition of S = (1)/0 into the one interval [1, x_1···x_n]."""
+    return Partition((Interval(Monomial(0), Monomial(free)),))
 
 
 def _search(Q: QuotientPair, ceiling: int) -> tuple[int, Partition, str | None]:
@@ -337,10 +372,10 @@ def _search(Q: QuotientPair, ceiling: int) -> tuple[int, Partition, str | None]:
     (None when value is the ambient count).
     """
     d = poset_view(Q).d
-    best = sdepth_decide(Q, d)
+    best = _decide(Q, d)
     assert best is not None  # k = d has no lows; always satisfiable
     for k in range(d + 1, ceiling + 1):
-        cert = sdepth_decide(Q, k)
+        cert = _decide(Q, k)
         if cert is None:
             return k - 1, best, "search"
         best = cert

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import random
 import runpy
+import time
 from pathlib import Path
 
 import pytest
@@ -142,8 +143,10 @@ def test_run_instance_reports_driver_runs_and_the_fallback(monkeypatch):
     assert record["findings_count"] == 1
 
 
-@pytest.mark.parametrize("n, seeds", [(5, 30), (6, 60), (7, 30)])
+@pytest.mark.parametrize("n, seeds", [(5, 30), (6, 60), (7, 30), (8, 4)])
 def test_ml1_sampler_replays_the_strata_based_tries(n, seeds):
+    # at n = 8 every try of these seeds is rejected: the screen must reject
+    # exactly the tries the reference rejects, after the same draws
     for seed in range(seeds):
         rng, ref_rng = random.Random(seed), random.Random(seed)
         got = sample_ml1_instance(rng, n=n)
@@ -153,3 +156,19 @@ def test_ml1_sampler_replays_the_strata_based_tries(n, seeds):
             assert got[0].key() == want[0].key()
             assert got[1] == want[1]
         assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 17])
+def test_ml1_sampler_rejects_ambients_outside_its_range(n):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(InputError, match=r"\[3, 16\]"):
+        sample_ml1_instance(rng, n=n)
+    assert rng.getstate() == state  # raised before any draw
+
+
+def test_ml1_sampler_at_the_edges_of_its_range():
+    assert sample_ml1_instance(random.Random(0), n=3) is None
+    start = time.perf_counter()
+    assert sample_ml1_instance(random.Random(0), n=16, max_tries=5) is None
+    assert time.perf_counter() - start < 1.0

@@ -208,6 +208,34 @@ def test_padding_adds_one_per_free_variable(case):
     assert padded.certificate.sdepth_value == padded.value
 
 
+@given(padded_pairs())
+@settings(max_examples=40)
+def test_decide_on_padded_pairs_matches_the_unpadded_pair(case):
+    Q, P, f = case
+    d = poset_view(Q).d
+    for k in range(d, P.ambient + 1):
+        cert = sdepth_decide(P, k)
+        if k - f < d:
+            assert cert is not None
+        else:
+            assert (cert is None) == (sdepth_decide(Q, k - f) is None)
+        if cert is not None:
+            assert verify_partition(P, cert)
+            assert cert.sdepth_value >= k
+
+
+def test_decide_with_free_variables_searches_the_support():
+    # x9 and x10 are free: deciding k = 8 is deciding 6 on x1..x8, which the
+    # search over all of P_{I\J} at n = 10 did not finish in 15 s
+    Q = parse_input("n=10\nI = x3, x1*x4, x2*x6, x5*x7*x8\nJ = 0\n")
+    assert sdepth(Q).value == 8
+    cert = sdepth_decide(Q, 8)
+    assert cert is not None and verify_partition(Q, cert)
+    assert sdepth_decide(Q, 9) is None
+    # k - 2 < d = 1 and k - 2 = d both answer with the lifted value-d partition
+    assert sdepth_decide(Q, 2) == sdepth_decide(Q, 3)
+
+
 def test_free_variable_answers_hold_on_the_full_pair():
     # first 200 criterion-9 stream pairs with a free variable: the answer
     # read off the restricted pair, checked on the full pair by unpruned

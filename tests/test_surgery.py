@@ -393,8 +393,11 @@ def test_sampler_closure_matches_one_kill_at_a_time(monkeypatch):
     tries = []
     closure = fuzz._containment_closure
 
-    def spy(I, d, rng):
-        got = closure(I, d, rng)
+    def spy(n, gens, d, rng, filters):
+        got = closure(n, gens, d, rng, filters)
+        I = Ideal(n, map(Monomial, gens))
+        # the distinct generators drawn are the minimal ones
+        assert sorted(gens) == sorted(I.gen_masks())
         tries.append((I, got))
         return got
 
@@ -405,14 +408,15 @@ def test_sampler_closure_matches_one_kill_at_a_time(monkeypatch):
     # the tries repeat ideals and J's: check each distinct one once
     kills_of: dict = {}
     finals = set()
-    for I, (kills, picks, s, q) in tries:
+    for I, (kill_bits, picks, s, q) in tries:
         n = I.ambient
         if I not in kills_of:
-            Q0 = QuotientPair(Ideal(n, map(Monomial, I.gen_masks())), Ideal(n))
+            Q0 = QuotientPair(I, Ideal(n))
             kill = [c.mask for c in containment_kills_one_at_a_time(Q0)]
             kills_of[I] = kill, {c.mask for c in strata(Q0).C} - set(kill)
         kill, rest = kills_of[I]
-        assert kills == kill
+        kills = [m for m in range(1 << n) if kill_bits >> m & 1]
+        assert sorted(kill) == kills
         assert len(picks) <= 2 and set(picks) <= rest
         J = Ideal(n, map(Monomial, kills + picks))
         finals.add((QuotientPair(I, J), s, q))
