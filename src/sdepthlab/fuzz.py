@@ -57,7 +57,6 @@ class FuzzConfig:
     seed: int = 0
     max_gens: int = 5
     max_degree: int = 3
-    poset_budget: int = 4096
     out: str | None = None
     findings: str | None = None
 
@@ -202,7 +201,6 @@ def run_instance(Q: QuotientPair, cfg: FuzzConfig,
 class FuzzReport:
     config: FuzzConfig
     instances: int = 0
-    skipped: int = 0
     inconsistent: int = 0
     findings: int = 0
     ml1_runs: int = 0
@@ -215,7 +213,6 @@ class FuzzReport:
             "count": self.config.count,
             "seed": self.config.seed,
             "instances": self.instances,
-            "skipped": self.skipped,
             "inconsistent": self.inconsistent,
             "findings": self.findings,
             "ml1_runs": self.ml1_runs,
@@ -233,31 +230,22 @@ def run_fuzz(cfg: FuzzConfig, keep_records: bool = False) -> FuzzReport:
             rng = instance_rng(cfg.seed, index)
             Q = random_pair(rng, cfg)
             header = {"seed": cfg.seed, "index": index}
-            cache = EngineCache()
-            if cache.poset_bits(Q).bit_count() > cfg.poset_budget:
-                record = dict(header)
-                record.update({
-                    "instance": _pair_json(Q),
-                    "skipped": "poset budget exceeded",
-                })
-                report.skipped += 1
-            else:
-                body, findings = run_instance(Q, cfg, cache=cache)
-                record = dict(header)
-                record.update(body)
-                report.instances += 1
-                report.inconsistent += len(record["inconsistent"])
-                report.findings += len(findings)
-                for entry in record["ml1"]:
-                    if entry["status"] != "hypothesis_unsatisfied":
-                        report.ml1_runs += 1
-                        if entry.get("verified"):
-                            report.ml1_ok += 1
-                if find_fh:
-                    for f in findings:
-                        payload = dict(header)
-                        payload.update(f)
-                        find_fh.write(json.dumps(payload, sort_keys=True) + "\n")
+            body, findings = run_instance(Q, cfg, cache=EngineCache())
+            record = dict(header)
+            record.update(body)
+            report.instances += 1
+            report.inconsistent += len(record["inconsistent"])
+            report.findings += len(findings)
+            for entry in record["ml1"]:
+                if entry["status"] != "hypothesis_unsatisfied":
+                    report.ml1_runs += 1
+                    if entry.get("verified"):
+                        report.ml1_ok += 1
+            if find_fh:
+                for f in findings:
+                    payload = dict(header)
+                    payload.update(f)
+                    find_fh.write(json.dumps(payload, sort_keys=True) + "\n")
             if out_fh:
                 out_fh.write(json.dumps(record, sort_keys=True) + "\n")
             if keep_records:

@@ -367,16 +367,8 @@ def rotate(Q: QuotientPair, partition: Partition, lows) -> Partition:
         raise InputError(
             f"illegal rotation: {lows[0]} does not divide {tops[-1]}"
         )
-    replaced = set(lows)
-    pieces = [iv for iv in partition.intervals if iv.lo not in replaced]
-    pieces.append(Interval(lows[0], tops[-1]))
-    for j in range(len(lows) - 1):
-        pieces.append(Interval(lows[j + 1], tops[j]))
-    out = Partition(tuple(sorted(pieces, key=lambda iv: iv.lo.sort_key())))
-    vr = verify_partition(Q, out)
-    if not vr:
-        raise InputError(f"rotation broke the partition: {vr.reason}")
-    return out
+    shifted = [Interval(lo, hi) for lo, hi in zip(lows, tops[-1:] + tops[:-1])]
+    return _rewritten(Q, partition, set(lows), shifted, "rotation")
 
 
 def swap_into_generator(
@@ -411,13 +403,23 @@ def swap_into_generator(
         )
     u = dividing[0]
     u_prime = mid[0] if mid[1] == u else mid[1]
-    pieces = [iv for iv in partition.intervals if iv.lo not in (f, a_t)]
-    pieces.append(Interval(f, c_t))
-    pieces.append(Interval(u_prime, c_f))
-    out = Partition(tuple(sorted(pieces, key=lambda iv: iv.lo.sort_key())))
+    return _rewritten(Q, partition, (f, a_t),
+                      [Interval(f, c_t), Interval(u_prime, c_f)], "swap")
+
+
+def _in_order(pieces) -> Partition:
+    return Partition(tuple(sorted(pieces, key=lambda iv: iv.lo.sort_key())))
+
+
+def _rewritten(Q: QuotientPair, partition: Partition, drop, add,
+               what: str) -> Partition:
+    """`partition` without the intervals bottomed in `drop`, plus `add`, in
+    canonical order; raises unless the result is a partition of Q."""
+    out = _in_order([iv for iv in partition.intervals if iv.lo not in drop]
+                    + list(add))
     vr = verify_partition(Q, out)
     if not vr:
-        raise InputError(f"swap broke the partition: {vr.reason}")
+        raise InputError(f"{what} broke the partition: {vr.reason}")
     return out
 
 
@@ -442,13 +444,6 @@ class SurgeryOutcome:
             out["depth_rest"] = self.depth_rest
         out["trace"] = list(self.trace)
         return out
-
-
-def _verify_upgrade(Q: QuotientPair, pieces, d: int) -> Partition | None:
-    out = Partition(tuple(sorted(pieces, key=lambda iv: iv.lo.sort_key())))
-    if verify_partition(Q, out) and out.sdepth_value >= d + 2:
-        return out
-    return None
 
 
 def _switch_bottom(partition: Partition, old_lo: Monomial, new_lo: Monomial):
@@ -526,6 +521,18 @@ class _Driver:
     def log(self, msg: str) -> None:
         self.trace.append(msg)
 
+    def _outcome(self, **fields) -> SurgeryOutcome:
+        return SurgeryOutcome(trace=tuple(self.trace), **fields)
+
+    def _upgrade(self, pieces, line: str) -> SurgeryOutcome | None:
+        """The upgrade to `pieces`, logged as `line`, if they form a
+        partition of Q of value >= d+2; otherwise None."""
+        out = _in_order(pieces)
+        if not (verify_partition(self.Q, out) and out.sdepth_value >= self.d + 2):
+            return None
+        self.log(line)
+        return self._outcome(kind="upgraded_partition", partition=out)
+
     def check_hypotheses(self) -> None:
         st, Q, b = self.st, self.Q, self.b
         check_pair_hypotheses(Q)
@@ -547,22 +554,19 @@ class _Driver:
                 f"hypothesis sdepth(I_b/J_b) >= d+2 fails for b={b}"
             )
         self.log(f"reduced pair partition of value {d + 2} found")
-        partition = cert
+        # continuing from f1*x_l keeps the partition, so one h serves every stage
+        H = _h_map(self.st, self.pair_b, b, cert)
+        start = self._pick_start(H)
         trail: list[Monomial] = []
-        start: Monomial | None = None
         max_stages = _MAX_STAGES_FACTOR * self.st.s + 4
 
         for stage in range(max_stages):
-            H = _h_map(self.st, self.pair_b, b, partition)
-            partition = H.partition
             trail_set = frozenset(trail)
-            if start is None:
-                start = self._pick_start(H)
             self.log(f"stage {stage}: start {start}")
 
             hit_seq = self._trail_hit(H, start, trail, trail_set)
             if hit_seq is not None:
-                outcome = self._revisit_win(H, partition, hit_seq)
+                outcome = self._revisit_win(H, hit_seq)
                 if outcome is not None:
                     return outcome
                 self.log("trail-revisit rewrite failed verification")
@@ -571,23 +575,24 @@ class _Driver:
             tree = _bfs(H, start, trail_set)
             bad = _tree_path(tree, lambda x: H.b.divides(H.h(x)))
             if bad is not None:
-                result = self._case_bad(H, partition, bad, trail)
-                if isinstance(result, SurgeryOutcome):
-                    return result
-                if result is None:
+                step = self._case_bad(H, bad, trail)
+                if isinstance(step, SurgeryOutcome):
+                    return step
+                if step is None:
                     break
-                partition, start, trail = result
+                start = step
+                trail = trail + bad
                 continue
             weak = _tree_path(tree, lambda x: H.in_inner_ideal(H.h(x)))
             if weak is not None:
-                outcome = self._case_weak(H, partition, weak, tree, trail_set)
+                outcome = self._case_weak(H, weak, tree, trail_set)
                 if outcome is not None:
                     return outcome
                 break
             self.log(f"case 1: no weak or bad path from {start}")
             break
 
-        return self._fallback(cert)
+        return self._fallback(H)
 
     def _pick_start(self, H: HMap) -> Monomial:
         # stage 0 only: B minus b and f2's inner pair keeps s-3 >= 1, all in h's domain
@@ -612,32 +617,28 @@ class _Driver:
         v = next(v for v, t in enumerate(trail) if t.divides(last_c))
         return trail[v:] + path
 
-    def _revisit_win(self, H, partition, seq):
+    def _revisit_win(self, H, seq):
         """Cyclic rotation pushing a top onto the continuation vertex, then
         the bottom switch that absorbs f_1 and b."""
         try:
-            rotated = rotate(H.pair_b, partition, seq)
+            rotated = rotate(H.pair_b, H.partition, seq)
         except InputError as exc:
             self.log(f"rotation rejected: {exc}")
             return None
         # after rotation the stage-entry vertex f1*x_l carries a top in (b)
+        by_lo = {iv.lo: iv for iv in rotated.intervals}
         for m in seq:
-            iv = {iv.lo: iv for iv in rotated.intervals}[m]
-            if self.f1.divides(m) and self.b.divides(iv.hi):
-                pieces = _switch_bottom(rotated, m, self.f1)
-                out = _verify_upgrade(self.Q, pieces, self.d)
-                if out is not None:
-                    self.log(f"upgrade via trail revisit at {m}")
-                    return SurgeryOutcome(
-                        kind="upgraded_partition",
-                        partition=out,
-                        trace=tuple(self.trace),
-                    )
+            if self.f1.divides(m) and self.b.divides(by_lo[m].hi):
+                outcome = self._upgrade(_switch_bottom(rotated, m, self.f1),
+                                        f"upgrade via trail revisit at {m}")
+                if outcome is not None:
+                    return outcome
         return None
 
     # -- bad paths --------------------------------------------------------
 
-    def _case_bad(self, H, partition, path, trail):
+    def _case_bad(self, H, path, trail):
+        """An upgrade, None to fall back, or the start of the next stage."""
         a_t = path[-1]
         c_t = H.h(a_t)
         x_l = Monomial(c_t.mask & ~self.b.mask)
@@ -646,33 +647,23 @@ class _Driver:
             f"case 3: bad path {[str(m) for m in path]} with top {c_t}"
         )
         if self.f1.divides(a_t):
-            pieces = _switch_bottom(partition, a_t, self.f1)
-            out = _verify_upgrade(self.Q, pieces, self.d)
-            if out is not None:
-                self.log(f"upgrade by direct switch at {a_t}")
-                return SurgeryOutcome(
-                    kind="upgraded_partition", partition=out,
-                    trace=tuple(self.trace),
-                )
-            self.log("direct switch failed verification")
-            return None
+            outcome = self._upgrade(_switch_bottom(H.partition, a_t, self.f1),
+                                    f"upgrade by direct switch at {a_t}")
+            if outcome is None:
+                self.log("direct switch failed verification")
+            return outcome
         if fxl in path:
             v = path.index(fxl)
             try:
-                rotated = rotate(H.pair_b, partition, path[v:])
+                rotated = rotate(H.pair_b, H.partition, path[v:])
             except InputError as exc:
                 self.log(f"rotation rejected: {exc}")
                 return None
-            pieces = _switch_bottom(rotated, fxl, self.f1)
-            out = _verify_upgrade(self.Q, pieces, self.d)
-            if out is not None:
-                self.log(f"upgrade by rotation into {fxl}")
-                return SurgeryOutcome(
-                    kind="upgraded_partition", partition=out,
-                    trace=tuple(self.trace),
-                )
-            self.log("rotated switch failed verification")
-            return None
+            outcome = self._upgrade(_switch_bottom(rotated, fxl, self.f1),
+                                    f"upgrade by rotation into {fxl}")
+            if outcome is None:
+                self.log("rotated switch failed verification")
+            return outcome
         # Over 8 802 driver runs of sample_ml1_instance (n=5 seeds 0..599, n=6
         # seeds 0..1999, n=7 seeds 0..599), all 549 fallbacks leave the
         # rewriting here; for them `_fallback`'s full search is the answer.
@@ -681,11 +672,11 @@ class _Driver:
             self.log(f"continuation vertex {fxl} is not admissible")
             return None
         self.log(f"continuing from {fxl}")
-        return (partition, fxl, trail + path)
+        return fxl
 
     # -- weak paths -------------------------------------------------------
 
-    def _case_weak(self, H, partition, path, T, trail_set):
+    def _case_weak(self, H, path, T, trail_set):
         a_t = path[-1]
         c_t = H.h(a_t)
         mid = H.inners[self.f2]
@@ -696,14 +687,14 @@ class _Driver:
         )
         U1 = {H.h(x) for x in T}
 
-        swap_at = a_t
+        partition, swap_at = H.partition, a_t
         if not self.f2.divides(a_t):
             x_m = Monomial(c_t.mask & ~u.mask)
             a_next = Monomial(self.f2.mask | x_m.mask)
             if a_next == u_prime or a_next == self.b or a_next not in H.mapping:
                 self.log(f"generator-side divisor {a_next} is not admissible")
                 return None
-            joined = self._join_rotation(H, partition, path, a_next, trail_set)
+            joined = self._join_rotation(H, path, a_next, trail_set)
             if joined is None:
                 self.log(f"could not join {a_next} onto the weak path")
                 return None
@@ -727,7 +718,7 @@ class _Driver:
         self.log("post-swap candidates exhausted")
         return None
 
-    def _join_rotation(self, H, partition, path, a_next, trail_set):
+    def _join_rotation(self, H, path, a_next, trail_set):
         """Try to link a_next back onto the current path by one rotation."""
         if a_next in path:
             return None
@@ -741,7 +732,7 @@ class _Driver:
         v = next(i for i, p in enumerate(path) if p.divides(last_c))
         seq = path[v:] + sub
         try:
-            rotated = rotate(H.pair_b, partition, seq)
+            rotated = rotate(H.pair_b, H.partition, seq)
         except InputError as exc:
             self.log(f"join rotation rejected: {exc}")
             return None
@@ -751,8 +742,7 @@ class _Driver:
     # -- endgame ----------------------------------------------------------
 
     def _finish(self, H: HMap, T, rewritten: bool):
-        st, Q, d = self.st, self.Q, self.d
-        B_all = set(st.B)
+        B_all = set(self.st.B)
         G1 = B_all - set(T)
         G2 = G1 - H.inner
         g_variants = []
@@ -770,13 +760,13 @@ class _Driver:
         for G in g_variants:
             for F in f_variants:
                 outcome = self._try_candidate(tuple(F) + tuple(sorted(
-                    G, key=Monomial.sort_key)), d)
+                    G, key=Monomial.sort_key)))
                 if outcome is not None:
                     return outcome
         return None
 
-    def _try_candidate(self, gens, d: int):
-        Q = self.Q
+    def _try_candidate(self, gens):
+        Q, d = self.Q, self.d
         if not gens:
             return None
         I_sub = minimalize(Q.ambient, gens)
@@ -800,42 +790,23 @@ class _Driver:
             self.log(
                 f"subideal witness ({I_sub}): sdepth {value} <= {d + 1}"
             )
-            return SurgeryOutcome(
-                kind="subideal_witness",
-                subideal=I_sub,
-                sdepth_sub=value,
-                depth_rest=depth_rest,
-                trace=tuple(self.trace),
-            )
+            return self._outcome(kind="subideal_witness", subideal=I_sub,
+                                 sdepth_sub=value, depth_rest=depth_rest)
         pieces = list(cert_sub.intervals)
         if rest is not None:
             cert_rest = sdepth_decide(rest, d + 2)
             if cert_rest is None:
                 return None
             pieces.extend(cert_rest.intervals)
-        out = _verify_upgrade(Q, pieces, d)
-        if out is None:
-            return None
-        self.log(f"upgrade by splitting along ({I_sub})")
-        return SurgeryOutcome(
-            kind="upgraded_partition",
-            partition=out,
-            trace=tuple(self.trace),
-        )
+        return self._upgrade(pieces, f"upgrade by splitting along ({I_sub})")
 
-    def _fallback(self, cert_b: Partition) -> SurgeryOutcome:
-        """Settle the disjunction directly; cert_b is the reduced pair's
-        value-(d+2) partition that `run` started from."""
+    def _fallback(self, H: HMap) -> SurgeryOutcome:
+        """Settle the disjunction directly; H is the h-map `run` started from."""
         self.log("fallback: deciding the disjunction by direct computation")
         cert = sdepth_decide(self.Q, self.d + 2)
         if cert is not None:
-            return SurgeryOutcome(
-                kind="upgraded_partition",
-                partition=cert,
-                fallback=True,
-                trace=tuple(self.trace),
-            )
-        H = _h_map(self.st, self.pair_b, self.b, cert_b)
+            return self._outcome(kind="upgraded_partition", partition=cert,
+                                 fallback=True)
         tried = set()
         for a in H.st.B:
             if a not in H.mapping or a in H.inner or a == self.b:
@@ -846,7 +817,7 @@ class _Driver:
             tried.add(T)
             outcome = self._finish(H, T, rewritten=False)
             if outcome is not None:
-                return replace(outcome, fallback=True, trace=tuple(self.trace))
+                return replace(outcome, fallback=True)
         raise DriverFailure(
             "no verified outcome: rewriting and fallback both exhausted",
             tuple(self.trace),

@@ -276,7 +276,8 @@ def bounds_report(
         )
     )
 
-    # every degree-d divisor of every b must itself be a generator
+    # every degree-d divisor of every b must itself be a generator; at d = 0
+    # (I = (1)) the only such divisor is 1, so the rule says nothing there
     f_masks = {f.mask for f in st.f_list}
     closed = not st.E
     if closed:
@@ -293,7 +294,7 @@ def bounds_report(
     out.append(
         _rule(
             "all_low_divisors_generate",
-            not warn and closed,
+            not warn and d >= 1 and closed,
             f"|E|={len(st.E)}, all degree-d divisors of B are generators: {closed}",
             "depth",
             "==",

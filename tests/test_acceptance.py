@@ -212,10 +212,10 @@ def test_criterion_08_cross_engine_streams():
 def test_criterion_09_bulk_stream_consistency():
     with criterion(9, budget=1800.0) as entry:
         report = run_fuzz(FuzzConfig(n=6, count=10_000, seed=2026))
-        assert report.instances + report.skipped == 10_000
+        assert report.instances == 10_000
         assert report.inconsistent == 0
         entry["detail"] = (
-            f"instances={report.instances} skipped={report.skipped} "
+            f"instances={report.instances} "
             f"ml1 {report.ml1_ok}/{report.ml1_runs} findings={report.findings}"
         )
 

@@ -125,6 +125,23 @@ def test_cli_analyze_warning_line(tmp_path, capsys):
     assert "warning: J has a generator of degree <= d" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text, char", [
+    ("n=3\nI = 1\nJ = 0\n", 0),
+    ("n=3\nI = 1\nJ = x1*x2*x3\n", 0),
+    (corpus.ITEMS["pp2"], 0),
+    (corpus.ITEMS["pp2"], 2),
+], ids=["unit", "unit_over_m", "rp2_char0", "rp2_char2"])
+def test_cli_analyze_unit_ideal_is_consistent(tmp_path, capsys, text, char):
+    # at d = 0 (I = (1)) every b is a variable whose only degree-0 divisor is
+    # the generator 1, so the all-low-divisors rule must not claim depth 0
+    path = tmp_path / "unit.txt"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["analyze", str(path), "--char", str(char)]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "0 inconsistent" in out
+    assert "all_low_divisors_generate" not in out
+
+
 def test_cli_analyze_inconsistent_exit(ex1_file, capsys, monkeypatch):
     monkeypatch.setattr(cli, "inconsistencies", lambda v, audit=None: (v[0],))
     assert cli.main(["analyze", ex1_file]) == cli.EXIT_INCONSISTENT

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -352,6 +355,51 @@ def test_driver_builds_one_reduced_pair_per_run(monkeypatch, text, b):
     monkeypatch.setattr(surgery, "build_reduced_pair", spy)
     ml1_driver(parse_input(text), parse_monomial(b))
     assert calls == [parse_monomial(b)]
+
+
+# sampler seed 45 at n=6: the run from x3*x4 falls back, and the fallback
+# ends in a subideal witness found by `_finish`
+_FALLBACK_WITNESS = (
+    "n=6\nI = x1, x4, x2*x6, x5*x6\n"
+    "J = x1*x2*x3, x1*x2*x5, x1*x3*x5, x1*x3*x6, x2*x3*x4, x2*x3*x6, "
+    "x2*x4*x5, x3*x4*x5, x3*x4*x6, x3*x5*x6\n"
+)
+
+
+@pytest.mark.parametrize("text, b, builds, kind, fallback", [
+    (CASE_TRAIL_REVISIT, "x1*x2*x3", 1, "upgraded_partition", False),
+    # the second build is for the swapped partition
+    (CASE_WEAK_PATH, "x2*x3", 2, "subideal_witness", False),
+    (_FALLBACK_WITNESS, "x3*x4", 1, "subideal_witness", True),
+], ids=["trail_revisit", "weak_path", "fallback_witness"])
+def test_driver_builds_one_h_map_per_run(monkeypatch, text, b, builds, kind,
+                                         fallback):
+    calls = []
+    h_map = surgery._h_map
+
+    def spy(*args):
+        calls.append(args[-1])
+        return h_map(*args)
+
+    monkeypatch.setattr(surgery, "_h_map", spy)
+    Q = parse_input(text)
+    out = ml1_driver(Q, parse_monomial(b))
+    assert (out.kind, out.fallback) == (kind, fallback)
+    assert verify_outcome(Q, out)
+    assert len(calls) == builds
+
+
+def test_driver_dump_matches_the_recorded_answers():
+    # sha256 of `scripts/driver_dump.py 6 0 39`: every sampled pair, its bs,
+    # and each driver outcome with its trace and verify_outcome verdict
+    script = Path(__file__).resolve().parents[1] / "scripts" / "driver_dump.py"
+    dump_lines = runpy.run_path(str(script))["dump_lines"]
+    h = hashlib.sha256()
+    for line in dump_lines(6, range(40)):
+        h.update((line + "\n").encode())
+    assert h.hexdigest() == (
+        "2eb2892ac06fa1f3b98700c97b5ec75c0d673c7a55256db25911cf85cddabcf1"
+    )
 
 
 def test_driver_rejects_bad_inputs():

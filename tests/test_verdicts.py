@@ -8,7 +8,7 @@ from helpers import from_strs, quotient_pairs
 from sdepthlab.engines import EngineCache
 from sdepthlab.fuzz import FuzzConfig, instance_rng, random_pair
 from sdepthlab.io import parse_input
-from sdepthlab.monomials import Ideal, QuotientPair
+from sdepthlab.monomials import Ideal, Monomial, QuotientPair
 from sdepthlab.verdicts import (
     AuditCheck,
     AuditReport,
@@ -76,6 +76,23 @@ def test_warning_pair_gates_depth_rules():
     assert by_rule["depth_ge_min_degree"].applicable
     assert by_rule["sdepth_ge_min_degree"].applicable
     assert inconsistencies(verdicts) == ()
+
+
+def test_all_low_divisors_rule_is_gated_only_at_d_zero():
+    # at d >= 1 the rule applies exactly when its hypothesis holds, as it did
+    # before the d >= 1 gate; at d = 0 (I = (1)) it never applies
+    cfg = FuzzConfig(n=4, count=1, seed=0, max_gens=4, max_degree=3)
+    seen_closed = 0
+    for idx in range(150):
+        Q = random_pair(instance_rng(31, idx), cfg)
+        v = next(v for v in bounds_report(Q) if v.rule == "all_low_divisors_generate")
+        closed = v.hypothesis.endswith("True")
+        assert v.applicable == (closed and not Q.normalization_warning)
+        seen_closed += v.applicable
+    assert seen_closed > 0
+    unit = QuotientPair(Ideal(3, [Monomial(0)]), Ideal(3))
+    v = next(v for v in bounds_report(unit) if v.rule == "all_low_divisors_generate")
+    assert v.hypothesis.endswith("True") and not v.applicable
 
 
 def test_counting_rules_are_the_hilbert_depth_test_at_d_plus_2():
