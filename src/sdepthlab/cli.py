@@ -73,6 +73,8 @@ def _build_parser() -> _Parser:
     f.add_argument("--n", type=int, default=5)
     f.add_argument("--count", type=int, default=100)
     f.add_argument("--seed", type=int, default=0)
+    f.add_argument("--max-gens", type=int, default=FuzzConfig.max_gens)
+    f.add_argument("--max-degree", type=int, default=FuzzConfig.max_degree)
     f.add_argument("--out", default=None, metavar="LOG")
     f.add_argument("--findings", default=None, metavar="LOG")
     return p
@@ -211,6 +213,8 @@ def _cmd_fuzz(args) -> int:
         n=args.n,
         count=args.count,
         seed=args.seed,
+        max_gens=args.max_gens,
+        max_degree=args.max_degree,
         out=args.out,
         findings=args.findings,
     )

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .linalg import boundary_rank
-from .monomials import InputError, Monomial, QuotientPair, canonical_key
+from .monomials import InputError, Monomial, QuotientPair, canonical_key, check_field
 from .poset import poset_view
 
 
@@ -113,7 +113,7 @@ def _top_homology(pbits: int, a: int, floor: int, char: int,
 
 
 def depth(Q: QuotientPair, field: int | None = None) -> DepthResult:
-    char = Q.field if field is None else field
+    char = Q.field if field is None else check_field(field)
     pbits = poset_view(Q).bits
     pd = pd2 = -1  # over `char`, and over its screen field
     witness = witness2 = None

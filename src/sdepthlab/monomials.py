@@ -26,6 +26,13 @@ class EmptyQuotientError(InputError):
     """A quotient I/J with J = I (the zero module) was requested."""
 
 
+def check_field(field: int) -> int:
+    """`field` if it is a supported characteristic, else InputError."""
+    if field not in SUPPORTED_CHARS:
+        raise InputError(f"field characteristic {field} not in {SUPPORTED_CHARS}")
+    return field
+
+
 def mask_of(indices: Iterable[int]) -> int:
     m = 0
     for i in indices:
@@ -267,10 +274,7 @@ class QuotientPair:
     __slots__ = ("ambient", "I", "J", "field", "normalization_warning", "_key", "_poset")
 
     def __init__(self, I: Ideal, J: Ideal, field: int = 0):
-        if field not in SUPPORTED_CHARS:
-            raise InputError(
-                f"field characteristic {field} not in {SUPPORTED_CHARS}"
-            )
+        check_field(field)
         I._check_ambient(J)
         if I.is_zero():
             raise InputError("I must be nonzero")

@@ -16,7 +16,7 @@ compares those with independent oracles.
 from __future__ import annotations
 
 from .linalg import boundary_rank
-from .monomials import Ideal, InputError
+from .monomials import Ideal, InputError, check_field
 
 
 def stanley_reisner_complex(I: Ideal) -> tuple[int, ...]:
@@ -53,6 +53,7 @@ def reduced_homology_dims(faces, field: int) -> dict[int, int]:
 
 def reisner_depth_oracle(I: Ideal, field: int = 0) -> int:
     """Depth of S/I over the field of the given characteristic."""
+    check_field(field)
     faces = stanley_reisner_complex(I)
     face_set = frozenset(faces)
     best: int | None = None

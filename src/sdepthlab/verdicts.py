@@ -15,6 +15,7 @@ depth flavour relies on the normalization assumptions (J generated in degrees
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import eq, ge, le
 
 from .engines import EngineCache
 from .monomials import Ideal, Monomial, QuotientPair, colon_pair, intersect, split_pair
@@ -33,8 +34,14 @@ class Verdict:
     relation: str | None = None
     bound: int | None = None
     observed: int | None = None
-    consistent: bool | None = None
     detail: dict = field(default_factory=dict)
+
+    @property
+    def consistent(self) -> bool | None:
+        """Whether `observed relation bound` holds; None when not applicable."""
+        if not self.applicable:
+            return None
+        return {"<=": le, ">=": ge, "==": eq}[self.relation](self.observed, self.bound)
 
     def to_json(self) -> dict:
         out = {
@@ -49,42 +56,6 @@ class Verdict:
         if self.detail:
             out["detail"] = self.detail
         return out
-
-
-def _check(relation: str, observed: int, bound: int) -> bool:
-    if relation == "<=":
-        return observed <= bound
-    if relation == ">=":
-        return observed >= bound
-    if relation == "==":
-        return observed == bound
-    raise ValueError(f"unknown relation {relation!r}")
-
-
-def _rule(
-    rule: str,
-    applicable: bool,
-    hypothesis: str,
-    quantity: str | None = None,
-    relation: str | None = None,
-    bound: int | None = None,
-    observed: int | None = None,
-    detail: dict | None = None,
-) -> Verdict:
-    consistent = None
-    if applicable:
-        consistent = _check(relation, observed, bound)
-    return Verdict(
-        rule=rule,
-        applicable=applicable,
-        hypothesis=hypothesis,
-        quantity=quantity,
-        relation=relation,
-        bound=bound,
-        observed=observed,
-        consistent=consistent,
-        detail=detail or {},
-    )
 
 
 def _support_escape(st: StrataReport) -> Monomial | None:
@@ -121,7 +92,7 @@ def bounds_report(
     out = []
 
     out.append(
-        _rule(
+        Verdict(
             "depth_ge_min_degree",
             True,
             f"least poset degree d={d}",
@@ -132,7 +103,7 @@ def bounds_report(
         )
     )
     out.append(
-        _rule(
+        Verdict(
             "sdepth_ge_min_degree",
             True,
             f"least poset degree d={d}",
@@ -147,7 +118,7 @@ def bounds_report(
     # tests/test_hilbert.py::test_hdepth_dominates_sdepth and
     # tests/test_sdepth.py::test_hdepth1_refutations_hold_unpruned.
     out.append(
-        _rule(
+        Verdict(
             "sdepth_le_hilbert_depth",
             True,
             "Stanley decompositions refine Hilbert decompositions",
@@ -167,7 +138,7 @@ def bounds_report(
     # restate `sdepth_le_hilbert_depth` there.  Their names stay, because
     # the fuzz JSONL records them.
     out.append(
-        _rule(
+        Verdict(
             "b_count_exceeds_c_plus_r_sdepth",
             s > q + rp,
             f"s={s} > q+r'={q}+{rp}",
@@ -179,7 +150,7 @@ def bounds_report(
         )
     )
     out.append(
-        _rule(
+        Verdict(
             "b_count_below_2r_sdepth",
             s < 2 * rp,
             f"s={s} < 2r'={2 * rp}",
@@ -192,7 +163,7 @@ def bounds_report(
     )
 
     out.append(
-        _rule(
+        Verdict(
             "b_count_exceeds_c_plus_r",
             not warn and s > q + r,
             f"s={s} > q+r={q}+{r}" + (" [skipped: low-degree relations]" if warn else ""),
@@ -203,7 +174,7 @@ def bounds_report(
         )
     )
     out.append(
-        _rule(
+        Verdict(
             "b_count_below_2r",
             not warn and s < 2 * r,
             f"s={s} < 2r={2 * r}" + (" [skipped: low-degree relations]" if warn else ""),
@@ -215,7 +186,7 @@ def bounds_report(
     )
 
     out.append(
-        _rule(
+        Verdict(
             "sdepth_eq_min_forces_depth",
             not warn and sv == d,
             f"sdepth={sv}, d={d}",
@@ -228,7 +199,7 @@ def bounds_report(
 
     conj_small = r == 1 or (1 < r <= 3 and not st.E)
     out.append(
-        _rule(
+        Verdict(
             "conjecture_small_cases",
             not warn and sv == d + 1 and conj_small,
             f"sdepth={sv}=d+1, r={r}, |E|={len(st.E)}",
@@ -239,7 +210,7 @@ def bounds_report(
         )
     )
     out.append(
-        _rule(
+        Verdict(
             "three_generators_step",
             not warn and sv == d + 1 and r <= 3,
             f"sdepth={sv}=d+1, r={r}",
@@ -251,7 +222,7 @@ def bounds_report(
     )
     escape = _support_escape(st)
     out.append(
-        _rule(
+        Verdict(
             "four_generators_step",
             not warn and sv == d + 1 and r == 4 and not st.E and escape is not None,
             f"sdepth={sv}=d+1, r={r}, |E|={len(st.E)}, escape={escape}",
@@ -265,7 +236,7 @@ def bounds_report(
     wb_or_e = {m.mask for m in st.W_B} | {m.mask for m in st.E}
     covered = all(b.mask in wb_or_e for b in st.B)
     out.append(
-        _rule(
+        Verdict(
             "cover_by_lcms_depth_one",
             not warn and d == 1 and covered,
             f"d={d}, B inside E union pairwise lcms: {covered}",
@@ -292,7 +263,7 @@ def bounds_report(
             if not closed:
                 break
     out.append(
-        _rule(
+        Verdict(
             "all_low_divisors_generate",
             not warn and d >= 1 and closed,
             f"|E|={len(st.E)}, all degree-d divisors of B are generators: {closed}",
@@ -337,7 +308,7 @@ def _colon_restriction_rules(
             "degree_d_elements": rp_t,
         }
         out.append(
-            _rule(
+            Verdict(
                 "colon_restriction_count",
                 True,
                 f"t={t}: s_t={st_t.s} > q_t+r'_t={st_t.q}+{rp_t}",
@@ -353,7 +324,7 @@ def _colon_restriction_rules(
             not Ut.normalization_warning and sv_t <= st_t.d + 1 and case is not None
         )
         out.append(
-            _rule(
+            Verdict(
                 "colon_restriction_depth",
                 chain_ok,
                 f"t={t}: restricted sdepth={sv_t}<=d_t+1={st_t.d + 1}, case {case}",
@@ -366,7 +337,7 @@ def _colon_restriction_rules(
         )
     if not fired:
         out.append(
-            _rule(
+            Verdict(
                 "colon_restriction_count",
                 False,
                 "no variable restriction satisfies s_t > q_t + r'_t",

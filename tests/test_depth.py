@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,10 +12,14 @@ from helpers import (
     quotient_pairs,
     si_pair,
 )
+from sdepthlab import corpus
 from sdepthlab.depth import DepthResult, _candidate_degrees, depth
+from sdepthlab.engines import EngineCache
 from sdepthlab.io import parse_input
-from sdepthlab.monomials import Ideal, Monomial, QuotientPair
+from sdepthlab.monomials import Ideal, InputError, Monomial, QuotientPair
 from sdepthlab.reisner import reisner_depth_oracle
+
+PATH = parse_input("n=4\nI = x1*x2, x2*x3, x3*x4\nJ = 0\n")
 
 
 @given(proper_ideals())
@@ -95,6 +100,24 @@ def test_characteristic_dependence_projective_plane():
     assert by_char == {0: 3, 2: 2, 3: 3, 32003: 3}
     for c, val in by_char.items():
         assert reisner_depth_oracle(sr, field=c) == val
+
+
+@pytest.mark.parametrize("engine, item, char", [
+    ("depth", "path", 1),     # depth 3; an unchecked char 1 read 2
+    ("depth", "pp2", 1),      # an unchecked char 1 read 0
+    ("reisner", "pp2", 1),    # likewise
+    ("depth", "pp2", 4),      # an unchecked char 4 raised a bare ValueError
+    ("cache", "pp2", 4),
+])
+def test_field_overrides_check_the_characteristic(engine, item, char):
+    Q = PATH if item == "path" else corpus.pair(item)
+    run = {
+        "depth": lambda: depth(Q, field=char),
+        "reisner": lambda: reisner_depth_oracle(Q.J, field=char),
+        "cache": lambda: EngineCache().depth(Q, field=char),
+    }[engine]
+    with pytest.raises(InputError, match="field characteristic"):
+        run()
 
 
 def test_witness_is_first_in_canonical_order():

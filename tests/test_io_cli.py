@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
-from types import SimpleNamespace
+import subprocess
+import sys
+from pathlib import Path
+from types import ModuleType, SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 import sdepthlab.cli as cli
 import sdepthlab.corpus as corpus
 from helpers import quotient_pairs
+from sdepthlab.fuzz import FuzzConfig, run_fuzz
 from sdepthlab.io import ParseError, load_pair, parse_input, serialize_pair
 from sdepthlab.monomials import EmptyQuotientError, InputError
 from sdepthlab.surgery import DriverFailure
@@ -257,6 +261,21 @@ def test_cli_fuzz(tmp_path, capsys):
     lines = log.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 5
     assert all(json.loads(ln)["seed"] == 3 for ln in lines)
+    # --max-gens and --max-degree reach FuzzConfig unchanged
+    narrow, ref = tmp_path / "narrow.jsonl", tmp_path / "ref.jsonl"
+    assert cli.main([
+        "fuzz", "--n", "4", "--count", "5", "--seed", "3",
+        "--max-gens", "3", "--max-degree", "2", "--out", str(narrow),
+    ]) == 0
+    run_fuzz(FuzzConfig(n=4, count=5, seed=3, max_gens=3, max_degree=2,
+                        out=str(ref)))
+    assert narrow.read_bytes() == ref.read_bytes() != log.read_bytes()
+
+
+def test_cli_fuzz_bad_config_is_a_parse_error(capsys):
+    for argv in (["--max-gens", "0"], ["--n", "9"]):
+        assert cli.main(["fuzz", *argv]) == cli.EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_fuzz_inconsistent_exit(capsys, monkeypatch):
@@ -298,3 +317,18 @@ def test_cli_internal_exit_codes(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "driver failure: stuck" in err
     assert "step one" in err and "step two" in err
+
+
+# -- the package root -----------------------------------------------------------
+
+def test_import_loads_the_engine_modules_and_binds_them():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import sdepthlab; "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('sdepthlab'))))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True, timeout=60).stdout.split()
+    assert out == ["sdepthlab"] + [f"sdepthlab.{m}" for m in (
+        "corpus", "depth", "engines", "fuzz", "hilbert", "io", "linalg",
+        "monomials", "poset", "reisner", "sdepth", "surgery", "verdicts")]
+    import sdepthlab.sdepth as m
+    assert isinstance(m, ModuleType) and callable(m.sdepth_decide)

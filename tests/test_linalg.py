@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import importlib
 from math import comb
 
 import pytest
@@ -22,10 +21,8 @@ from sdepthlab.linalg import (
     rank_gf2_packed,
     rank_modp,
 )
+import sdepthlab.depth as depth_module
 from sdepthlab.monomials import Ideal, Monomial, QuotientPair
-
-# `sdepthlab.depth` is also the name of the function the package exports
-depth_module = importlib.import_module("sdepthlab.depth")
 
 small_matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda ncols: st.lists(

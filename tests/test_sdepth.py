@@ -17,6 +17,7 @@ from sdepthlab.hilbert import hdepth1_pair
 from sdepthlab.io import parse_input
 from sdepthlab.monomials import Ideal, InputError, Monomial, QuotientPair
 from sdepthlab.poset import poset_bitset, poset_view
+import sdepthlab.sdepth as sdepth_module
 from sdepthlab.sdepth import (
     Interval,
     MalformedIntervalError,
@@ -234,6 +235,26 @@ def test_decide_with_free_variables_searches_the_support():
     assert sdepth_decide(Q, 9) is None
     # k - 2 < d = 1 and k - 2 = d both answer with the lifted value-d partition
     assert sdepth_decide(Q, 2) == sdepth_decide(Q, 3)
+
+
+def test_search_decides_through_sdepth_decide(monkeypatch):
+    # sdepth's k-loop calls the public sdepth_decide, once per k from d up,
+    # on the pair restricted to its support (x9, x10 free in the first)
+    calls = []
+    real = sdepth_module.sdepth_decide
+
+    def counted(Q, k):
+        calls.append((Q.ambient, k))
+        return real(Q, k)
+
+    monkeypatch.setattr(sdepth_module, "sdepth_decide", counted)
+    free = parse_input("n=10\nI = x3, x1*x4, x2*x6, x5*x7*x8\nJ = 0\n")
+    assert sdepth(free).value == 8
+    assert calls == [(8, k) for k in range(1, 7)]
+    calls.clear()
+    ex1 = parse_input("n=5\nI = x1*x2, x1*x3, x1*x4, x2*x3*x5\nJ = x2*x3*x4*x5\n")
+    assert sdepth(ex1).value == 3
+    assert calls == [(5, 2), (5, 3), (5, 4)]
 
 
 def test_free_variable_answers_hold_on_the_full_pair():

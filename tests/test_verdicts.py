@@ -155,7 +155,7 @@ def test_colon_restriction_not_applicable_row():
 def test_verdict_json_shape():
     live = Verdict(
         rule="r", applicable=True, hypothesis="h",
-        quantity="depth", relation="<=", bound=2, observed=1, consistent=True,
+        quantity="depth", relation="<=", bound=2, observed=1,
     )
     assert live.to_json() == {
         "rule": "r", "applicable": True, "hypothesis": "h",
@@ -168,7 +168,7 @@ def test_verdict_json_shape():
 def test_inconsistencies_merges_audit_failures():
     bad_verdict = Verdict(
         rule="r", applicable=True, hypothesis="h",
-        quantity="depth", relation="<=", bound=1, observed=2, consistent=False,
+        quantity="depth", relation="<=", bound=1, observed=2,
     )
     ok_verdict = Verdict(rule="s", applicable=False, hypothesis="h")
     failing = AuditCheck("colon_bound_step", "t=1", False)
