@@ -21,6 +21,20 @@ no coefficient past degree p is negative, and hdepth1 ≥ p iff
 
 The first j with β_j^{p+1} < 0 is the series' first negative coefficient at
 p+1.  All arithmetic is in integers, and every check is finite.
+
+Colon bound.  For a variable x with (I:x) ≠ (J:x),
+
+    sdepth(I/J) ≤ sdepth((I:x)/(J:x)) ≤ hdepth1((I:x)/(J:x)),
+
+the first inequality by Cimpoeaş's colon inequality for Stanley depth.  Sketch:
+take a Stanley decomposition I/J = ⊕ u·K[Z].  The monomials w with xw in u·K[Z]
+form (u/gcd(u,x))·K[Z] when x divides u or x ∈ Z, and nothing otherwise; w ↦ xw
+is injective, so these spaces decompose (I:x)/(J:x) and each keeps its Z.  The
+second inequality is sdepth ≤ hdepth1 for the colon pair.  The colon's layer
+counts need no colon pair: a squarefree w lies in (I:x_j)\\(J:x_j) iff
+w ∪ {j} ∈ P, so α'_e = a_j(e) + a_j(e+1), where a_j(e) counts the degree-e
+elements of P that x_j divides.  `colon_refuter` reads them off the pair's
+view and runs the β check at one p.
 """
 from __future__ import annotations
 
@@ -102,17 +116,24 @@ def _layer_counts(H: HilbertSeries) -> list[int]:
     return alpha
 
 
+def _first_negative_beta(alpha: list[int], p: int) -> int | None:
+    """The least j ≤ p with β_j^p < 0, or None when hdepth1 ≥ p."""
+    for j in range(p + 1):
+        if sum((-1) ** (j - e) * comb(p - e, j - e) * alpha[e] for e in range(j + 1)) < 0:
+            return j
+    return None
+
+
 def hdepth1(H: HilbertSeries) -> HdepthResult:
     """hdepth1 of a squarefree module series; InputError on any other."""
     alpha = _layer_counts(H)
     failing = None
     # β_0^0 = α_0 ≥ 0, so p = 0 always holds
     for p in range(H.denom_exp, 0, -1):
-        beta = [sum((-1) ** (j - e) * comb(p - e, j - e) * alpha[e] for e in range(j + 1))
-                for j in range(p + 1)]
-        if min(beta) >= 0:
+        negative = _first_negative_beta(alpha, p)
+        if negative is None:
             return HdepthResult(value=p, failing_coefficient=failing)
-        failing = next(j for j, b in enumerate(beta) if b < 0)
+        failing = negative
     return HdepthResult(value=0, failing_coefficient=failing)
 
 
@@ -127,6 +148,35 @@ def hdepth1_pair(Q: QuotientPair) -> HdepthResult:
     if view.hdepth is None:
         view.hdepth = hdepth1(hilbert_series(Q))
     return view.hdepth
+
+
+def colon_refuter(Q: QuotientPair, k: int) -> int | None:
+    """The least j with hdepth1((I:x_j)/(J:x_j)) < k over the nonzero colons,
+    or None; an answer proves sdepth(I/J) < k by the colon bound."""
+    n = Q.ambient
+    # a[j][e]: degree-e elements of P that x_{j+1} divides; a[j][n+1] stays 0.
+    # The bitset is read directly, so a refuted pair never sorts its elements.
+    a = [[0] * (n + 2) for _ in range(n)]
+    rest = poset_view(Q).bits
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        m = low.bit_length() - 1
+        e = m.bit_count()
+        while m:
+            var = m & -m
+            a[var.bit_length() - 1][e] += 1
+            m ^= var
+    for j, a_j in enumerate(a, 1):
+        if not any(a_j):
+            continue  # (I:x_j) = (J:x_j)
+        # for k > n the check stops by j = n, so it reads no α'_e past n:
+        # (1-t)K'(t) has degree ≤ n and coefficient sum 0, and each further
+        # factor (1-t) moves its first negative coefficient no later
+        alpha = [a_j[e] + a_j[e + 1] for e in range(n + 1)]
+        if _first_negative_beta(alpha, k) is not None:
+            return j
+    return None
 
 
 def herzog_question(n: int) -> dict:

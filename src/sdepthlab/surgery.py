@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .depth import depth
+from .hilbert import colon_refuter
 from .monomials import (
     Ideal,
     InputError,
@@ -548,7 +549,9 @@ class _Driver:
         self.check_hypotheses()
         b, d = self.b, self.d
         self.pair_b = build_reduced_pair(self.Q, b)
-        cert = sdepth_decide(self.pair_b, d + 2)
+        # the colon bound refutes most failing reduced pairs without a search
+        refuted = colon_refuter(self.pair_b, d + 2) is not None
+        cert = None if refuted else sdepth_decide(self.pair_b, d + 2)
         if cert is None:
             raise SurgeryError(
                 f"hypothesis sdepth(I_b/J_b) >= d+2 fails for b={b}"
@@ -829,7 +832,10 @@ def ml1_driver(Q: QuotientPair, b: Monomial) -> SurgeryOutcome:
 
     Preconditions (each reported by name if violated): r=2 with normalized
     degrees, 4 <= s <= q+2, the C-containment condition, and a value-(d+2)
-    partition of the reduced pair.  The outcome is always engine-verified;
+    partition of the reduced pair.  That last one is screened first by the
+    colon bound (`hilbert.colon_refuter`), which refutes it without a search
+    whenever some variable's colon pair has hdepth1 < d+2; only pairs it
+    passes go to `sdepth_decide`.  The outcome is always engine-verified;
     if every rewriting strategy dead-ends, the disjunction is settled by
     direct computation and flagged as a fallback.
     """

@@ -11,18 +11,20 @@ from helpers import (
     expand_series,
     from_strs,
     quotient_pairs,
+    rename_pair,
     si_pair,
     unit_ideal,
 )
 from sdepthlab.hilbert import (
     HdepthResult,
     HilbertSeries,
+    colon_refuter,
     hdepth1,
     hdepth1_pair,
     herzog_question,
     hilbert_series,
 )
-from sdepthlab.monomials import Ideal, InputError, Monomial, QuotientPair
+from sdepthlab.monomials import Ideal, InputError, Monomial, QuotientPair, colon_pair
 from sdepthlab.sdepth import sdepth, sdepth_decide
 
 
@@ -183,3 +185,32 @@ def test_si_form_series_matches_counts():
     for k in range(6):
         assert H.coefficient(k) == brute_monomial_count(Q, k)
     assert H.coefficient(0) == 1
+
+
+@given(quotient_pairs(max_n=6, normalized=False))
+@settings(max_examples=80)
+def test_colon_refuter_reads_every_colon_hdepth1(Q):
+    # each colon checked on its own pair, series and hdepth1; swapping x_1
+    # and x_j makes x_j the first variable the refuter reads
+    n = Q.ambient
+    colon_hd = {}
+    for j in range(1, n + 1):
+        C = colon_pair(Q, j)
+        if C is not None:
+            colon_hd[j] = hdepth1_pair(C).value
+    for p in range(n + 3):
+        assert colon_refuter(Q, p) == next(
+            (j for j, hd in colon_hd.items() if hd < p), None)
+    for j, hd in colon_hd.items():
+        swapped = rename_pair(Q, n, {i: {1: j, j: 1}.get(i, i) for i in range(1, n + 1)})
+        for p in range(n + 3):
+            assert (colon_refuter(swapped, p) == 1) == (hd < p)
+
+
+@given(quotient_pairs(max_n=6, normalized=False))
+@settings(max_examples=40)
+def test_colon_refuter_answers_bound_sdepth(Q):
+    value = sdepth(Q).value
+    for k in range(Q.ambient + 3):
+        if colon_refuter(Q, k) is not None:
+            assert value < k

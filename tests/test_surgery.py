@@ -19,6 +19,7 @@ from helpers import (
 from sdepthlab import fuzz, surgery
 from sdepthlab.corpus import BAD_PB_INTERVALS, ITEMS
 from sdepthlab.fuzz import sample_ml1_instance
+from sdepthlab.hilbert import colon_refuter
 from sdepthlab.io import parse_input
 from sdepthlab.monomials import (
     Ideal,
@@ -389,17 +390,53 @@ def test_driver_builds_one_h_map_per_run(monkeypatch, text, b, builds, kind,
     assert len(calls) == builds
 
 
-def test_driver_dump_matches_the_recorded_answers():
-    # sha256 of `scripts/driver_dump.py 6 0 39`: every sampled pair, its bs,
-    # and each driver outcome with its trace and verify_outcome verdict
+def _driver_dump_sha256(n: int, seeds) -> str:
+    """sha256 of `scripts/driver_dump.py` on the seeds at n: every sampled
+    pair, its bs, and each driver outcome with its trace and verify_outcome
+    verdict."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "driver_dump.py"
     dump_lines = runpy.run_path(str(script))["dump_lines"]
     h = hashlib.sha256()
-    for line in dump_lines(6, range(40)):
+    for line in dump_lines(n, seeds):
         h.update((line + "\n").encode())
-    assert h.hexdigest() == (
+    return h.hexdigest()
+
+
+def test_driver_dump_matches_the_recorded_answers():
+    assert _driver_dump_sha256(6, range(40)) == (
         "2eb2892ac06fa1f3b98700c97b5ec75c0d673c7a55256db25911cf85cddabcf1"
     )
+
+
+def test_driver_dump_at_n7_matches_the_recorded_answers():
+    # `7 0 199`, 776 lines, holds 432 runs whose reduced pair fails d+2
+    assert _driver_dump_sha256(7, range(200)) == (
+        "0a96c3a5ef4c4f744e48fd3b4e80a81a583a938087b0f05add5821aadc2f6b62"
+    )
+
+
+@pytest.mark.parametrize("n, seeds, refuted, runs", [
+    (6, range(40), 162, 276),
+    (7, range(50), 72, 96),
+], ids=["n6", "n7"])
+def test_colon_refuter_decides_the_driver_reduced_pairs(n, seeds, refuted, runs):
+    # the colon bound makes every firing a true refutation; on these seeds it
+    # also catches every I_b/J_b that the search finds without a value-(d+2)
+    # partition, so the driver's answers need no search there
+    fired = total = 0
+    for seed in seeds:
+        got = sample_ml1_instance(random.Random(seed), n=n)
+        if got is None:
+            continue
+        Q, bs = got
+        d = strata(Q).d
+        for b in bs:
+            pair_b = build_reduced_pair(Q, b)
+            hit = colon_refuter(pair_b, d + 2) is not None
+            assert hit == (sdepth_decide(pair_b, d + 2) is None)
+            fired += hit
+            total += 1
+    assert (fired, total) == (refuted, runs)
 
 
 def test_driver_rejects_bad_inputs():
