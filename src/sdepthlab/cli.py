@@ -12,10 +12,11 @@ import sys
 from .corpus import run_corpus
 from .engines import EngineCache
 from .fuzz import FuzzConfig, run_fuzz
-from .hilbert import herzog_question
+from .depth import depth
+from .hilbert import hdepth1_pair, herzog_question
 from .io import load_pair
 from .monomials import InputError, QuotientPair, parse_monomial
-from .sdepth import sdepth_decide
+from .sdepth import sdepth, sdepth_decide
 from .surgery import DriverFailure, ml1_driver
 from .verdicts import (
     bounds_report,
@@ -66,8 +67,7 @@ def _build_parser() -> _Parser:
     sg.add_argument("--b", required=True, metavar="MONOMIAL")
     sg.add_argument("--trace", action="store_true")
 
-    c = sub.add_parser("corpus", help="replay the embedded golden examples")
-    c.add_argument("action", choices=["run"])
+    sub.add_parser("corpus", help="replay the embedded golden examples")
 
     f = sub.add_parser("fuzz", help="seeded random-instance campaign")
     f.add_argument("--n", type=int, default=5)
@@ -139,7 +139,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_depth(args) -> int:
     Q = load_pair(args.file, field=args.char)
-    res = EngineCache().depth(Q, field=args.char)
+    res = depth(Q)
     print(f"depth = {res.depth} (char {res.field}, pd = {res.pd}, "
           f"witness multidegree {res.witness_degree})")
     return EXIT_OK
@@ -156,7 +156,7 @@ def _cmd_sdepth(args) -> int:
             for iv in cert.intervals:
                 print(f"  [{iv.lo}, {iv.hi}]")
         return EXIT_OK
-    res = EngineCache().sdepth(Q)
+    res = sdepth(Q)
     notes = []
     if res.refuted_by is not None:
         notes.append(f"k = {res.refuted_k} refuted by {res.refuted_by}")
@@ -170,7 +170,7 @@ def _cmd_sdepth(args) -> int:
 
 def _cmd_hdepth(args) -> int:
     Q = load_pair(args.file)
-    res = EngineCache().hdepth(Q)
+    res = hdepth1_pair(Q)
     print(f"hdepth1 = {res.value}")
     if res.failing_coefficient is not None:
         print(f"  (coefficient {res.failing_coefficient} fails at value+1)")

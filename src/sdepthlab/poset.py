@@ -48,6 +48,17 @@ def upward_closure(bits: int, within: int) -> int:
     return bits
 
 
+def interval_bits(lo: int, hi: int) -> int:
+    """Bitset of the masks between lo and hi: one shift-OR per free variable."""
+    bits = 1 << lo
+    span = hi & ~lo
+    while span:
+        low = span & -span
+        bits |= bits << low
+        span ^= low
+    return bits
+
+
 def downward_closure(bits: int, within: int) -> int:
     """Close a subset-indexed bitset downward under removing variables of `within`."""
     t = within

@@ -26,14 +26,10 @@ is a finite integer check on the pair's layer counts |P_e| (see `hilbert`),
 so the ceiling costs no series expansion and cannot stall.
 
 Pruning: a node is abandoned when an uncovered low lies under no uncovered
-top (one downward closure of the uncovered tops finds them all), or when
-the uncovered (k-1)-layer admits no assignment to uncovered tops in which a
-top v takes at most k - (least degree of a poset element dividing v) of
-them.  That assignment is warm-started: a child keeps its parent's
-assignment, drops the pairs whose low or top the new interval covers, and
-re-augments only the lows so orphaned.  Augmenting paths reach a maximum
-b-matching from any valid partial one, so every node gets the same verdict
-as an assignment built from scratch, and the search tree is unchanged.
+top.  One downward closure of the uncovered tops finds every such dead low,
+and a dead low stays dead below the node, since covering only removes tops.
+The search is one loop over an explicit stack with an entry per chosen
+interval, so its depth is bounded by memory, not by the recursion limit.
 """
 from __future__ import annotations
 
@@ -41,7 +37,7 @@ from dataclasses import dataclass
 
 from .monomials import Ideal, InputError, Monomial, QuotientPair
 from .hilbert import hdepth1_pair
-from .poset import downward_closure, poset_view
+from .poset import downward_closure, interval_bits, poset_view
 
 
 class MalformedIntervalError(InputError):
@@ -56,19 +52,6 @@ class Interval:
     def __post_init__(self):
         if not self.lo.divides(self.hi):
             raise MalformedIntervalError(f"[{self.lo}, {self.hi}] has lo ∤ hi")
-
-    def member_masks(self) -> list[int]:
-        """All squarefree monomials between lo and hi (full interval)."""
-        lo = self.lo.mask
-        span = self.hi.mask & ~lo
-        out = []
-        g = span
-        while True:
-            out.append(lo | g)
-            if g == 0:
-                break
-            g = (g - 1) & span
-        return out
 
     def __contains__(self, m: Monomial) -> bool:
         return self.lo.divides(m) and m.divides(self.hi)
@@ -123,34 +106,25 @@ class SdepthResult:
 def verify_partition(Q: QuotientPair, partition: Partition) -> VerifyResult:
     """Disjoint-cover check; reports the first offender in canonical order."""
     view = poset_view(Q)
-    counts: dict[int, int] = {}
+    covered = twice = 0
     for iv in partition.intervals:  # Interval construction enforces lo | hi
         for m in (iv.lo.mask, iv.hi.mask):
             if not (view.bits >> m) & 1:
                 return VerifyResult(
                     False, "interval endpoint outside the poset", Monomial(m)
                 )
-        for m in iv.member_masks():
-            counts[m] = counts.get(m, 0) + 1
+        # I\J is convex, so an interval with both ends in it lies inside
+        ibits = interval_bits(iv.lo.mask, iv.hi.mask)
+        twice |= covered & ibits
+        covered |= ibits
 
-    for mm in view.elements:
-        c = counts.get(mm, 0)
-        if c == 0:
-            return VerifyResult(False, "monomial not covered", Monomial(mm))
-        if c > 1:
-            return VerifyResult(False, "monomial doubly covered", Monomial(mm))
+    if view.bits & ~covered or twice:
+        for mm in view.elements:
+            if not (covered >> mm) & 1:
+                return VerifyResult(False, "monomial not covered", Monomial(mm))
+            if (twice >> mm) & 1:
+                return VerifyResult(False, "monomial doubly covered", Monomial(mm))
     return VerifyResult(True)
-
-
-def _interval_bits(lo: int, hi: int) -> int:
-    """Bitset of the masks between lo and hi: one shift-OR per free variable."""
-    bits = 1 << lo
-    span = hi & ~lo
-    while span:
-        low = span & -span
-        bits |= bits << low
-        span ^= low
-    return bits
 
 
 def sdepth_decide(Q: QuotientPair, k: int) -> Partition | None:
@@ -178,115 +152,63 @@ def _decide(Q: QuotientPair, k: int) -> Partition | None:
     elements = view.elements
     lows = elements[:view.start(k)]
     if not lows:
-        return _expand(elements, [], k)
+        return _expand(elements, [])
 
     tops = view.layer(k)
-    mid_lows = view.layer(k - 1)
     low_bits = sum(1 << u for u in lows)
     top_bits = sum(1 << v for v in tops)
     every_var = (1 << Q.ambient) - 1
-    # per low: admissible tops in canonical order (tops are visited in it);
-    # capacity of a top = k - (least degree of a poset element dividing it)
+    # per low: the tops above it, in canonical order (the order they are tried)
     tops_of: dict[int, list[int]] = {u: [] for u in lows}
-    cap: dict[int, int] = {}
     for v in tops:
-        least = k
         g = v
         while True:
             if (low_bits >> g) & 1:
                 tops_of[g].append(v)
-                least = min(least, g.bit_count())
             if not g:
                 break
             g = (g - 1) & v
-        cap[v] = k - least
 
-    chosen: list[tuple[int, int]] = []
-    covered = 0
-
-    def _has_dead_low() -> bool:
+    def _has_dead_low(covered: int) -> bool:
         # an uncovered low lying under no uncovered top
         live = downward_closure(top_bits & ~covered, every_var)
         return bool(low_bits & ~covered & ~live)
 
-    def _augment(u: int, seen: set[int], at: dict, owners: dict) -> bool:
-        for v in tops_of[u]:
-            if (covered >> v) & 1 or v in seen:
-                continue
-            seen.add(v)
-            ws = owners.get(v, ())
-            if len(ws) < cap[v]:
-                owners[v] = ws + (u,)
-                at[u] = v
-                return True
-            for w in ws:
-                # `seen` holds v, so the deeper search leaves owners[v] alone
-                if _augment(w, seen, at, owners):
-                    owners[v] = tuple([u if x == w else x for x in ws])
-                    at[u] = v
-                    return True
-        return False
-
-    def _matched(state, u: int, v: int):
-        """The capacity assignment of the uncovered (k-1)-layer after [u, v].
-
-        `state` is the parent's assignment (None at the root), which matched
-        every (k-1)-element uncovered there.  Its pairs stay valid except
-        those of the lows [u, v] covers and those sent to the top v; only
-        the lows so orphaned are augmented again.  Returns None when some
-        low cannot be placed: no capacity-respecting assignment exists.
-        """
-        if state is None:
-            at: dict[int, int] = {}
-            owners: dict[int, tuple[int, ...]] = {}
-            pending = [w for w in mid_lows if not (covered >> w) & 1]
-        else:
-            at, owners = dict(state[0]), dict(state[1])
-            free = v & ~u
-            while free:
-                bit = free & -free
-                w = v ^ bit
-                t = at.pop(w)
-                owners[t] = tuple([x for x in owners[t] if x != w])
-                free ^= bit
-            pending = owners.pop(v, ())
-            for w in pending:
-                del at[w]
-        for w in pending:
-            if not _augment(w, set(), at, owners):
-                return None
-        return at, owners
-
-    def _bt(i: int, state) -> bool:
-        nonlocal covered
+    if _has_dead_low(0):
+        return None
+    # per chosen interval: its low's index, the index of the low's next top
+    # to try, and the interval's bits
+    stack: list[tuple[int, int, int]] = []
+    covered = i = j = 0
+    while True:
         while i < len(lows) and (covered >> lows[i]) & 1:
             i += 1
         if i == len(lows):
-            return True
+            break
         u = lows[i]
-        for v in tops_of[u]:
+        above = tops_of[u]
+        for t in range(j, len(above)):
+            v = above[t]
             if (covered >> v) & 1:
                 continue
-            ibits = _interval_bits(u, v)
-            if ibits & covered:
+            ibits = interval_bits(u, v)
+            if ibits & covered or _has_dead_low(covered | ibits):
                 continue
             covered |= ibits
-            chosen.append((u, v))
-            if not _has_dead_low():
-                child = _matched(state, u, v)
-                if child is not None and _bt(i + 1, child):
-                    return True
-            chosen.pop()
+            stack.append((i, t + 1, ibits))
+            i, j = i + 1, 0
+            break
+        else:  # no top of u is left: take back the last chosen interval
+            if not stack:
+                return None
+            i, j, ibits = stack.pop()
             covered &= ~ibits
-        return False
-
-    if _has_dead_low() or not _bt(0, None):
-        return None
-    return _expand(elements, chosen, k, covered)
+    chosen = [(lows[a], tops_of[lows[a]][b - 1]) for a, b, _ in stack]
+    return _expand(elements, chosen, covered)
 
 
 def _expand(
-    elements: list[int], chosen: list[tuple[int, int]], k: int, covered: int = 0
+    elements: list[int], chosen: list[tuple[int, int]], covered: int = 0
 ) -> Partition:
     ivs = [Interval(Monomial(u), Monomial(v)) for u, v in chosen]
     for m in elements:
@@ -419,19 +341,17 @@ def brute_force_sdepth(Q: QuotientPair, limit: int = 14) -> int:
     elements = poset_view(Q).elements
     if len(elements) > limit:
         raise InputError(f"poset size {len(elements)} exceeds oracle limit {limit}")
-    idx = {m: i for i, m in enumerate(elements)}
     full = (1 << len(elements)) - 1
 
-    # all intervals [u, v], u | v, with their element-index bitmasks
+    # all intervals [u, v], u | v, with their element-index bitmasks; the
+    # members are read off the definition u | w | v, not off the search's
+    # interval enumeration
     by_elem: list[list[tuple[int, int]]] = [[] for _ in elements]
     for i, u in enumerate(elements):
         for v in elements:
             if u & ~v == 0:
-                bits = 0
-                for m in Interval(Monomial(u), Monomial(v)).member_masks():
-                    j = idx.get(m)
-                    if j is not None:
-                        bits |= 1 << j
+                bits = sum(1 << j for j, w in enumerate(elements)
+                           if u & ~w == 0 and w & ~v == 0)
                 by_elem[i].append((v.bit_count(), bits))
 
     best = -1

@@ -28,7 +28,7 @@ from .monomials import (
     minimalize,
     split_pair,
 )
-from .poset import StrataReport, poset_view, strata
+from .poset import StrataReport, interval_bits, poset_view, strata
 from .sdepth import (
     Interval,
     Partition,
@@ -92,6 +92,18 @@ def _truncated_cover(lo: int, hi: int, k: int) -> list[tuple[int, int]]:
     return _truncated_cover(lo, hi & ~x, k) + _truncated_cover(lo | x, hi, k)
 
 
+def _inner_elements(iv: Interval) -> tuple[Monomial, ...]:
+    """The elements of `iv` one degree above its bottom, in canonical order."""
+    lo = iv.lo.mask
+    span = iv.hi.mask & ~lo
+    inner = []
+    while span:
+        low = span & -span
+        inner.append(Monomial(lo | low))
+        span ^= low
+    return tuple(sorted(inner, key=Monomial.sort_key))
+
+
 def normalize_partition(Q: QuotientPair, partition: Partition, k: int) -> Partition:
     """Reshape a partition so every element of degree < k tops out at degree k.
 
@@ -105,8 +117,8 @@ def normalize_partition(Q: QuotientPair, partition: Partition, k: int) -> Partit
     pieces: list[Interval] = []
     for iv in partition.intervals:
         lo, hi = iv.lo.mask, iv.hi.mask
-        for m in iv.member_masks():
-            covered |= 1 << m
+        members = interval_bits(lo, hi)
+        covered |= members
         if lo.bit_count() >= k:
             pieces.append(iv)
             continue
@@ -116,10 +128,13 @@ def normalize_partition(Q: QuotientPair, partition: Partition, k: int) -> Partit
             )
         for a, c in _truncated_cover(lo, hi, k):
             pieces.append(Interval(Monomial(a), Monomial(c)))
-        # high leftovers of the truncated interval become singletons
-        for m in iv.member_masks():
+        # high leftovers of the truncated interval become singletons, from
+        # the largest mask down
+        while members:
+            m = members.bit_length() - 1
             if m.bit_count() > k:
                 pieces.append(Interval(Monomial(m), Monomial(m)))
+            members ^= 1 << m
     rest = bits & ~covered
     while rest:
         low = rest & -rest
@@ -195,12 +210,7 @@ def _h_map(st: StrataReport, pair_b: QuotientPair, b: Monomial,
         iv = by_lo.get(f)
         if iv is None:
             raise SurgeryError(f"generator {f} is not an interval bottom")
-        mid = tuple(
-            sorted(
-                (Monomial(m) for m in iv.member_masks() if m.bit_count() == d_b + 1),
-                key=Monomial.sort_key,
-            )
-        )
+        mid = _inner_elements(iv)
         if len(mid) != 2:
             raise SurgeryError(
                 f"generator interval [{f},{iv.hi}] must contain exactly two "
@@ -389,11 +399,7 @@ def swap_into_generator(
     if not f.divides(a_t):
         raise InputError(f"{a_t} is not a multiple of {f}")
     c_f, c_t = iv_f.hi, iv_a.hi
-    mid = [
-        Monomial(m)
-        for m in iv_f.member_masks()
-        if m.bit_count() == f.degree + 1
-    ]
+    mid = _inner_elements(iv_f)
     if len(mid) != 2:
         raise InputError(f"[{f},{c_f}] is not a two-inner generator interval")
     dividing = [u for u in mid if u.divides(c_t)]

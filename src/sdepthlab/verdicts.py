@@ -433,11 +433,7 @@ def _sequence_checks(
     return out
 
 
-def consistency_audit(
-    Q: QuotientPair,
-    cache: EngineCache | None = None,
-    extra_subideals: tuple[Ideal, ...] = (),
-) -> AuditReport:
+def consistency_audit(Q: QuotientPair, cache: EngineCache | None = None) -> AuditReport:
     """Exercise the exact-sequence and localization inequalities on a pair.
 
     Every check compares quantities computed by the exact engines, so a
@@ -446,7 +442,6 @@ def consistency_audit(
     cache = cache if cache is not None else EngineCache()
     checks: list[AuditCheck] = []
     dB = cache.depth(Q).depth
-    n = Q.ambient
 
     derived = _derived_pairs(Q, cache)
     for j, (cp, _, _) in enumerate(derived, 1):
@@ -481,18 +476,14 @@ def consistency_audit(
             checks.append(AuditCheck("colon_bound_step", param, None))
 
     st = cache.strata(Q)
-    subs = []
     if st.E:
-        subs.append(Ideal(n, st.f_list))
-    subs.extend(extra_subideals)
-    for sub in subs:
-        param = f"I'={sub}"
-        if sub.is_zero():
-            continue
+        sub = Ideal(Q.ambient, st.f_list)
         A, C = split_pair(Q, sub)
         dA = _depth_of(cache, A, Q.field)
         dC = _depth_of(cache, C, Q.field)
-        checks.extend(_sequence_checks("subideal_sequence", param, dA, dB, dC))
+        checks.extend(
+            _sequence_checks("subideal_sequence", f"I'={sub}", dA, dB, dC)
+        )
 
     return AuditReport(tuple(checks))
 

@@ -196,6 +196,16 @@ def test_cli_sdepth_reports_free_variables(tmp_path, capsys):
     ]
 
 
+def test_cli_sdepth_on_m14(tmp_path, capsys):
+    # 1 715 chosen intervals: deeper than Python's recursion limit
+    path = tmp_path / "m14.txt"
+    gens = ", ".join(f"x{i}" for i in range(1, 15))
+    path.write_text(f"n=14\nI = {gens}\nJ = 0\n", encoding="utf-8")
+    assert cli.main(["sdepth", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "sdepth = 7  (k = 8 refuted by hdepth1)"
+
+
 def test_cli_hdepth(tmp_path, capsys):
     path = tmp_path / "m2.txt"
     path.write_text("n=2\nI = x1, x2\nJ = 0\n", encoding="utf-8")
@@ -238,7 +248,7 @@ def test_cli_surgery_hypothesis_failure(tmp_path, capsys):
 
 
 def test_cli_corpus(capsys):
-    assert cli.main(["corpus", "run"]) == 0
+    assert cli.main(["corpus"]) == 0
     out = capsys.readouterr().out
     assert "MISMATCH" not in out
     assert "checks passed" in out
@@ -246,7 +256,7 @@ def test_cli_corpus(capsys):
 
 def test_cli_corpus_mismatch_exit(capsys, monkeypatch):
     monkeypatch.setitem(corpus.EXPECTED["ex1"], "sdepth", 4)
-    assert cli.main(["corpus", "run"]) == cli.EXIT_INCONSISTENT
+    assert cli.main(["corpus"]) == cli.EXIT_INCONSISTENT
     assert "MISMATCH" in capsys.readouterr().out
 
 

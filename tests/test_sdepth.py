@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,7 +19,7 @@ from sdepthlab.fuzz import FuzzConfig, instance_rng, random_pair
 from sdepthlab.hilbert import hdepth1_pair
 from sdepthlab.io import parse_input
 from sdepthlab.monomials import Ideal, InputError, Monomial, QuotientPair
-from sdepthlab.poset import poset_bitset, poset_view
+from sdepthlab.poset import interval_bits, poset_bitset, poset_view
 import sdepthlab.sdepth as sdepth_module
 from sdepthlab.sdepth import (
     Interval,
@@ -31,7 +34,8 @@ from sdepthlab.sdepth import (
 
 def test_interval_basics():
     iv = Interval(Monomial.of(1), Monomial.of(1, 2, 3))
-    assert sorted(iv.member_masks()) == [0b001, 0b011, 0b101, 0b111]
+    members = interval_bits(iv.lo.mask, iv.hi.mask)
+    assert members == sum(1 << m for m in (0b001, 0b011, 0b101, 0b111))
     assert Monomial.of(1, 3) in iv
     assert Monomial.of(2) not in iv
     assert str(iv) == "[x1, x1*x2*x3]"
@@ -144,14 +148,48 @@ def test_hdepth1_refutations_hold_unpruned():
     assert by_hdepth > 0
 
 
-@pytest.mark.parametrize("n", [8, 9])
+def _maximal_ideal(n: int) -> QuotientPair:
+    return QuotientPair(Ideal(n, [Monomial.of(i) for i in range(1, n + 1)]), Ideal(n))
+
+
+@pytest.mark.parametrize("n", [8, 9, 14])
 def test_sdepth_of_maximal_ideal(n):
-    # sdepth(m_n) = ceil(n/2) (Biró–Howard–Keller–Trotter–Young)
-    Q = QuotientPair(Ideal(n, [Monomial.of(i) for i in range(1, n + 1)]), Ideal(n))
+    # sdepth(m_n) = ceil(n/2) (Biró–Howard–Keller–Trotter–Young); the k = 7
+    # certificate of m_14 chooses 1 715 intervals, more than Python's
+    # recursion limit, so the search keeps its own stack
+    Q = _maximal_ideal(n)
     res = sdepth(Q)
     assert res.value == (n + 1) // 2
     assert res.refuted_by == "hdepth1"
     assert verify_partition(Q, res.certificate)
+
+
+def test_search_answers_match_the_recorded_answers():
+    # every value, certificate and refuter on m_5..m_13 and on the seed-99
+    # pairs of perfbench's sdepth_hard pool (indices 0..29 at n = 8, 9, 10)
+    pairs = [_maximal_ideal(n) for n in range(5, 14)]
+    for n in (8, 9, 10):
+        cfg = FuzzConfig(n=n, seed=99, max_gens=5, max_degree=3)
+        pairs += [random_pair(instance_rng(99, i), cfg) for i in range(30)]
+    h = hashlib.sha256()
+    for Q in pairs:
+        h.update((json.dumps(sdepth(Q).to_json(), sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == (
+        "b0fbde8b465156c2c65809c08af0bcede19c47c5cfa0b25f4ca4e7f63878d23a"
+    )
+
+
+def test_dead_low_refutes_before_any_interval(monkeypatch):
+    # P = {x1, x2, x1*x3}: at k = 2 the low x2 lies under no top, so the
+    # root's dead-low test answers before x1's top x1*x3 is tried
+    calls = []
+    real = sdepth_module.interval_bits
+    monkeypatch.setattr(sdepth_module, "interval_bits",
+                        lambda lo, hi: calls.append((lo, hi)) or real(lo, hi))
+    Q = parse_input("n=3\nI = x1, x2\nJ = x1*x2, x2*x3\n")
+    assert sdepth_decide(Q, 2) is None
+    assert calls == []
+    assert sdepth(Q).value == 1
 
 
 def test_brute_force_limit_guard():

@@ -30,7 +30,7 @@ from sdepthlab.monomials import (
     minimalize,
     parse_monomial,
 )
-from sdepthlab.poset import strata
+from sdepthlab.poset import interval_bits, poset_view, strata
 from sdepthlab.sdepth import Interval, Partition, sdepth_decide, verify_partition
 from sdepthlab.surgery import (
     DriverFailure,
@@ -87,8 +87,9 @@ def test_truncated_cover_partitions_low_part(data):
     for a, c in cover:
         assert lo & ~a == 0 and a & ~c == 0 and c & ~hi == 0
         assert c.bit_count() == k
-        for m in Interval(Monomial(a), Monomial(c)).member_masks():
-            seen[m] = seen.get(m, 0) + 1
+        for m in range(1 << n):
+            if (interval_bits(a, c) >> m) & 1:
+                seen[m] = seen.get(m, 0) + 1
     span = hi & ~lo
     expected = set()
     g = span
@@ -541,9 +542,7 @@ def test_verify_outcome_rejects_tampering():
     assert not verify_outcome(Q, SurgeryOutcome(kind="mystery"))
     low = Partition(tuple(
         Interval(Monomial(m), Monomial(m))
-        for m in sorted(
-            iv_m for iv in out.partition.intervals for iv_m in iv.member_masks()
-        )
+        for m in poset_view(Q).elements
     ))
     assert not verify_outcome(
         Q, SurgeryOutcome(kind="upgraded_partition", partition=low)

@@ -210,15 +210,6 @@ def test_audit_handles_degenerate_colon():
     assert audit.ok
 
 
-def test_audit_extra_subideals():
-    Q = parse_input("n=4\nI = x1*x2, x2*x3, x3*x4\nJ = 0\n")
-    sub = from_strs(4, "x1*x2")
-    audit = consistency_audit(Q, extra_subideals=(sub,))
-    params = {c.param for c in audit.checks if c.name.startswith("subideal")}
-    assert f"I'={sub}" in params
-    assert audit.ok
-
-
 def test_stanley_observation():
     Q = parse_input("n=5\nI = x1*x2, x1*x3, x1*x4, x2*x3*x5\nJ = x2*x3*x4*x5\n")
     assert stanley_observation(Q) is None
