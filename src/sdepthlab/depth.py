@@ -16,21 +16,42 @@ when 1 generates I.  So the candidates are the lcm closures of gens(I) and
 of gens(J): squarefree, and free of the variables no generator uses.
 
 In multidegree `a` the term K_i has basis {F ⊆ a : |F| = i, x^(a\\F) ∈ I\\J}
-with differential e_F ↦ Σ_{j∈F} (-1)^{pos(j,F)} e_{F\\{j}}, entries killed
+with differential e_F ↦ Σ_{k∈F} (-1)^{pos(k,F)} e_{F\\{k}}, entries killed
 when the target monomial leaves I\\J.
 
+The walk ranks a smaller complex with the same homology, by algebraic
+discrete Morse theory (Sköldberg, "Morse theory from an algebraic
+viewpoint", Trans. AMS 358, 2006; Jöllenbeck–Welker, "Minimal resolutions
+via algebraic discrete Morse theory", Mem. AMS 197, 2009).  For a ≠ 1 let
+j be the lowest variable of a, and match each cell F ∌ j with F ∪ {j}
+whenever both lie in K(a): with g = a\\F, the cell is matched when
+x^(g ⊕ j) ∈ I\\J too, and critical otherwise.  (a = 1 has no variable, and
+its one cell is critical.)
+  * The matched entry [F∪j : F] is (-1)^0 = 1, a unit over Z, so the
+    reduction holds over Z and then over every field.
+  * The matching is acyclic: from F the only way up is to F ∪ j, and every
+    face of F ∪ j other than F contains j, so it is never matched upward.
+    Gradient paths therefore take at most one step, and the Morse
+    differential from a critical c to a critical y is
+        [c:y] − Σ_x [c:x]·[x∪j:y],
+    summed over the faces x ∌ j of c that are matched with x ∪ j; only a
+    critical c ∌ j has such faces.  Two paths into the same y cancel
+    (they are the two halves of a ∂² = 0 term), so entries stay in
+    {-1, 0, 1}.
+
 Characteristic-0 ranks use a GF(2) screen: for a complex of integer
-matrices, dim H_i over Q ≤ dim H_i over GF(2) (ranks can only grow in
-characteristic 0), so exact ranks over Q are computed only where the GF(2)
-homology is nonzero.  The screen also answers characteristic 2
-(`DepthResult.gf2`): pd over Q ≤ pd over GF(2) in every multidegree, so the
-characteristic-0 walk visits every degree a characteristic-2 walk would.
+matrices, as the Morse complex is, dim H_i over Q ≤ dim H_i over GF(2)
+(ranks can only grow in characteristic 0), so exact ranks over Q are
+computed only where the GF(2) homology is nonzero.  The screen also
+answers characteristic 2 (`DepthResult.gf2`): pd over Q ≤ pd over GF(2) in
+every multidegree, so the characteristic-0 walk visits every degree a
+characteristic-2 walk would.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .linalg import boundary_rank
+from .linalg import rank
 from .monomials import InputError, Monomial, QuotientPair, canonical_key, check_field
 from .poset import poset_view
 
@@ -70,42 +91,100 @@ def _candidate_degrees(Q: QuotientPair) -> list[int]:
     return sorted(cands, key=canonical_key)
 
 
+def _morse_matrix(cells: list[int], cols: dict[int, int], pbits: int, a: int,
+                  j: int, char: int) -> list:
+    """The Morse differential from the critical `cells` to the critical cells
+    in `cols` (cell -> column index) of multidegree `a`, matched on `j`.
+
+    Rows are packed ints over characteristic 2 and {column: entry} dicts
+    otherwise, as in `linalg.boundary_matrix`.
+    """
+    packed = char == 2
+    rows: list = []
+    for c in cells:
+        row = 0 if packed else {}
+        paths = not c & j  # only a cell without j has faces matched upward
+        t = c
+        while t:
+            k = t & -t
+            t ^= k
+            x = c ^ k
+            sign = -1 if (c & (k - 1)).bit_count() & 1 else 1
+            col = cols.get(x)
+            if col is not None:  # a critical face
+                if packed:
+                    row |= 1 << col
+                else:
+                    row[col] = sign
+            elif paths and (pbits >> (a ^ x)) & 1:
+                # x lies in K(a) and is not critical, so it is matched with
+                # x ∪ j: one gradient step on to the critical faces of x ∪ j,
+                # which all contain j
+                xj = x | j
+                u = x
+                while u:
+                    low = u & -u
+                    u ^= low
+                    col = cols.get(xj ^ low)
+                    if col is None:
+                        continue
+                    if packed:
+                        row ^= 1 << col
+                        continue
+                    entry = row.get(col, 0) + (
+                        sign if (xj & (low - 1)).bit_count() & 1 else -sign)
+                    if entry:
+                        row[col] = entry
+                    else:
+                        del row[col]
+        rows.append(row)
+    return rows
+
+
 def _top_homology(pbits: int, a: int, floor: int, char: int,
                   screen_floor: int) -> tuple[int, int]:
     """The largest i > floor with H_i ≠ 0 in multidegree `a`, else `floor`;
     and the largest i > screen_floor with H_i ≠ 0 over the screen field,
     else `screen_floor`.  Needs screen_floor ≥ floor.
 
-    i walks down from the top nonempty K_i, so each step's rank of d_i is
-    the next step's rank of d_{i+1}.
+    Ranks are those of the Morse complex.  i walks down from its top
+    nonempty term, so each step's rank of d_i is the next step's rank of
+    d_{i+1}.
     """
-    basis: list[list[int]] = [[] for _ in range(a.bit_count() + 1)]
+    j = a & -a  # the matching variable; 0 for a = 1, where nothing is matched
+    crit: list[list[int]] = [[] for _ in range(a.bit_count() + 1)]
     g = a
     while True:
-        if (pbits >> g) & 1:
+        if (pbits >> g) & 1 and not (j and (pbits >> (g ^ j)) & 1):
             f = a ^ g
-            basis[f.bit_count()].append(f)
+            crit[f.bit_count()].append(f)
         if g == 0:
             break
         g = (g - 1) & a
-    while basis and not basis[-1]:
-        basis.pop()
+    while crit and not crit[-1]:
+        crit.pop()
     screen = 2 if char == 0 else char
+
+    def _rank(i: int, cols: dict[int, int], field: int) -> int:
+        if not crit[i] or not cols:
+            return 0
+        return rank(_morse_matrix(crit[i], cols, pbits, a, j, field), field)
+
     screen_top = screen_floor
     up_screen = up = 0  # ranks of d_{i+1} over `screen` and `char`; None: not computed
-    up_cols: dict[int, int] = {}  # column index of K_i
-    for i in range(len(basis) - 1, floor, -1):
-        cols = {f: k for k, f in enumerate(basis[i - 1])} if i else {}
-        dim = len(basis[i])
-        down_screen = boundary_rank(basis[i], cols, screen)
+    up_cols: dict[int, int] = {}  # column index of the critical cells of K_i
+    for i in range(len(crit) - 1, floor, -1):
+        cols = {f: k for k, f in enumerate(crit[i - 1])} if i else {}
+        dim = len(crit[i])
+        down_screen = _rank(i, cols, screen)
         down = None
         if dim - down_screen - up_screen:
             screen_top = max(screen_top, i)
             if screen == char:
                 return i, screen_top
             if up is None:
-                up = boundary_rank(basis[i + 1], up_cols, char)
-            down = boundary_rank(basis[i], cols, char)
+                up = _rank(i + 1, up_cols, char)
+            down = _rank(i, cols, char)
             if dim - down - up:
                 return i, screen_top
         up_screen, up, up_cols = down_screen, down, cols

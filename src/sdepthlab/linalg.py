@@ -17,10 +17,11 @@ The char-0 step stays exact because nothing else gives the rank over Q:
 floats round, and a rank mod p is smaller whenever p divides every
 nonzero maximal minor, which would overstate the homology.
 
-Matrices here are Koszul/boundary incidence matrices with entries in
-{-1, 0, 1}, a few percent nonzero, and dimensions rarely beyond a few
-hundred; `boundary_matrix` builds them for both the Koszul and the
-simplicial (Reisner) engines.
+Matrices here are incidence matrices with entries in {-1, 0, 1}, a few
+percent nonzero: the Morse-reduced Koszul differentials of the depth walk
+(`depth._morse_matrix`, rarely beyond a few dozen rows) and the simplicial
+boundary maps of the Reisner engine (`boundary_matrix`, up to a few
+hundred).  `rank` picks the kernel for a characteristic.
 """
 from __future__ import annotations
 
@@ -125,13 +126,18 @@ def boundary_matrix(src: list[int], cols: dict[int, int], char: int) -> list:
     return rows
 
 
-def boundary_rank(src: list[int], cols: dict[int, int], char: int) -> int:
-    """Rank of `boundary_matrix(src, cols, char)` in characteristic `char`."""
-    if not src or not cols:
-        return 0
-    rows = boundary_matrix(src, cols, char)
+def rank(rows: list, char: int) -> int:
+    """Rank in characteristic `char` of packed rows (char 2) or of
+    {column: entry} rows (char 0 or an odd prime)."""
     if char == 2:
         return rank_gf2_packed(rows)
     if char == 0:
         return rank_char0(rows)
     return rank_modp(rows, char)
+
+
+def boundary_rank(src: list[int], cols: dict[int, int], char: int) -> int:
+    """Rank of `boundary_matrix(src, cols, char)` in characteristic `char`."""
+    if not src or not cols:
+        return 0
+    return rank(boundary_matrix(src, cols, char), char)

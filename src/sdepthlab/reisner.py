@@ -7,9 +7,10 @@ reduced simplicial homology of links:
     depth S/I = min over faces σ ∈ Δ of (|σ| + 1 + min{ j : H̃_j(link σ) ≠ 0 })
 
 with H̃_{-1}({∅}) = K (the empty face counts; a facet σ contributes |σ|).
-It shares with the Koszul engine only `linalg.boundary_rank`, the signed
-boundary matrices and the rank kernels behind them: the complexes, their
-bases and the homology bookkeeping are its own, so it cross-checks the
+It shares with the Koszul engine only the rank kernels of `linalg`: the
+complexes, their bases, their unreduced boundary matrices
+(`linalg.boundary_rank`, where the Koszul walk ranks a Morse-reduced
+complex) and the homology bookkeeping are its own, so it cross-checks the
 Koszul walk.  It does not check the ranks themselves; tests/test_linalg.py
 compares those with independent oracles.
 """

@@ -53,9 +53,6 @@ class Interval:
         if not self.lo.divides(self.hi):
             raise MalformedIntervalError(f"[{self.lo}, {self.hi}] has lo ∤ hi")
 
-    def __contains__(self, m: Monomial) -> bool:
-        return self.lo.divides(m) and m.divides(self.hi)
-
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -11,12 +15,14 @@ from helpers import (
     proper_ideals,
     quotient_pairs,
     si_pair,
+    unit_ideal,
 )
 from sdepthlab import corpus
 from sdepthlab.depth import DepthResult, _candidate_degrees, depth
 from sdepthlab.engines import EngineCache
+from sdepthlab.fuzz import FuzzConfig, instance_rng, random_pair
 from sdepthlab.io import parse_input
-from sdepthlab.monomials import Ideal, InputError, Monomial, QuotientPair
+from sdepthlab.monomials import Ideal, InputError, Monomial, QuotientPair, colon_pair
 from sdepthlab.reisner import reisner_depth_oracle
 
 PATH = parse_input("n=4\nI = x1*x2, x2*x3, x3*x4\nJ = 0\n")
@@ -43,6 +49,76 @@ def test_depth_result_invariants(Q):
     assert res.witness_index == res.pd
     # the witness multidegree really carries nonzero Koszul homology
     assert koszul_betti(Q, res.witness_degree.mask, Q.field)[res.pd] > 0
+
+
+@st.composite
+def colon_pairs(draw):
+    """(I:x_j)/(J:x_j) of a random pair, or the pair itself when the colons
+    coincide; I:x_j is (1) whenever x_j ∈ I."""
+    Q = draw(quotient_pairs(normalized=False))
+    j = draw(st.integers(min_value=1, max_value=Q.ambient))
+    return colon_pair(Q, j) or Q
+
+
+def _oracle_depth(Q, char):
+    """(pd, first witness in canonical order) from the unreduced, unscreened
+    Koszul homology of every submask of the active variables."""
+    pd = witness = None
+    for a in sorted(_all_submasks(Q), key=lambda m: (m.bit_count(), Monomial(m).vars)):
+        betti = koszul_betti(Q, a, char)
+        top = max((i for i, h in enumerate(betti) if h), default=-1)
+        if pd is None or top > pd:
+            pd, witness = top, a
+    return pd, witness
+
+
+@given(st.one_of(quotient_pairs(normalized=False), proper_ideals().map(si_pair),
+                 colon_pairs()))
+# pairs whose answer needs the gradient-path terms of the Morse differential
+@example(parse_input("n=4\nI = x1*x2, x2*x4, x1*x3*x4\nJ = x1*x2*x3\n"))
+@example(parse_input("n=4\nI = x1, x3, x4\nJ = x1*x2, x1*x3*x4\n"))
+# S itself: its one homology class sits at a = 1, which has no variable to
+# match on
+@example(QuotientPair(unit_ideal(3), Ideal(3)))
+def test_reduced_walk_matches_the_unreduced_homology(Q):
+    results = {}
+    for char in (0, 2, 3):
+        res = results[char] = depth(Q, field=char)
+        assert (res.pd, res.witness_degree.mask) == _oracle_depth(Q, char), char
+        assert res.depth == Q.ambient - res.pd
+    assert results[0].gf2 == results[2]
+
+
+def _pinned_pairs():
+    # seed-2026 stream pairs at n = 5, 6, and S/I and I/J pairs at n = 9..12
+    pairs = []
+    for n in (5, 6):
+        cfg = FuzzConfig(n=n, seed=2026)
+        pairs += [random_pair(instance_rng(2026, i), cfg) for i in range(1500)]
+    rng = random.Random(16)
+    for n in (9, 10, 11, 12):
+        # FuzzConfig.validate caps n at 8, but random_pair reads only its fields
+        cfg = FuzzConfig(n=n, max_gens=6, max_degree=3)
+        for _ in range(3):
+            gens = [Monomial.of(*rng.sample(range(1, n + 1), rng.randint(2, 3)))
+                    for _ in range(6)]
+            pairs.append(si_pair(Ideal(n, gens)))
+            pairs.append(random_pair(rng, cfg))
+    return pairs
+
+
+def test_depth_answers_match_the_recorded_answers():
+    # every DepthResult and its char-2 twin in chars 0, 2, 3 and 32003,
+    # recorded before the walk ranked a Morse-reduced complex
+    h = hashlib.sha256()
+    for Q in _pinned_pairs():
+        for char in (0, 2, 3, 32003):
+            res = depth(Q, field=char)
+            rec = [res.to_json(), res.gf2.to_json() if res.gf2 else None]
+            h.update((json.dumps(rec, sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == (
+        "1d6ef4414465f78ff3a2beb8fe7e3993b9ed8abc8cf734ec7f2001eafa868a47"
+    )
 
 
 @given(st.one_of(quotient_pairs(normalized=False), proper_ideals().map(si_pair)))

@@ -21,8 +21,10 @@ from sdepthlab.linalg import (
     rank_gf2_packed,
     rank_modp,
 )
-import sdepthlab.depth as depth_module
+from sdepthlab import linalg
+from sdepthlab.depth import _candidate_degrees, depth
 from sdepthlab.monomials import Ideal, Monomial, QuotientPair
+from sdepthlab.poset import poset_view
 
 small_matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda ncols: st.lists(
@@ -166,8 +168,8 @@ def _pair(n: int, i_gens, j_gens) -> QuotientPair:
     return QuotientPair(ideal(i_gens), ideal(j_gens))
 
 
-# S/I and I/J pairs at n = 9..11 whose Koszul walks build matrices of up to
-# 211 rows (about 290 distinct matrices in all)
+# S/I and I/J pairs at n = 9..11 whose unreduced Koszul complexes have
+# boundary matrices of up to 211 rows
 KOSZUL_PAIRS = [
     (9, None, [(1, 3, 9), (1, 4, 6), (2, 5, 7), (3, 4, 7), (2, 3, 5, 8), (4, 5, 8, 9)]),
     (10, [(2, 5, 10), (2, 6, 10), (8, 9, 10), (1, 2, 4, 8), (1, 3, 7, 8)],
@@ -178,23 +180,56 @@ KOSZUL_PAIRS = [
 ]
 
 
+def _koszul_matrices(Q: QuotientPair):
+    """(rows of K_i, column index of K_{i-1}) for every unreduced Koszul
+    boundary map d_i of Q at its candidate multidegrees."""
+    pbits = poset_view(Q).bits
+    for a in _candidate_degrees(Q):
+        levels: dict[int, list[int]] = {}
+        for f in range(a + 1):
+            if f & ~a == 0 and (pbits >> (a ^ f)) & 1:
+                levels.setdefault(f.bit_count(), []).append(f)
+        for i, src in levels.items():
+            if i - 1 in levels:
+                yield src, {f: k for k, f in enumerate(levels[i - 1])}
+
+
+def _check_against_dense_oracles(rows: list[dict[int, int]], ncols: int) -> None:
+    dense = dense_rows(rows, ncols)
+    assert rank_char0(rows) == rank_fraction_gauss(dense)
+    for p in (3, 32003):
+        assert rank_modp(rows, p) == rank_modp_dense(dense, p)
+
+
 def test_kernels_match_oracles_on_koszul_matrices(monkeypatch):
     # the Reisner engine shares `boundary_rank`, so its agreement with the
-    # Koszul engine does not check ranks; here dense oracles do
+    # Koszul engine does not check ranks; here dense oracles do, on the
+    # unreduced Koszul matrices and on the Morse matrices the walk ranks
+    pairs = [_pair(*spec) for spec in KOSZUL_PAIRS]
     seen: dict = {}
-
-    def record(src, cols, char):
-        seen[tuple(src), tuple(cols)] = src, cols
-        return boundary_rank(src, cols, char)
-
-    monkeypatch.setattr(depth_module, "boundary_rank", record)
-    for n, i_gens, j_gens in KOSZUL_PAIRS:
-        Q = _pair(n, i_gens, j_gens)
-        depth_module.depth(Q, 0)
-        depth_module.depth(Q, 3)
+    for Q in pairs:
+        for src, cols in _koszul_matrices(Q):
+            seen[tuple(src), tuple(cols)] = src, cols
     assert max(len(src) for src, _ in seen.values()) > 200
     for src, cols in seen.values():
-        dense = dense_rows(boundary_matrix(src, cols, 0), len(cols))
-        assert boundary_rank(src, cols, 0) == rank_fraction_gauss(dense)
-        for p in (3, 32003):
-            assert boundary_rank(src, cols, p) == rank_modp_dense(dense, p)
+        _check_against_dense_oracles(boundary_matrix(src, cols, 0), len(cols))
+
+    morse: list = []
+
+    def recording(kernel):
+        def record(rows, *args):
+            morse.append(rows)
+            return kernel(rows, *args)
+        return record
+
+    monkeypatch.setattr(linalg, "rank_char0", recording(rank_char0))
+    monkeypatch.setattr(linalg, "rank_modp", recording(rank_modp))
+    for Q in pairs:
+        depth(Q, 0)
+        depth(Q, 3)
+    monkeypatch.undo()
+    assert len(morse) > 100
+    for rows in morse:
+        # two gradient paths into one cell cancel, so entries stay ±1
+        assert all(x in (-1, 1) for row in rows for x in row.values())
+        _check_against_dense_oracles(rows, 1 + max((c for r in rows for c in r), default=0))
