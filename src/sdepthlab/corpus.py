@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from .engines import EngineCache
 from .hilbert import herzog_question
 from .io import parse_input
-from .monomials import Monomial, QuotientPair, minimalize, parse_monomial, split_pair
+from .monomials import Monomial, QuotientPair, minimalize, parse_monomial
+from .poset import split_pair
 from .reisner import reisner_depth_oracle
 from .surgery import build_h, build_reduced_pair, find_paths
 from .verdicts import bounds_report

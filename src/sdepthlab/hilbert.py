@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .monomials import InputError, QuotientPair
-from .poset import poset_view
+from .poset import members, poset_view
 
 
 @dataclass(frozen=True)
@@ -157,11 +157,7 @@ def colon_refuter(Q: QuotientPair, k: int) -> int | None:
     # a[j][e]: degree-e elements of P that x_{j+1} divides; a[j][n+1] stays 0.
     # The bitset is read directly, so a refuted pair never sorts its elements.
     a = [[0] * (n + 2) for _ in range(n)]
-    rest = poset_view(Q).bits
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        m = low.bit_length() - 1
+    for m in members(poset_view(Q).bits):
         e = m.bit_count()
         while m:
             var = m & -m

@@ -203,23 +203,6 @@ class Ideal:
     def member_mask(self, mm: int) -> bool:
         return any(g & ~mm == 0 for g in self._masks)
 
-    def colon_var(self, j: int) -> "Ideal":
-        """(self : x_j), also squarefree: divide each generator by x_j if possible."""
-        if not 1 <= j <= self.ambient:
-            raise InputError(f"variable index {j} out of range")
-        keep = ~(1 << (j - 1))
-        return Ideal._of_masks(self.ambient, [g & keep for g in self._masks])
-
-    def intersect(self, other: "Ideal") -> "Ideal":
-        self._check_ambient(other)
-        return Ideal._of_masks(
-            self.ambient, [a | b for a in self._masks for b in other._masks]
-        )
-
-    def __add__(self, other: "Ideal") -> "Ideal":
-        self._check_ambient(other)
-        return Ideal._of_masks(self.ambient, self._masks + other._masks)
-
     def contains_ideal(self, other: "Ideal") -> bool:
         mine = self._masks
         return all(any(g & ~h == 0 for g in mine) for h in other._masks)
@@ -254,11 +237,13 @@ def minimalize(ambient: int, gens: Iterable[Monomial]) -> Ideal:
 
 
 def intersect(a: Ideal, b: Ideal) -> Ideal:
-    return a.intersect(b)
+    a._check_ambient(b)
+    return Ideal._of_masks(a.ambient, [x | y for x in a._masks for y in b._masks])
 
 
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
-    return a + b
+    a._check_ambient(b)
+    return Ideal._of_masks(a.ambient, a._masks + b._masks)
 
 
 class QuotientPair:
@@ -268,7 +253,9 @@ class QuotientPair:
     I\\J is nonempty.  `normalization_warning` is set when J has a minimal
     generator of degree ≤ d (d = least degree of I's generators); such pairs
     are fully supported, but the theorem-derived verdict rules assume the
-    normalized shape and are gated off.
+    normalized shape and are gated off.  Only an input pair can carry the
+    warning: every pair derived from another is built by `poset.pair_of`,
+    whose normal form has J generated in degrees > d.
     """
 
     __slots__ = ("ambient", "I", "J", "field", "normalization_warning", "_key", "_poset")
@@ -317,25 +304,14 @@ class QuotientPair:
 
 
 def colon_pair(Q: QuotientPair, j: int) -> QuotientPair | None:
-    """The pair (I:x_j)/(J:x_j), or None when the colons coincide."""
-    Ic = Q.I.colon_var(j)
-    Jc = Q.J.colon_var(j)
-    if Jc.contains_ideal(Ic):
-        return None
-    return QuotientPair(Ic, Jc, Q.field)
+    """(I:x_j)/(J:x_j) as `poset.pair_of` its poset, or None when the colons
+    coincide.  A squarefree w lies in it iff w ∪ {j} lies in P, so its poset
+    is r | (r >> 2^(j-1)) for r the elements of P that x_j divides."""
+    from .poset import interval_bits, pair_of, poset_view  # poset imports this module
 
-
-def split_pair(Q: QuotientPair, sub: Ideal) -> tuple:
-    """The ends sub/(J∩sub) and I/(J + sub) of 0 → sub/(J∩sub) → I/J →
-    I/(J + sub) → 0 for an ideal sub ⊆ I, each None when it is zero.
-
-    sub = I gives (Q, None): the first end is Q itself and shares its view.
-    """
-    if sub == Q.I:
-        return Q, None
-    Js = Q.J.intersect(sub)
-    K = Q.J + sub
-    return (
-        None if Js == sub else QuotientPair(sub, Js, Q.field),
-        None if K.contains_ideal(Q.I) else QuotientPair(Q.I, K, Q.field),
-    )
+    n = Q.ambient
+    if not 1 <= j <= n:
+        raise InputError(f"variable index {j} out of range")
+    x = 1 << (j - 1)
+    r = poset_view(Q).bits & interval_bits(x, (1 << n) - 1)
+    return pair_of(n, r | (r >> x), Q.field)

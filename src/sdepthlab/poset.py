@@ -2,18 +2,21 @@
 
 `poset_view` reads P_{I\\J}, every squarefree monomial lying in I but not in
 J, once per pair: its bitset, its least degree d, and its elements in
-canonical order, layer by layer.  `strata` reads off the view, once per
-pair, the statistics the upper-bound theorems consume: the least degree d,
-the degree-d generators f_1..f_r, the higher-degree generators E, the
-degree-(d+1) and -(d+2) layers B and C, the pairwise generator lcms, and the
-lcm-constrained subsets C2 and C3 of C.
+canonical order, layer by layer.  I/J depends only on P (Herzog-Vladoiu-
+Zheng, J. Algebra 322, 2009), so `pair_of` builds every derived pair from its
+poset, which `split_pair` and `monomials.colon_pair` cut out of the parent's
+bitset.  `strata` reads off the view, once per pair, the statistics the
+upper-bound theorems consume: the least degree d, the degree-d generators
+f_1..f_r, the higher-degree generators E, the degree-(d+1) and -(d+2) layers
+B and C, the pairwise generator lcms, and the lcm-constrained subsets C2 and
+C3 of C.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .monomials import Monomial, QuotientPair, canonical_key
+from .monomials import MAX_AMBIENT, Ideal, Monomial, QuotientPair, canonical_key
 
 
 def poset_bitset(Q: QuotientPair) -> int:
@@ -39,12 +42,8 @@ def _filter_bitset(n: int, gens: tuple[int, ...]) -> int:
 
 def upward_closure(bits: int, within: int) -> int:
     """Close a subset-indexed bitset upward under adding variables of `within`."""
-    t = within
-    while t:
-        low = t & -t
-        i = low.bit_length() - 1
-        bits |= (bits & _low_block(i)) << (1 << i)
-        t ^= low
+    for i in members(within):
+        bits |= (bits & _LOW_BLOCKS[i]) << (1 << i)
     return bits
 
 
@@ -59,53 +58,55 @@ def interval_bits(lo: int, hi: int) -> int:
     return bits
 
 
+def members(bits: int) -> list[int]:
+    """The positions of the set bits of `bits`, ascending: the masks in a
+    subset-indexed bitset, or the variables (from 0) of a mask."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
 def downward_closure(bits: int, within: int) -> int:
     """Close a subset-indexed bitset downward under removing variables of `within`."""
-    t = within
-    while t:
-        low = t & -t
-        i = low.bit_length() - 1
-        bits |= (bits >> (1 << i)) & _low_block(i)
-        t ^= low
+    for i in members(within):
+        bits |= (bits >> (1 << i)) & _LOW_BLOCKS[i]
     return bits
 
 
-_MAXN = 16
-_LOW_BLOCK_CACHE: dict[int, int] = {}
-
-
 def _low_block(i: int) -> int:
-    """Mask over 2^MAXN subset positions selecting those with index-bit i clear."""
-    got = _LOW_BLOCK_CACHE.get(i)
-    if got is None:
-        got = (1 << (1 << i)) - 1  # low half of one period
-        width = 1 << (i + 1)
-        total = 1 << _MAXN
-        while width < total:
-            got |= got << width
-            width *= 2
-        _LOW_BLOCK_CACHE[i] = got
+    """Mask over 2^MAX_AMBIENT subset positions: those with index-bit i clear."""
+    got = (1 << (1 << i)) - 1  # low half of one period
+    width = 1 << (i + 1)
+    while width < 1 << MAX_AMBIENT:
+        got |= got << width
+        width *= 2
     return got
+
+
+_LOW_BLOCKS = tuple(_low_block(i) for i in range(MAX_AMBIENT))
 
 
 class PosetView:
     """P_{I\\J} of one pair, computed once and read by every engine.
 
     `bits` has bit m set iff the monomial with mask m lies in I\\J; `d` is
-    the least degree of an element.  `elements` lists the masks in canonical
-    order, built on first use and shared by every reader, who must not
-    mutate it; that order is degree-major, so the elements of degree k form
-    the contiguous run `layer(k)`.  `hdepth` and `strata` hold the pair's
-    Hilbert depth and StrataReport once `hilbert.hdepth1_pair` and `strata`
-    have computed them from the layers.
+    the least degree of an element.  `poset_view` computes both for an input
+    pair, and `pair_of` seeds them for a derived one.  `elements` lists the
+    masks in canonical order, built on first use and shared by every reader,
+    who must not mutate it; that order is degree-major, so the elements of
+    degree k form the contiguous run `layer(k)`.  `hdepth` and `strata` hold
+    the pair's Hilbert depth and StrataReport once `hilbert.hdepth1_pair`
+    and `strata` have computed them from the layers.
     """
 
     __slots__ = ("bits", "d", "_elements", "_starts", "hdepth", "strata")
 
-    def __init__(self, Q: QuotientPair):
-        self.bits = poset_bitset(Q)
-        # a least-degree element is an I-generator outside J
-        self.d = min(m.bit_count() for m in Q.I.gen_masks() if (self.bits >> m) & 1)
+    def __init__(self, bits: int, d: int):
+        self.bits = bits
+        self.d = d
         self._elements: list[int] | None = None
         self._starts: list[int] = []
         self.hdepth = None
@@ -126,12 +127,7 @@ class PosetView:
 
     def _index(self) -> None:
         """Sort the elements and count them by degree, once."""
-        masks = []
-        rest = self.bits
-        while rest:
-            low = rest & -rest
-            masks.append(low.bit_length() - 1)
-            rest ^= low
+        masks = members(self.bits)
         self._elements = sorted(masks, key=canonical_key)
         # _starts[k] = number of elements of degree < k, for k up to one
         # past the top degree
@@ -149,8 +145,54 @@ def poset_view(Q: QuotientPair) -> PosetView:
     """The pair's PosetView, built on first use and kept on the pair."""
     view = Q._poset
     if view is None:
-        view = Q._poset = PosetView(Q)
+        bits = poset_bitset(Q)
+        # a least-degree element is an I-generator outside J
+        d = min(m.bit_count() for m in Q.I.gen_masks() if (bits >> m) & 1)
+        view = Q._poset = PosetView(bits, d)
     return view
+
+
+def _minimal(bits: int, n: int) -> int:
+    # in a convex family an element is minimal iff no element lies one
+    # variable below it
+    below = 0
+    for i in range(n):
+        below |= (bits & _LOW_BLOCKS[i]) << (1 << i)
+    return bits & ~below
+
+
+def pair_of(n: int, bits: int, field: int) -> QuotientPair | None:
+    """The pair I'/J' over x_1..x_n whose poset P is the convex family
+    `bits`, with its view seeded from it, or None when `bits` is 0.
+
+    It is in normal form: I' is generated by the minimal elements of P and
+    J' by those of up(P) \\ P, which is I' ∩ J for any I/J with poset P.
+    So J' has no generator of degree ≤ d, and the pair no warning.
+    """
+    if not bits:
+        return None
+    I = Ideal._of_masks(n, members(_minimal(bits, n)))
+    above = upward_closure(bits, (1 << n) - 1) & ~bits
+    Q = QuotientPair(I, Ideal._of_masks(n, members(_minimal(above, n))), field)
+    Q._poset = PosetView(bits, I.gen_masks()[0].bit_count())
+    return Q
+
+
+def split_pair(Q: QuotientPair, sub: Ideal) -> tuple:
+    """The ends of 0 → (I∩sub)/(J∩sub) → I/J → I/(J + I∩sub) → 0, each
+    None when it is zero.
+
+    Their posets are P ∩ F and P \\ F, for F the squarefree monomials of
+    sub; each end is `pair_of` its poset, except that a first end with all
+    of P is Q itself and shares its view.
+    """
+    Q.I._check_ambient(sub)
+    bits = poset_view(Q).bits
+    inside = bits & _filter_bitset(Q.ambient, sub.gen_masks())
+    if inside == bits:
+        return Q, None
+    return (pair_of(Q.ambient, inside, Q.field),
+            pair_of(Q.ambient, bits & ~inside, Q.field))
 
 
 @dataclass(frozen=True)

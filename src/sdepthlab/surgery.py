@@ -19,16 +19,8 @@ from dataclasses import dataclass, replace
 
 from .depth import depth
 from .hilbert import colon_refuter
-from .monomials import (
-    Ideal,
-    InputError,
-    Monomial,
-    QuotientPair,
-    intersect,
-    minimalize,
-    split_pair,
-)
-from .poset import StrataReport, interval_bits, poset_view, strata
+from .monomials import Ideal, InputError, Monomial, QuotientPair, minimalize
+from .poset import StrataReport, interval_bits, members, poset_view, split_pair, strata
 from .sdepth import (
     Interval,
     Partition,
@@ -64,7 +56,8 @@ def _designated_generator(st: StrataReport, b: Monomial) -> Monomial:
 
 
 def build_reduced_pair(Q: QuotientPair, b: Monomial) -> QuotientPair:
-    """Drop b and the generator dividing it: I_b = (other f's, B minus b)."""
+    """Drop b and the generator dividing it: I_b = (other f's, B minus b).
+    The pair I_b/(J∩I_b) is in the normal form of `poset.pair_of`."""
     st = strata(Q)
     if b not in st.B:
         raise SurgeryError(f"b={b} is not a degree-(d+1) element of the poset")
@@ -72,12 +65,12 @@ def build_reduced_pair(Q: QuotientPair, b: Monomial) -> QuotientPair:
     gens = [f for f in st.f_list if f != f1]
     gens.extend(m for m in st.B if m != b)
     I_b = minimalize(Q.ambient, gens)
-    if I_b.is_zero():
-        raise SurgeryError("reduced ideal I_b must be nonzero")
     if I_b.member(b):
         raise SurgeryError(f"reduction failed: {b} still lies in I_b")
-    J_b = intersect(Q.J, I_b)
-    return QuotientPair(I_b, J_b, field=Q.field)
+    pair_b = split_pair(Q, I_b)[0]
+    if pair_b is None:
+        raise SurgeryError("reduced pair I_b/J_b must be nonzero")
+    return pair_b
 
 
 def _truncated_cover(lo: int, hi: int, k: int) -> list[tuple[int, int]]:
@@ -95,12 +88,7 @@ def _truncated_cover(lo: int, hi: int, k: int) -> list[tuple[int, int]]:
 def _inner_elements(iv: Interval) -> tuple[Monomial, ...]:
     """The elements of `iv` one degree above its bottom, in canonical order."""
     lo = iv.lo.mask
-    span = iv.hi.mask & ~lo
-    inner = []
-    while span:
-        low = span & -span
-        inner.append(Monomial(lo | low))
-        span ^= low
+    inner = [Monomial(lo | 1 << i) for i in members(iv.hi.mask & ~lo)]
     return tuple(sorted(inner, key=Monomial.sort_key))
 
 
@@ -117,8 +105,8 @@ def normalize_partition(Q: QuotientPair, partition: Partition, k: int) -> Partit
     pieces: list[Interval] = []
     for iv in partition.intervals:
         lo, hi = iv.lo.mask, iv.hi.mask
-        members = interval_bits(lo, hi)
-        covered |= members
+        inside = interval_bits(lo, hi)
+        covered |= inside
         if lo.bit_count() >= k:
             pieces.append(iv)
             continue
@@ -130,22 +118,16 @@ def normalize_partition(Q: QuotientPair, partition: Partition, k: int) -> Partit
             pieces.append(Interval(Monomial(a), Monomial(c)))
         # high leftovers of the truncated interval become singletons, from
         # the largest mask down
-        while members:
-            m = members.bit_length() - 1
+        for m in reversed(members(inside)):
             if m.bit_count() > k:
                 pieces.append(Interval(Monomial(m), Monomial(m)))
-            members ^= 1 << m
-    rest = bits & ~covered
-    while rest:
-        low = rest & -rest
-        m = low.bit_length() - 1
+    for m in members(bits & ~covered):
         if m.bit_count() < k:
             raise InputError(
                 f"uncovered element {Monomial(m)} of degree < {k} cannot be "
                 "normalized into a singleton"
             )
         pieces.append(Interval(Monomial(m), Monomial(m)))
-        rest ^= low
     out = Partition(tuple(pieces))
     vr = verify_partition(Q, out)
     if not vr:

@@ -10,7 +10,8 @@ Counting rules come in two flavours.  The Stanley-depth flavour is proved by
 pure interval counting inside the poset, so it holds for any pair; it uses
 the number of degree-d poset elements rather than the generator count.  The
 depth flavour relies on the normalization assumptions (J generated in degrees
-> d), so it is gated on the pair's `normalization_warning`.
+> d), so it is gated on an input pair's `normalization_warning`; the pairs
+derived from it are built in that normal form (`poset.pair_of`).
 """
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 from operator import eq, ge, le
 
 from .engines import EngineCache
-from .monomials import Ideal, Monomial, QuotientPair, colon_pair, intersect, split_pair
-from .poset import StrataReport, poset_view
+from .monomials import Ideal, Monomial, QuotientPair, colon_pair
+from .poset import StrataReport, poset_view, split_pair
 
 # depth of the zero module, for Depth-Lemma arithmetic on short exact sequences
 INF_DEPTH = 10**9
@@ -285,9 +286,11 @@ def _colon_restriction_rules(
 
     When the restricted pair has more degree-(d_t+1) elements than
     C-count plus degree-d_t count, its sdepth is at most d_t+1 by counting.
-    If on top of that the restriction is normalized and falls in a proved
-    conjecture case, its depth is at most d_t+1 as well, and localization
-    monotonicity carries that bound back to the original pair.
+    If on top of that the restriction falls in a proved conjecture case, its
+    depth is at most d_t+1 as well, and localization monotonicity carries
+    that bound back to the original pair.  No gate applies: a restriction
+    is in normal form, or is Q itself, whose case implies that of its
+    normal form (the generators of Q outside J).
     """
     out: list[Verdict] = []
     fired = False
@@ -320,9 +323,7 @@ def _colon_restriction_rules(
             )
         )
         case = _conjecture_case(st_t)
-        chain_ok = (
-            not Ut.normalization_warning and sv_t <= st_t.d + 1 and case is not None
-        )
+        chain_ok = sv_t <= st_t.d + 1 and case is not None
         out.append(
             Verdict(
                 "colon_restriction_depth",
@@ -396,16 +397,17 @@ class AuditReport:
 def _derived_pairs(Q: QuotientPair, cache: EngineCache) -> tuple:
     """Per x_t: (I:x_t)/(J:x_t), I∩(x_t)/J∩(x_t) and I/(J + I∩(x_t)), or None.
 
+    Each is `poset.pair_of` its poset, cut out of Q's, except that a
+    restriction equal to I/J is Q itself and shares Q's view and strata.
     None depends on the field (callers pass theirs to `cache.depth`).  They
-    are kept on the cache, not on the pair, which may outlive the cache.  A
-    restriction equal to I/J is Q itself, so it shares Q's view and strata.
+    are kept on the cache, not on the pair, which may outlive the cache.
     """
     k = Q.key()
     got = cache._derived.get(k)
     if got is None:
         n = Q.ambient
         got = cache._derived[k] = tuple(
-            (colon_pair(Q, t), *split_pair(Q, intersect(Q.I, Ideal(n, (Monomial.of(t),)))))
+            (colon_pair(Q, t), *split_pair(Q, Ideal(n, (Monomial.of(t),))))
             for t in range(1, n + 1)
         )
     return got

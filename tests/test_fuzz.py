@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import random
 import time
@@ -81,6 +82,16 @@ def test_jsonl_log_replays(tmp_path):
             "J": [str(g) for g in Q.J.gens],
         }
 
+
+
+def test_jsonl_log_matches_the_recorded_records(tmp_path):
+    # sha256 of the JSONL log: every record's strata, depths, verdicts and
+    # driver entries, so a change to any engine can show it keeps them
+    log = tmp_path / "stream.jsonl"
+    run_fuzz(FuzzConfig(n=6, seed=2026, count=200, out=str(log)))
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == (
+        "9335eae512e82498bfd6b5939376f4146e67250edc8d058cc2156bd81f3cf8e1"
+    )
 
 
 def test_run_instance_record_shape():

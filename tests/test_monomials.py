@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import from_strs, quotient_pairs
+from helpers import brute_poset_masks, from_strs, quotient_pairs
+from sdepthlab.depth import depth
+from sdepthlab.hilbert import hdepth1_pair
 from sdepthlab.monomials import (
     MAX_AMBIENT,
     AmbientMismatchError,
@@ -21,8 +23,9 @@ from sdepthlab.monomials import (
     mask_of,
     minimalize,
     parse_monomial,
-    split_pair,
 )
+from sdepthlab.poset import pair_of, poset_bitset, poset_view, split_pair, strata
+from sdepthlab.sdepth import sdepth
 
 masks = st.integers(min_value=0, max_value=(1 << 6) - 1)
 
@@ -120,7 +123,7 @@ def test_ideal_constructor_errors():
     with pytest.raises(InputError):
         Ideal(2, [Monomial.of(3)])
     with pytest.raises(AmbientMismatchError):
-        Ideal(2, [Monomial.of(1)]).intersect(Ideal(3, [Monomial.of(1)]))
+        intersect(Ideal(2, [Monomial.of(1)]), Ideal(3, [Monomial.of(1)]))
 
 
 def test_ideal_flags_and_str():
@@ -140,20 +143,11 @@ def test_intersect_and_sum_membership(ga, gb, probe):
     assert ideal_sum(A, B).member(m) == (A.member(m) or B.member(m))
 
 
-@given(st.lists(masks.filter(lambda m: m > 0), min_size=1, max_size=4),
-       masks, st.integers(min_value=1, max_value=6))
-def test_colon_var_membership(gens, probe, j):
-    I = Ideal(6, [Monomial(m) for m in gens])
-    colon = I.colon_var(j)
-    assert colon.member_mask(probe) == I.member_mask(probe | (1 << (j - 1)))
-
-
-@given(st.lists(masks, max_size=5), st.lists(masks, max_size=5),
-       st.integers(min_value=1, max_value=6))
-def test_ideals_keep_their_masks(ga, gb, j):
+@given(st.lists(masks, max_size=5), st.lists(masks, max_size=5))
+def test_ideals_keep_their_masks(ga, gb):
     A = Ideal(6, [Monomial(m) for m in ga])
     B = Ideal(6, [Monomial(m) for m in gb])
-    for ideal in (A, B, A.colon_var(j), intersect(A, B), ideal_sum(A, B)):
+    for ideal in (A, B, intersect(A, B), ideal_sum(A, B)):
         assert ideal.gen_masks() == tuple(g.mask for g in ideal.gens)
         assert ideal.gen_masks() is ideal.gen_masks()
     assert (A == B) == (A.gen_masks() == B.gen_masks())
@@ -164,9 +158,11 @@ def test_ideals_keep_their_masks(ga, gb, j):
     assert Ideal(5, A.gens[:0]) != Ideal(6, A.gens[:0])  # ambient counts
 
 
-def test_colon_var_range_error():
-    with pytest.raises(InputError):
-        Ideal(3, [Monomial.of(1)]).colon_var(4)
+def test_colon_pair_range_error():
+    Q = QuotientPair(from_strs(3, "x1"), Ideal(3))
+    for j in (0, 4):
+        with pytest.raises(InputError):
+            colon_pair(Q, j)
 
 
 def test_quotient_pair_validation():
@@ -211,16 +207,87 @@ def test_split_pair():
     Q = QuotientPair(I, from_strs(3, "x1*x2"), field=2)
     assert split_pair(Q, Q.I) == (Q, None)
     assert split_pair(Q, from_strs(3, "x2", "x1"))[0] is Q
+    # P = {x1, x2, x1*x3, x2*x3}: the ends hold {x1, x1*x3} and {x2, x2*x3}
     A, C = split_pair(Q, from_strs(3, "x1"))
     assert (A.I, A.J, A.field) == (from_strs(3, "x1"), Q.J, 2)
-    assert (C.I, C.J, C.field) == (I, from_strs(3, "x1"), 2)
+    assert (C.I, C.J, C.field) == (from_strs(3, "x2"), Q.J, 2)
     # a subideal inside J has a zero first end
     A, C = split_pair(Q, from_strs(3, "x1*x2"))
     assert A is None and C == Q and C is not Q
-    # J + sub = I gives a zero last end
+    # a subideal holding all of P is a first end equal to the pair itself,
+    # even where J + sub is not I
     Q2 = QuotientPair(I, from_strs(3, "x2"))
-    A, C = split_pair(Q2, from_strs(3, "x1"))
-    assert (A.I, A.J, C) == (from_strs(3, "x1"), from_strs(3, "x1*x2"), None)
+    assert split_pair(Q2, from_strs(3, "x1"))[0] is Q2
+    # the ends of a pair with a warning are in normal form: x2 lies in J
+    Q3 = QuotientPair(from_strs(3, "x1", "x2", "x3"), from_strs(3, "x2"))
+    A, C = split_pair(Q3, from_strs(3, "x1"))
+    assert (A.I, A.J) == (from_strs(3, "x1"), from_strs(3, "x1*x2"))
+    assert (C.I, C.J) == (from_strs(3, "x3"), from_strs(3, "x1*x3", "x2*x3"))
+    assert not A.normalization_warning and not C.normalization_warning
+    with pytest.raises(AmbientMismatchError):
+        split_pair(Q, from_strs(4, "x1"))
+
+
+def _bits_of(I: Ideal, J: Ideal) -> int:
+    """The poset of I/J by membership tests, 0 when J contains I."""
+    return sum(1 << m for m in range(1 << I.ambient)
+               if I.member_mask(m) and not J.member_mask(m))
+
+
+def _check_derived(P: QuotientPair | None, bits: int, Q: QuotientPair) -> None:
+    """P is `pair_of` the poset `bits` cut out of Q, or None when it is 0."""
+    if not bits:
+        assert P is None
+        return
+    assert poset_view(P).bits == bits == poset_bitset(P)
+    assert P.field == Q.field
+    if P is Q:
+        return
+    # normal form: I' is generated by P and J' by the members of I' outside P
+    n = Q.ambient
+    elements = [m for m in range(1 << n) if bits >> m & 1]
+    assert P.I == Ideal(n, [Monomial(m) for m in elements])
+    assert P.J == Ideal(n, [Monomial(m) for m in range(1 << n)
+                            if P.I.member_mask(m) and not bits >> m & 1])
+    assert not P.normalization_warning
+    assert poset_view(P).d == min(m.bit_count() for m in elements)
+
+
+@given(quotient_pairs(normalized=False), st.data())
+def test_derived_pairs_match_ideal_arithmetic(Q, data):
+    n = Q.ambient
+    for t in range(1, n + 1):
+        x = Monomial.of(t)
+        # (I:x_t) divides each generator by x_t where it can
+        Ic = Ideal(n, [Monomial(g.mask & ~x.mask) for g in Q.I.gens])
+        Jc = Ideal(n, [Monomial(g.mask & ~x.mask) for g in Q.J.gens])
+        _check_derived(colon_pair(Q, t), _bits_of(Ic, Jc), Q)
+        xt = Ideal(n, [x])
+        A, C = split_pair(Q, xt)
+        It = intersect(Q.I, xt)
+        _check_derived(A, _bits_of(It, intersect(Q.J, It)), Q)
+        _check_derived(C, _bits_of(Q.I, ideal_sum(Q.J, It)), Q)
+    inside = [m for m in range(1 << n) if Q.I.member_mask(m)]
+    sub = Ideal(n, [Monomial(m) for m in data.draw(
+        st.lists(st.sampled_from(inside), min_size=1, max_size=3))])
+    A, C = split_pair(Q, sub)
+    _check_derived(A, _bits_of(sub, intersect(Q.J, sub)), Q)
+    _check_derived(C, _bits_of(Q.I, ideal_sum(Q.J, sub)), Q)
+
+
+@given(quotient_pairs(normalized=False))
+def test_pair_of_its_poset_keeps_every_invariant(Q):
+    bits = sum(1 << m for m in brute_poset_masks(Q))
+    P = pair_of(Q.ambient, bits, Q.field)
+    assert pair_of(Q.ambient, 0, Q.field) is None
+    assert not P.normalization_warning
+    assert P.J == intersect(P.I, Q.J)
+    for char in (0, 2):
+        assert depth(P, field=char).depth == depth(Q, field=char).depth
+    assert sdepth(P).value == sdepth(Q).value
+    assert hdepth1_pair(P) == hdepth1_pair(Q)
+    a, b = strata(P), strata(Q)
+    assert (a.d, a.s, a.q) == (b.d, b.s, b.q)
 
 
 @given(quotient_pairs(normalized=False), st.sampled_from((0, 2, 3, 32003)))

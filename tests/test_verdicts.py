@@ -144,6 +144,20 @@ def test_colon_restriction_rules_on_four_generator_pair():
     assert depths[0].consistent is True
 
 
+def test_colon_restriction_depth_reads_the_restriction_in_normal_form():
+    # stream pair #24 of seed 2026 at n=6: I∩(x4) = (x1*x4, x2*x4, x3*x4)
+    # has x1*x4 in J, but the restriction is built in normal form, I' =
+    # (x2*x4, x3*x4), so r = 2 and the depth rule applies
+    Q = random_pair(instance_rng(2026, 24), FuzzConfig(n=6, seed=2026))
+    assert (Q.I, Q.J) == (from_strs(6, "x1", "x2", "x3"),
+                          from_strs(6, "x1*x4", "x2*x6", "x2*x3*x5"))
+    v = next(v for v in bounds_report(Q)
+             if v.rule == "colon_restriction_depth" and v.detail["t"] == 4)
+    assert v.applicable and "case r=2" in v.hypothesis
+    assert (v.observed, v.relation, v.bound) == (3, "<=", 3)
+    assert v.consistent is True
+
+
 def test_colon_restriction_not_applicable_row():
     Q = QuotientPair(from_strs(2, "x1"), Ideal(2))
     verdicts = bounds_report(Q)
