@@ -15,6 +15,7 @@ from .fuzz import FuzzConfig, run_fuzz
 from .depth import depth
 from .hilbert import hdepth1_pair, herzog_question
 from .io import load_pair
+from .linalg import check_field
 from .monomials import InputError, QuotientPair, parse_monomial
 from .sdepth import sdepth, sdepth_decide
 from .surgery import DriverFailure, ml1_driver
@@ -80,13 +81,13 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _analysis_report(Q: QuotientPair, cache: EngineCache) -> dict:
+def _analysis_report(Q: QuotientPair, cache: EngineCache, field: int) -> dict:
     st = cache.strata(Q)
-    verdicts = bounds_report(Q, cache=cache)
-    audit = consistency_audit(Q, cache=cache)
+    verdicts = bounds_report(Q, cache=cache, field=field)
+    audit = consistency_audit(Q, cache=cache, field=field)
     bad = [v.to_json() for v in inconsistencies(verdicts, audit)]
     findings = []
-    obs = stanley_observation(Q, cache=cache)
+    obs = stanley_observation(Q, cache=cache, field=field)
     if obs is not None:
         findings.append(obs)
     return {
@@ -94,12 +95,12 @@ def _analysis_report(Q: QuotientPair, cache: EngineCache) -> dict:
             "n": Q.ambient,
             "I": [str(g) for g in Q.I.gens],
             "J": [str(g) for g in Q.J.gens],
-            "field": Q.field,
+            "field": field,
         },
         "normalization_warning": Q.normalization_warning,
         "strata": st.to_json(),
         "sdepth": cache.sdepth(Q).to_json(),
-        "depth": cache.depth(Q).to_json(),
+        "depth": cache.depth(Q, field).to_json(),
         "hdepth": cache.hdepth(Q).to_json(),
         "verdicts": [v.to_json() for v in verdicts],
         "audit": audit.to_json(),
@@ -109,9 +110,8 @@ def _analysis_report(Q: QuotientPair, cache: EngineCache) -> dict:
 
 
 def _cmd_analyze(args) -> int:
-    Q = load_pair(args.file, field=args.char)
-    cache = EngineCache()
-    report = _analysis_report(Q, cache)
+    char = check_field(args.char)
+    report = _analysis_report(load_pair(args.file), EngineCache(), char)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -138,8 +138,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_depth(args) -> int:
-    Q = load_pair(args.file, field=args.char)
-    res = depth(Q)
+    char = check_field(args.char)
+    res = depth(load_pair(args.file), char)
     print(f"depth = {res.depth} (char {res.field}, pd = {res.pd}, "
           f"witness multidegree {res.witness_degree})")
     return EXIT_OK

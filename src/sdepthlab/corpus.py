@@ -134,8 +134,8 @@ BAD_PB_INTERVALS: tuple[tuple[str, str], ...] = (
 )
 
 
-def pair(name: str, field: int = 0) -> QuotientPair:
-    return parse_input(ITEMS[name], field=field)
+def pair(name: str) -> QuotientPair:
+    return parse_input(ITEMS[name])
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .linalg import rank
-from .monomials import InputError, Monomial, QuotientPair, canonical_key, check_field
+from .linalg import check_field, rank
+from .monomials import InputError, Monomial, QuotientPair, canonical_key
 from .poset import poset_view
 
 
@@ -191,8 +191,9 @@ def _top_homology(pbits: int, a: int, floor: int, char: int,
     return floor, screen_top
 
 
-def depth(Q: QuotientPair, field: int | None = None) -> DepthResult:
-    char = Q.field if field is None else check_field(field)
+def depth(Q: QuotientPair, field: int) -> DepthResult:
+    """depth(I/J) over the field of characteristic `field`."""
+    char = check_field(field)
     pbits = poset_view(Q).bits
     pd = pd2 = -1  # over `char`, and over its screen field
     witness = witness2 = None

@@ -28,7 +28,7 @@ from .monomials import (
     canonical_key,
     mask_of,
 )
-from .poset import upward_closure
+from .poset import members, upward_closure
 from .surgery import (
     DriverFailure,
     SurgeryError,
@@ -98,13 +98,11 @@ def random_pair(rng: random.Random, cfg: FuzzConfig) -> QuotientPair:
 
 
 def _upper_elements(I: Ideal, d: int) -> list[int]:
-    """Masks of elements of I with degree in [d+1, d+2] (J candidates)."""
-    out = []
-    for mask in range(1, 1 << I.ambient):
-        deg = mask.bit_count()
-        if d + 1 <= deg <= d + 2 and I.member_mask(mask):
-            out.append(mask)
-    return out
+    """Masks of elements of I with degree in [d+1, d+2] (J candidates), ascending."""
+    n = I.ambient
+    gens = sum(1 << g for g in I.gen_masks())  # the masks are distinct
+    layers = _degree_bits(n, d + 1) | _degree_bits(n, d + 2)
+    return members(upward_closure(gens, (1 << n) - 1) & layers)
 
 
 def _pair_json(Q: QuotientPair) -> dict:
@@ -160,13 +158,13 @@ def run_instance(Q: QuotientPair, cfg: FuzzConfig,
     """Full pipeline on one pair; returns (record, findings).
 
     `cfg` is the configuration of the stream that drew Q; no field of it
-    changes the record.
+    changes the record.  It lists the verdicts of characteristic 0.
     """
     cache = cache or EngineCache()
     findings: list[dict] = []
     st = cache.strata(Q)
     sres = cache.sdepth(Q)
-    depths = {str(c): cache.depth(Q, field=c).depth for c in (0, 2)}
+    depths = {str(c): cache.depth(Q, c).depth for c in _AUDIT_CHARS}
     record: dict = {
         "instance": _pair_json(Q),
         "strata": {"d": st.d, "r": st.r, "s": st.s, "q": st.q,
@@ -178,16 +176,15 @@ def run_instance(Q: QuotientPair, cfg: FuzzConfig,
     bad: list[dict] = []
     verdicts_json: list[dict] = []
     for char in _AUDIT_CHARS:
-        Qc = Q.with_field(char)
-        verdicts = bounds_report(Qc, cache=cache)
-        audit = consistency_audit(Qc, cache=cache)
+        verdicts = bounds_report(Q, cache=cache, field=char)
+        audit = consistency_audit(Q, cache=cache, field=char)
         for item in inconsistencies(verdicts, audit):
             payload = item.to_json()
             payload["char"] = char
             bad.append(payload)
-        if char == Q.field:
+        if char == 0:
             verdicts_json = [v.to_json() for v in verdicts]
-        obs = stanley_observation(Qc, cache=cache)
+        obs = stanley_observation(Q, cache=cache, field=char)
         if obs is not None:
             findings.append(obs)
     record["verdicts"] = verdicts_json
@@ -363,7 +360,10 @@ def _degree_masks(n: int, k: int) -> tuple[int, ...]:
 @cache
 def _degree_bits(n: int, k: int) -> int:
     """Bitset of the degree-k masks of n variables."""
-    bits = 0
-    for m in _degree_masks(n, k):
-        bits |= 1 << m
-    return bits
+    # layers[j]: the degree-j masks of the variables added so far; adding
+    # x_i shifts each degree-(j-1) mask up by 2^(i-1) into degree j
+    layers = [1] + [0] * k
+    for i in range(n):
+        for j in range(k, 0, -1):
+            layers[j] |= layers[j - 1] << (1 << i)
+    return layers[k]

@@ -50,7 +50,7 @@ def _parse_gen_list(text: str, line_no: int, col0: int) -> list[Monomial] | None
     return gens
 
 
-def parse_input(text: str, field: int = 0) -> QuotientPair:
+def parse_input(text: str) -> QuotientPair:
     """Read the ``n= / I = / J =`` file format into a validated pair."""
     n: int | None = None
     raw: dict[str, tuple[str, int, int]] = {}
@@ -101,7 +101,7 @@ def parse_input(text: str, field: int = 0) -> QuotientPair:
             ideals[name] = Ideal(n, gens or ())
         except InputError as exc:
             raise ParseError(str(exc), line_no, col0) from None
-    return QuotientPair(ideals["I"], ideals["J"], field=field)
+    return QuotientPair(ideals["I"], ideals["J"])
 
 
 def serialize_pair(Q: QuotientPair) -> str:
@@ -114,6 +114,6 @@ def serialize_pair(Q: QuotientPair) -> str:
     return f"n={Q.ambient}\nI = {gens(Q.I)}\nJ = {gens(Q.J)}\n"
 
 
-def load_pair(path: str, field: int = 0) -> QuotientPair:
+def load_pair(path: str) -> QuotientPair:
     with open(path, encoding="utf-8") as fh:
-        return parse_input(fh.read(), field=field)
+        return parse_input(fh.read())

@@ -21,11 +21,16 @@ Matrices here are incidence matrices with entries in {-1, 0, 1}, a few
 percent nonzero: the Morse-reduced Koszul differentials of the depth walk
 (`depth._morse_matrix`, rarely beyond a few dozen rows) and the simplicial
 boundary maps of the Reisner engine (`boundary_matrix`, up to a few
-hundred).  `rank` picks the kernel for a characteristic.
+hundred).  `rank` picks the kernel for a characteristic, one of
+`SUPPORTED_CHARS`, which `check_field` enforces at the entry points.
 """
 from __future__ import annotations
 
 from math import gcd
+
+from .monomials import InputError
+
+SUPPORTED_CHARS = (0, 2, 3, 32003)
 
 
 def rank_gf2_packed(rows: list[int]) -> int:
@@ -124,6 +129,13 @@ def boundary_matrix(src: list[int], cols: dict[int, int], char: int) -> list:
                 row[col] = -1 if (f & (low - 1)).bit_count() & 1 else 1
         rows.append(row)
     return rows
+
+
+def check_field(field: int) -> int:
+    """`field` if it is a supported characteristic, else InputError."""
+    if field not in SUPPORTED_CHARS:
+        raise InputError(f"field characteristic {field} not in {SUPPORTED_CHARS}")
+    return field
 
 
 def rank(rows: list, char: int) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 MAX_AMBIENT = 16
-SUPPORTED_CHARS = (0, 2, 3, 32003)
 
 
 class InputError(ValueError):
@@ -24,13 +23,6 @@ class AmbientMismatchError(InputError):
 
 class EmptyQuotientError(InputError):
     """A quotient I/J with J = I (the zero module) was requested."""
-
-
-def check_field(field: int) -> int:
-    """`field` if it is a supported characteristic, else InputError."""
-    if field not in SUPPORTED_CHARS:
-        raise InputError(f"field characteristic {field} not in {SUPPORTED_CHARS}")
-    return field
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -255,13 +247,13 @@ class QuotientPair:
     are fully supported, but the theorem-derived verdict rules assume the
     normalized shape and are gated off.  Only an input pair can carry the
     warning: every pair derived from another is built by `poset.pair_of`,
-    whose normal form has J generated in degrees > d.
+    whose normal form has J generated in degrees > d.  The pair has no
+    field: only depth depends on one, and `depth.depth` takes it.
     """
 
-    __slots__ = ("ambient", "I", "J", "field", "normalization_warning", "_key", "_poset")
+    __slots__ = ("ambient", "I", "J", "normalization_warning", "_key", "_poset")
 
-    def __init__(self, I: Ideal, J: Ideal, field: int = 0):
-        check_field(field)
+    def __init__(self, I: Ideal, J: Ideal):
         I._check_ambient(J)
         if I.is_zero():
             raise InputError("I must be nonzero")
@@ -272,35 +264,23 @@ class QuotientPair:
         self.ambient = I.ambient
         self.I = I
         self.J = J
-        self.field = field
         d = I.gen_masks()[0].bit_count()  # canonical order is degree-major
         self.normalization_warning = any(m.bit_count() <= d for m in J.gen_masks())
-        # hashable identity used by the caching layer (field-independent)
+        # the pair's identity: equality, hashing and the caching layer
         self._key = (self.ambient, I.gen_masks(), J.gen_masks())
         self._poset = None  # PosetView, built on first use by poset.poset_view
-
-    def with_field(self, field: int) -> "QuotientPair":
-        if field == self.field:
-            return self
-        out = QuotientPair(self.I, self.J, field)
-        out._poset = self._poset  # the poset does not depend on the field
-        return out
 
     def key(self) -> tuple:
         return self._key
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QuotientPair)
-            and self._key == other._key
-            and self.field == other.field
-        )
+        return isinstance(other, QuotientPair) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash((self._key, self.field))
+        return hash(self._key)
 
     def __repr__(self) -> str:
-        return f"QuotientPair(n={self.ambient}; I=({self.I}); J=({self.J}); char {self.field})"
+        return f"QuotientPair(n={self.ambient}; I=({self.I}); J=({self.J}))"
 
 
 def colon_pair(Q: QuotientPair, j: int) -> QuotientPair | None:
@@ -314,4 +294,4 @@ def colon_pair(Q: QuotientPair, j: int) -> QuotientPair | None:
         raise InputError(f"variable index {j} out of range")
     x = 1 << (j - 1)
     r = poset_view(Q).bits & interval_bits(x, (1 << n) - 1)
-    return pair_of(n, r | (r >> x), Q.field)
+    return pair_of(n, r | (r >> x))

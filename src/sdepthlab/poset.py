@@ -161,7 +161,7 @@ def _minimal(bits: int, n: int) -> int:
     return bits & ~below
 
 
-def pair_of(n: int, bits: int, field: int) -> QuotientPair | None:
+def pair_of(n: int, bits: int) -> QuotientPair | None:
     """The pair I'/J' over x_1..x_n whose poset P is the convex family
     `bits`, with its view seeded from it, or None when `bits` is 0.
 
@@ -173,7 +173,7 @@ def pair_of(n: int, bits: int, field: int) -> QuotientPair | None:
         return None
     I = Ideal._of_masks(n, members(_minimal(bits, n)))
     above = upward_closure(bits, (1 << n) - 1) & ~bits
-    Q = QuotientPair(I, Ideal._of_masks(n, members(_minimal(above, n))), field)
+    Q = QuotientPair(I, Ideal._of_masks(n, members(_minimal(above, n))))
     Q._poset = PosetView(bits, I.gen_masks()[0].bit_count())
     return Q
 
@@ -191,8 +191,7 @@ def split_pair(Q: QuotientPair, sub: Ideal) -> tuple:
     inside = bits & _filter_bitset(Q.ambient, sub.gen_masks())
     if inside == bits:
         return Q, None
-    return (pair_of(Q.ambient, inside, Q.field),
-            pair_of(Q.ambient, bits & ~inside, Q.field))
+    return pair_of(Q.ambient, inside), pair_of(Q.ambient, bits & ~inside)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ compares those with independent oracles.
 """
 from __future__ import annotations
 
-from .linalg import boundary_rank
-from .monomials import Ideal, InputError, check_field
+from .linalg import boundary_rank, check_field
+from .monomials import Ideal, InputError
 
 
 def stanley_reisner_complex(I: Ideal) -> tuple[int, ...]:

@@ -265,7 +265,6 @@ def _restrict(Q: QuotientPair, support: int) -> QuotientPair:
     return QuotientPair(
         Ideal._of_masks(m, [_squeeze(g, support) for g in Q.I.gen_masks()]),
         Ideal._of_masks(m, [_squeeze(g, support) for g in Q.J.gen_masks()]),
-        Q.field,
     )
 
 

@@ -6,7 +6,8 @@ builds the injection h from interval bottoms to interval tops, classifies
 paths through the resulting digraph, and rewrites the partition by rotations
 and generator swaps.  The two-generator driver either upgrades the partition
 to one of I/J with value d+2, or isolates a proper subideal I' whose quotient
-has small Stanley depth while I/(J,I') keeps depth >= d+1.
+has small Stanley depth while I/(J,I') keeps depth >= d+1 (in
+characteristic 0).
 
 Every rewrite and every outcome is re-verified by the exact engines, so a
 bookkeeping mistake here can cause an honest failure but never a wrong
@@ -770,7 +771,7 @@ class _Driver:
         if cert_sub is None:
             depth_rest = None
             if rest is not None:
-                depth_rest = depth(rest).depth
+                depth_rest = depth(rest, 0).depth
                 if depth_rest < d + 1:
                     self.log(
                         f"candidate ({I_sub}) rejected: "
@@ -849,4 +850,4 @@ def verify_outcome(Q: QuotientPair, outcome: SurgeryOutcome) -> bool:
     sub, rest = split_pair(Q, I_sub)
     if sub is None or sdepth_decide(sub, d + 2) is not None:
         return False
-    return rest is None or depth(rest).depth >= d + 1
+    return rest is None or depth(rest, 0).depth >= d + 1

@@ -11,15 +11,16 @@ pure interval counting inside the poset, so it holds for any pair; it uses
 the number of degree-d poset elements rather than the generator count.  The
 depth flavour relies on the normalization assumptions (J generated in degrees
 > d), so it is gated on an input pair's `normalization_warning`; the pairs
-derived from it are built in that normal form (`poset.pair_of`).
+derived from it are built in that normal form (`poset.pair_of`).  Only
+depth depends on the field, whose characteristic the entry points take.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field as dc_field
 from operator import eq, ge, le
 
 from .engines import EngineCache
-from .monomials import Ideal, Monomial, QuotientPair, colon_pair
+from .monomials import Ideal, Monomial, QuotientPair
 from .poset import StrataReport, poset_view, split_pair
 
 # depth of the zero module, for Depth-Lemma arithmetic on short exact sequences
@@ -35,7 +36,7 @@ class Verdict:
     relation: str | None = None
     bound: int | None = None
     observed: int | None = None
-    detail: dict = field(default_factory=dict)
+    detail: dict = dc_field(default_factory=dict)
 
     @property
     def consistent(self) -> bool | None:
@@ -79,12 +80,13 @@ def _conjecture_case(st: StrataReport) -> str | None:
 
 
 def bounds_report(
-    Q: QuotientPair, cache: EngineCache | None = None
+    Q: QuotientPair, cache: EngineCache | None = None, field: int = 0
 ) -> tuple[Verdict, ...]:
+    """Every bound rule on Q, with depth over characteristic `field`."""
     cache = cache if cache is not None else EngineCache()
     st = cache.strata(Q)
     sv = cache.sdepth(Q).value
-    dep = cache.depth(Q).depth
+    dep = cache.depth(Q, field).depth
     hd = cache.hdepth(Q).value
     warn = Q.normalization_warning
     d, r, s, q = st.d, st.r, st.s, st.q
@@ -294,7 +296,7 @@ def _colon_restriction_rules(
     """
     out: list[Verdict] = []
     fired = False
-    for t, (_, Ut, _) in enumerate(_derived_pairs(Q, cache), 1):
+    for t, (_, Ut, _) in enumerate(cache.derived_pairs(Q), 1):
         if Ut is None:
             continue
         st_t = cache.strata(Ut)
@@ -347,21 +349,23 @@ def _colon_restriction_rules(
     return out
 
 
-def stanley_observation(Q: QuotientPair, cache: EngineCache | None = None) -> dict | None:
-    """Report a pair whose Stanley depth drops below its depth, if any.
+def stanley_observation(Q: QuotientPair, cache: EngineCache | None = None,
+                        field: int = 0) -> dict | None:
+    """Report a pair whose Stanley depth drops below its depth over
+    characteristic `field`, if any.
 
     Such a pair would refute the positivity question these bounds orbit, so
     it is surfaced as a finding for manual scrutiny rather than an error.
     """
     cache = cache if cache is not None else EngineCache()
     sv = cache.sdepth(Q).value
-    dep = cache.depth(Q).depth
+    dep = cache.depth(Q, field).depth
     if sv >= dep:
         return None
     return {
         "kind": "sdepth_below_depth",
         "pair": str(Q),
-        "field": Q.field,
+        "field": field,
         "sdepth": sv,
         "depth": dep,
     }
@@ -372,7 +376,7 @@ class AuditCheck:
     name: str
     param: str
     ok: bool | None          # None: hypothesis not applicable, nothing checked
-    values: dict = field(default_factory=dict)
+    values: dict = dc_field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {"name": self.name, "param": self.param, "ok": self.ok, **(
@@ -392,25 +396,6 @@ class AuditReport:
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "checks": [c.to_json() for c in self.checks]}
-
-
-def _derived_pairs(Q: QuotientPair, cache: EngineCache) -> tuple:
-    """Per x_t: (I:x_t)/(J:x_t), I∩(x_t)/J∩(x_t) and I/(J + I∩(x_t)), or None.
-
-    Each is `poset.pair_of` its poset, cut out of Q's, except that a
-    restriction equal to I/J is Q itself and shares Q's view and strata.
-    None depends on the field (callers pass theirs to `cache.depth`).  They
-    are kept on the cache, not on the pair, which may outlive the cache.
-    """
-    k = Q.key()
-    got = cache._derived.get(k)
-    if got is None:
-        n = Q.ambient
-        got = cache._derived[k] = tuple(
-            (colon_pair(Q, t), *split_pair(Q, Ideal(n, (Monomial.of(t),))))
-            for t in range(1, n + 1)
-        )
-    return got
 
 
 def _depth_of(cache: EngineCache, pair: QuotientPair | None, field: int) -> int:
@@ -435,22 +420,24 @@ def _sequence_checks(
     return out
 
 
-def consistency_audit(Q: QuotientPair, cache: EngineCache | None = None) -> AuditReport:
-    """Exercise the exact-sequence and localization inequalities on a pair.
+def consistency_audit(Q: QuotientPair, cache: EngineCache | None = None,
+                      field: int = 0) -> AuditReport:
+    """Exercise the exact-sequence and localization inequalities on a pair,
+    with every depth over characteristic `field`.
 
     Every check compares quantities computed by the exact engines, so a
     failure is a defect, not a property of the input.
     """
     cache = cache if cache is not None else EngineCache()
     checks: list[AuditCheck] = []
-    dB = cache.depth(Q).depth
+    dB = cache.depth(Q, field).depth
 
-    derived = _derived_pairs(Q, cache)
+    derived = cache.derived_pairs(Q)
     for j, (cp, _, _) in enumerate(derived, 1):
         if cp is None:
             checks.append(AuditCheck("colon_depth_monotone", f"j={j}", None))
             continue
-        dA = cache.depth(cp, Q.field).depth
+        dA = cache.depth(cp, field).depth
         checks.append(
             AuditCheck(
                 "colon_depth_monotone",
@@ -462,8 +449,8 @@ def consistency_audit(Q: QuotientPair, cache: EngineCache | None = None) -> Audi
 
     for t, (A, _, C) in enumerate(derived, 1):
         param = f"t={t}"
-        dA = _depth_of(cache, A, Q.field)
-        dC = _depth_of(cache, C, Q.field)
+        dA = _depth_of(cache, A, field)
+        dC = _depth_of(cache, C, field)
         checks.extend(_sequence_checks("colon_sequence", param, dA, dB, dC))
         if dC < INF_DEPTH and dB >= dC + 1:
             checks.append(
@@ -481,8 +468,8 @@ def consistency_audit(Q: QuotientPair, cache: EngineCache | None = None) -> Audi
     if st.E:
         sub = Ideal(Q.ambient, st.f_list)
         A, C = split_pair(Q, sub)
-        dA = _depth_of(cache, A, Q.field)
-        dC = _depth_of(cache, C, Q.field)
+        dA = _depth_of(cache, A, field)
+        dC = _depth_of(cache, C, field)
         checks.extend(
             _sequence_checks("subideal_sequence", f"I'={sub}", dA, dB, dC)
         )

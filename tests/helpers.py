@@ -84,9 +84,9 @@ def unit_ideal(n: int) -> Ideal:
     return Ideal(n, [Monomial(0)])
 
 
-def si_pair(I: Ideal, field: int = 0) -> QuotientPair:
+def si_pair(I: Ideal) -> QuotientPair:
     """The S/I form: the quotient of the unit ideal by I."""
-    return QuotientPair(unit_ideal(I.ambient), I, field=field)
+    return QuotientPair(unit_ideal(I.ambient), I)
 
 
 def rename_pair(Q: QuotientPair, n: int, to: dict[int, int]) -> QuotientPair:
@@ -94,7 +94,7 @@ def rename_pair(Q: QuotientPair, n: int, to: dict[int, int]) -> QuotientPair:
     def rename(ideal: Ideal) -> Ideal:
         return Ideal(n, [Monomial.of(*(to[i] for i in g.vars)) for g in ideal.gens])
 
-    return QuotientPair(rename(Q.I), rename(Q.J), Q.field)
+    return QuotientPair(rename(Q.I), rename(Q.J))
 
 
 def restrict_to_support(Q: QuotientPair) -> tuple[QuotientPair, int]:

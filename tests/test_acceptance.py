@@ -86,7 +86,7 @@ def test_criterion_02_forced_value_pair():
         res = sdepth(Q)
         assert res.value == 3 and res.refuted_k == 4
         assert sdepth_decide(Q, 4) is None
-        assert depth(Q).depth == 3
+        assert depth(Q, 0).depth == 3
         v = next(v for v in bounds_report(Q)
                  if v.rule == "three_generators_step")
         assert v.applicable and v.consistent is True
@@ -109,7 +109,7 @@ def test_criterion_03_restriction_counting():
         assert stray in st.B and not x4.divides(stray)
         assert sum(1 for m in st.C if x1.divides(m)) == 3
         assert sum(1 for m in st.C if x4.divides(m)) == 3
-        dep = depth(Q).depth
+        dep = depth(Q, 0).depth
         assert dep <= 3
         v = [v for v in bounds_report(Q)
              if v.rule == "colon_restriction_depth" and v.applicable]
@@ -160,10 +160,10 @@ def test_criterion_05_surgery_showcase():
         assert sdepth_decide(sub, 3) is None
         assert sdepth(sub).value <= 2
         rest = QuotientPair(Q.I, ideal_sum(Q.J, I_w))
-        assert depth(rest).depth >= 2
+        assert depth(rest, 0).depth >= 2
 
         assert sdepth(Q).value == 2
-        assert depth(Q).depth == 2
+        assert depth(Q, 0).depth == 2
 
 
 def test_criterion_06_hilbert_depth_comparison():
@@ -204,7 +204,7 @@ def test_criterion_08_cross_engine_streams():
                     for _ in range(rng.randint(1, 4))]
             I = Ideal(n, gens)
             for char in (0, 2):
-                assert depth(si_pair(I, char)).depth == \
+                assert depth(si_pair(I), char).depth == \
                     reisner_depth_oracle(I, field=char)
         entry["detail"] = f"scanned {idx} instances for the sdepth half"
 
@@ -242,7 +242,7 @@ def test_criterion_10_driver_campaign():
                     # the dichotomy must still hold by direct computation
                     assert (
                         sdepth_decide(Q, d + 2) is not None
-                        or depth(Q).depth <= d + 1
+                        or depth(Q, 0).depth <= d + 1
                     )
                     continue
                 assert verify_outcome(Q, outcome)

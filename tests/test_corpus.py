@@ -18,7 +18,6 @@ def test_items_parse():
     for name, text in ITEMS.items():
         Q = parse_input(text)
         assert Q == pair(name)
-    assert pair("pp2", field=2).field == 2
 
 
 def test_corpus_all_green():

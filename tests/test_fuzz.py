@@ -7,6 +7,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import CASE_BAD_PATH, reference_ml1_sampler
 from sdepthlab import fuzz
@@ -19,7 +21,28 @@ from sdepthlab.fuzz import (
     sample_ml1_instance,
 )
 from sdepthlab.io import parse_input
-from sdepthlab.monomials import InputError
+from sdepthlab.monomials import Ideal, InputError, Monomial
+
+
+@st.composite
+def _ideals(draw) -> Ideal:
+    """Nonzero ideals of up to 10 variables, the unit ideal included."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1),
+                          min_size=1, max_size=5))
+    return Ideal(n, map(Monomial, masks))
+
+
+@given(_ideals())
+@settings(max_examples=60)
+def test_upper_elements_match_a_scan_of_every_mask(I):
+    d = min(m.bit_count() for m in I.gen_masks())
+    scan = [m for m in range(1, 1 << I.ambient)
+            if d + 1 <= m.bit_count() <= d + 2 and I.member_mask(m)]
+    assert fuzz._upper_elements(I, d) == scan
+    for k in range(I.ambient + 2):
+        assert fuzz._degree_bits(I.ambient, k) == sum(
+            1 << m for m in range(1 << I.ambient) if m.bit_count() == k)
 
 
 def test_config_validation():

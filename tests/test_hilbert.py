@@ -80,7 +80,7 @@ def test_hdepth1_computed_once_per_pair(monkeypatch):
     monkeypatch.setattr(hilbert_mod, "hdepth1", counted)
     Q = QuotientPair(from_strs(4, "x1*x2", "x3"), from_strs(4, "x1*x2*x3"))
     res = sdepth(Q)
-    assert EngineCache().hdepth(Q) == hdepth1_pair(Q.with_field(2))
+    assert EngineCache().hdepth(Q) == hdepth1_pair(Q)
     assert res.value <= hdepth1_pair(Q).value
     assert len(calls) == 1
 

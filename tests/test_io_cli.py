@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -26,7 +27,7 @@ EX1 = "n=5\nI = x1*x2, x1*x3, x1*x4, x2*x3*x5\nJ = x2*x3*x4*x5\n"
 @settings(max_examples=40)
 def test_serialize_round_trip(Q):
     text = serialize_pair(Q)
-    assert parse_input(text, field=Q.field) == Q
+    assert parse_input(text) == Q
 
 
 def test_parse_flexible_layout():
@@ -84,8 +85,8 @@ def test_semantic_errors_are_not_parse_errors():
 def test_load_pair(tmp_path):
     path = tmp_path / "pair.txt"
     path.write_text(EX1, encoding="utf-8")
-    Q = load_pair(str(path), field=2)
-    assert Q.ambient == 5 and Q.field == 2
+    Q = load_pair(str(path))
+    assert Q.ambient == 5 and Q == parse_input(EX1)
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -144,6 +145,29 @@ def test_cli_analyze_unit_ideal_is_consistent(tmp_path, capsys, text, char):
     out = capsys.readouterr().out
     assert "0 inconsistent" in out
     assert "all_low_divisors_generate" not in out
+
+
+def test_cli_analyze_json_is_pinned(tmp_path, capsys):
+    # sha256 of `analyze --json` on each corpus item in chars 0, 2 and 3, in
+    # that order: every strata, depth, verdict and audit field of the reports
+    h = hashlib.sha256()
+    for name, text in corpus.ITEMS.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text, encoding="utf-8")
+        for char in (0, 2, 3):
+            assert cli.main(["analyze", str(path), "--json", "--char", str(char)]) == 0
+            h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == (
+        "0aeeb88ea90fe529b3ecc545af3a0c92f334c7a6c63419fc046a878a307f37d2"
+    )
+
+
+@pytest.mark.parametrize("command", ["analyze", "depth"])
+def test_cli_rejects_an_unsupported_characteristic(ex1_file, capsys, command):
+    assert cli.main([command, ex1_file, "--char", "5"]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "field characteristic 5" in captured.err
 
 
 def test_cli_analyze_inconsistent_exit(ex1_file, capsys, monkeypatch):

@@ -173,8 +173,6 @@ def test_quotient_pair_validation():
         QuotientPair(I, I)
     with pytest.raises(InputError):
         QuotientPair(Ideal(3), Ideal(3))  # zero I
-    with pytest.raises(InputError):
-        QuotientPair(I, Ideal(3), field=5)
     with pytest.raises(AmbientMismatchError):
         QuotientPair(I, Ideal(4))
 
@@ -186,15 +184,6 @@ def test_normalization_warning():
     assert not QuotientPair(I, Ideal(3)).normalization_warning
 
 
-def test_with_field_and_key():
-    Q = QuotientPair(from_strs(3, "x1"), Ideal(3))
-    Q2 = Q.with_field(2)
-    assert Q2.field == 2 and Q2.key() == Q.key()
-    assert Q.with_field(0) is Q
-    assert Q != Q2  # field participates in equality
-    assert QuotientPair(Q.I, Q.J) == Q
-
-
 def test_colon_pair():
     Q2 = QuotientPair(from_strs(3, "x1"), from_strs(3, "x1*x2"))
     assert colon_pair(Q2, 2) is None  # (J:x2) = (x1) = (I:x2)
@@ -204,13 +193,13 @@ def test_colon_pair():
 
 def test_split_pair():
     I = from_strs(3, "x1", "x2")
-    Q = QuotientPair(I, from_strs(3, "x1*x2"), field=2)
+    Q = QuotientPair(I, from_strs(3, "x1*x2"))
     assert split_pair(Q, Q.I) == (Q, None)
     assert split_pair(Q, from_strs(3, "x2", "x1"))[0] is Q
     # P = {x1, x2, x1*x3, x2*x3}: the ends hold {x1, x1*x3} and {x2, x2*x3}
     A, C = split_pair(Q, from_strs(3, "x1"))
-    assert (A.I, A.J, A.field) == (from_strs(3, "x1"), Q.J, 2)
-    assert (C.I, C.J, C.field) == (from_strs(3, "x2"), Q.J, 2)
+    assert (A.I, A.J) == (from_strs(3, "x1"), Q.J)
+    assert (C.I, C.J) == (from_strs(3, "x2"), Q.J)
     # a subideal inside J has a zero first end
     A, C = split_pair(Q, from_strs(3, "x1*x2"))
     assert A is None and C == Q and C is not Q
@@ -240,7 +229,6 @@ def _check_derived(P: QuotientPair | None, bits: int, Q: QuotientPair) -> None:
         assert P is None
         return
     assert poset_view(P).bits == bits == poset_bitset(P)
-    assert P.field == Q.field
     if P is Q:
         return
     # normal form: I' is generated by P and J' by the members of I' outside P
@@ -278,8 +266,8 @@ def test_derived_pairs_match_ideal_arithmetic(Q, data):
 @given(quotient_pairs(normalized=False))
 def test_pair_of_its_poset_keeps_every_invariant(Q):
     bits = sum(1 << m for m in brute_poset_masks(Q))
-    P = pair_of(Q.ambient, bits, Q.field)
-    assert pair_of(Q.ambient, 0, Q.field) is None
+    P = pair_of(Q.ambient, bits)
+    assert pair_of(Q.ambient, 0) is None
     assert not P.normalization_warning
     assert P.J == intersect(P.I, Q.J)
     for char in (0, 2):
@@ -290,10 +278,16 @@ def test_pair_of_its_poset_keeps_every_invariant(Q):
     assert (a.d, a.s, a.q) == (b.d, b.s, b.q)
 
 
-@given(quotient_pairs(normalized=False), st.sampled_from((0, 2, 3, 32003)))
-def test_key_is_the_generator_masks_in_every_field(Q, char):
+@given(quotient_pairs(normalized=False), quotient_pairs(normalized=False))
+def test_equality_and_hash_are_those_of_key(Q, R):
     assert Q.key() == (Q.ambient, Q.I.gen_masks(), Q.J.gen_masks())
-    assert Q.with_field(char).key() == Q.key()
+    same = QuotientPair(Q.I, Q.J)
+    assert same == Q and hash(same) == hash(Q) == hash(Q.key())
+    # the normal form has Q's poset, but is equal to Q only with its generators
+    P = pair_of(Q.ambient, poset_view(Q).bits)
+    for other in (P, R):
+        assert (other == Q) == (other.key() == Q.key())
+        assert hash(other) == hash(other.key())
 
 
 @given(quotient_pairs(normalized=False))

@@ -180,8 +180,6 @@ def test_poset_view_elements_and_layers():
     assert view.layer(1) == [Monomial.of(1).mask]
     assert view.layer(3) == []
     assert poset_view(Q) is view
-    Q2 = Q.with_field(2)
-    assert Q2.field == 2 and poset_view(Q2) is view
 
 
 def test_min_poset_degree():
@@ -230,7 +228,6 @@ def test_one_poset_build_per_pair(monkeypatch):
     hilbert_series(Q)
     depth(Q, field=0)
     depth(Q, field=2)
-    depth(Q.with_field(2))
     assert calls == [Q]
     assert len(reports) == 1
 
@@ -240,7 +237,7 @@ def test_one_poset_build_per_pair(monkeypatch):
         Q = parse_input(text)
         b = parse_monomial(b)
         cache = EngineCache()
-        assert cache.strata(Q) is cache.strata(Q.with_field(2)) is strata(Q)
+        assert cache.strata(Q) is strata(Q)
         assert b in ml1_candidate_bs(Q)
         assert verify_outcome(Q, ml1_driver(Q, b))
         P_b = sdepth_decide(build_reduced_pair(Q, b), strata(Q).d + 2)

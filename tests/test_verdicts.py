@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from helpers import from_strs, quotient_pairs
 from sdepthlab.engines import EngineCache
 from sdepthlab.fuzz import FuzzConfig, instance_rng, random_pair
-from sdepthlab.io import parse_input
+from sdepthlab.io import parse_input, serialize_pair
 from sdepthlab.monomials import Ideal, Monomial, QuotientPair
 from sdepthlab.verdicts import (
     AuditCheck,
     AuditReport,
     Verdict,
-    _derived_pairs,
     bounds_report,
     consistency_audit,
     inconsistencies,
@@ -53,9 +52,8 @@ WARNING_GATED = {
 def test_no_inconsistencies_on_random_pairs(Q):
     for char in (0, 2):
         cache = EngineCache()
-        Qc = Q.with_field(char)
-        verdicts = bounds_report(Qc, cache)
-        audit = consistency_audit(Qc, cache)
+        verdicts = bounds_report(Q, cache, char)
+        audit = consistency_audit(Q, cache, char)
         assert audit.ok
         assert inconsistencies(verdicts, audit) == ()
         names = [v.rule for v in verdicts]
@@ -232,25 +230,24 @@ def test_stanley_observation():
         def sdepth(self, Q):
             return SimpleNamespace(value=1)
 
-        def depth(self, Q, field=None):
+        def depth(self, Q, field=0):
             return SimpleNamespace(depth=2)
 
-    obs = stanley_observation(Q, DoctoredCache())
-    assert obs == {
-        "kind": "sdepth_below_depth",
-        "pair": str(Q),
-        "field": 0,
-        "sdepth": 1,
-        "depth": 2,
-    }
+    for char in (0, 2):
+        assert stanley_observation(Q, DoctoredCache(), char) == {
+            "kind": "sdepth_below_depth",
+            "pair": str(Q),
+            "field": char,
+            "sdepth": 1,
+            "depth": 2,
+        }
 
 
 def _reports(Q: QuotientPair, cache_for_call) -> list:
     out = []
     for char in (0, 2):
-        Qc = Q.with_field(char)
-        out.append([v.to_json() for v in bounds_report(Qc, cache_for_call())])
-        out.append(consistency_audit(Qc, cache_for_call()).to_json())
+        out.append([v.to_json() for v in bounds_report(Q, cache_for_call(), char)])
+        out.append(consistency_audit(Q, cache_for_call(), char).to_json())
     return out
 
 
@@ -266,7 +263,13 @@ def test_shared_cache_reports_match_fresh_caches():
     # one warm cache across both characteristics, as in fuzz.run_instance,
     # against a cold cache per call (which computes char-2 depths directly)
     Q = parse_input(RP2_FREE)
-    assert _reports(Q, EngineCache)[1] != _reports(Q, EngineCache)[3]
+    reports = _reports(Q, EngineCache)
+    # each audit reads every derived depth in its own characteristic
+    for audit, dep in ((reports[1], 4), (reports[3], 3)):
+        values = {(c["name"], c["param"]): c.get("values") for c in audit["checks"]}
+        assert values["colon_depth_monotone", "j=7"] == {"colon_depth": dep, "depth": dep}
+        assert values["colon_sequence_first", "t=7"] == {
+            "first": dep, "middle": dep, "last": dep - 1}
     shared = EngineCache()
     assert _reports(Q, lambda: shared) == _reports(Q, EngineCache)
     for n, count in ((6, 200), (7, 100)):
@@ -287,21 +290,21 @@ def test_derived_pairs_live_on_the_cache_not_the_pair():
     Q = parse_input("n=5\nI = x1*x2, x1*x3, x1*x4, x2*x3*x5\nJ = x2*x3*x4*x5\n")
     cache = EngineCache()
     bounds_report(Q, cache)
-    consistency_audit(Q.with_field(2), cache)
-    derived = _derived_pairs(Q, cache)
+    consistency_audit(Q, cache, 2)
+    derived = cache.derived_pairs(Q)
     assert len(derived) == Q.ambient and _holds_pair(derived)
-    assert _derived_pairs(Q.with_field(2), cache) is derived
+    assert cache.derived_pairs(parse_input(serialize_pair(Q))) is derived
     held = [getattr(Q, name) for name in QuotientPair.__slots__]
     held += [getattr(Q._poset, name) for name in type(Q._poset).__slots__]
     assert not any(_holds_pair(v) for v in held)
     cache.clear()
-    rebuilt = _derived_pairs(Q, cache)
+    rebuilt = cache.derived_pairs(Q)
     assert rebuilt is not derived and rebuilt == derived
 
 
 def test_a_restriction_equal_to_the_pair_is_the_pair():
     # I∩(x1) = I, so the restriction by x1 is Q itself and shares its view
     Q = QuotientPair(from_strs(3, "x1*x2", "x1*x3"), from_strs(3, "x1*x2*x3"))
-    derived = _derived_pairs(Q, EngineCache())
+    derived = EngineCache().derived_pairs(Q)
     assert derived[0][1] is Q and derived[0][2] is None
     assert derived[1][1].I == from_strs(3, "x1*x2")  # I∩(x2)
