@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import brute_poset_masks, from_strs, quotient_pairs
 from sdepthlab.depth import depth
+from sdepthlab.engines import EngineCache
 from sdepthlab.hilbert import hdepth1_pair
 from sdepthlab.monomials import (
     MAX_AMBIENT,
@@ -184,6 +185,18 @@ def test_normalization_warning():
     assert not QuotientPair(I, Ideal(3)).normalization_warning
 
 
+def test_with_field_and_key():
+    Q = QuotientPair(from_strs(3, "x1"), Ideal(3))
+    # the pair carries no field: depth takes one, and the key is Q's in each
+    assert not hasattr(Q, "field") and not hasattr(Q, "with_field")
+    for char in (0, 2):
+        got = depth(Q, char)
+        assert (got.depth, got.field) == (3, char)
+    same = QuotientPair(Q.I, Q.J)
+    assert same == Q and same.key() == Q.key() == (3, (1,), ())
+    assert QuotientPair(Q.I, from_strs(3, "x1*x2")) != Q
+
+
 def test_colon_pair():
     Q2 = QuotientPair(from_strs(3, "x1"), from_strs(3, "x1*x2"))
     assert colon_pair(Q2, 2) is None  # (J:x2) = (x1) = (I:x2)
@@ -288,6 +301,16 @@ def test_equality_and_hash_are_those_of_key(Q, R):
     for other in (P, R):
         assert (other == Q) == (other.key() == Q.key())
         assert hash(other) == hash(other.key())
+
+
+@given(quotient_pairs(normalized=False), st.sampled_from((0, 2, 3, 32003)))
+def test_key_is_the_generator_masks_in_every_field(Q, char):
+    assert Q.key() == (Q.ambient, Q.I.gen_masks(), Q.J.gen_masks())
+    cache = EngineCache()
+    got = cache.depth(Q, char)
+    assert got.field == char
+    # an equal pair built again reads the same entry in that field
+    assert cache.depth(QuotientPair(Q.I, Q.J), char) is got
 
 
 @given(quotient_pairs(normalized=False))
