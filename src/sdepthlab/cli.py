@@ -71,9 +71,9 @@ def _build_parser() -> _Parser:
     sub.add_parser("corpus", help="replay the embedded golden examples")
 
     f = sub.add_parser("fuzz", help="seeded random-instance campaign")
-    f.add_argument("--n", type=int, default=5)
-    f.add_argument("--count", type=int, default=100)
-    f.add_argument("--seed", type=int, default=0)
+    f.add_argument("--n", type=int, default=FuzzConfig.n)
+    f.add_argument("--count", type=int, default=FuzzConfig.count)
+    f.add_argument("--seed", type=int, default=FuzzConfig.seed)
     f.add_argument("--max-gens", type=int, default=FuzzConfig.max_gens)
     f.add_argument("--max-degree", type=int, default=FuzzConfig.max_degree)
     f.add_argument("--out", default=None, metavar="LOG")

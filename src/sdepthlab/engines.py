@@ -23,9 +23,6 @@ class EngineCache:
         self._depth: dict[tuple, DepthResult] = {}
         self._derived: dict[tuple, tuple] = {}
 
-    def clear(self) -> None:
-        self.__init__()
-
     def poset_bits(self, Q: QuotientPair) -> int:
         return poset_view(Q).bits
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
@@ -28,7 +28,7 @@ from .monomials import (
     canonical_key,
     mask_of,
 )
-from .poset import members, upward_closure
+from .poset import filter_bitset, members
 from .surgery import (
     DriverFailure,
     SurgeryError,
@@ -100,9 +100,8 @@ def random_pair(rng: random.Random, cfg: FuzzConfig) -> QuotientPair:
 def _upper_elements(I: Ideal, d: int) -> list[int]:
     """Masks of elements of I with degree in [d+1, d+2] (J candidates), ascending."""
     n = I.ambient
-    gens = sum(1 << g for g in I.gen_masks())  # the masks are distinct
     layers = _degree_bits(n, d + 1) | _degree_bits(n, d + 2)
-    return members(upward_closure(gens, (1 << n) - 1) & layers)
+    return members(filter_bitset(n, I.gen_masks()) & layers)
 
 
 def _pair_json(Q: QuotientPair) -> dict:
@@ -202,7 +201,6 @@ class FuzzReport:
     findings: int = 0
     ml1_runs: int = 0
     ml1_ok: int = 0
-    records: list = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
@@ -217,7 +215,7 @@ class FuzzReport:
         }
 
 
-def run_fuzz(cfg: FuzzConfig, keep_records: bool = False) -> FuzzReport:
+def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
     cfg.validate()
     report = FuzzReport(config=cfg)
     out_fh = open(cfg.out, "w", encoding="utf-8") if cfg.out else None
@@ -245,8 +243,6 @@ def run_fuzz(cfg: FuzzConfig, keep_records: bool = False) -> FuzzReport:
                     find_fh.write(json.dumps(payload, sort_keys=True) + "\n")
             if out_fh:
                 out_fh.write(json.dumps(record, sort_keys=True) + "\n")
-            if keep_records:
-                report.records.append(record)
     finally:
         if out_fh:
             out_fh.close()
@@ -299,7 +295,7 @@ def sample_ml1_instance(rng: random.Random, n: int = 6,
         kills, picks, s, q = _containment_closure(n, gens, d, rng, filters)
         if not 4 <= s <= q + 2:
             continue
-        J = [c for c in _degree_masks(n, d + 2) if kills >> c & 1] + picks
+        J = members(kills) + picks
         Q = QuotientPair(Ideal._of_masks(n, gens), Ideal._of_masks(n, J))
         bs = ml1_candidate_bs(Q)
         if bs:
@@ -313,10 +309,10 @@ class _PrincipalFilters(dict):
 
     def __init__(self, n: int):
         super().__init__()
-        self.every_var = (1 << n) - 1
+        self.n = n
 
     def __missing__(self, mask: int) -> int:
-        bits = self[mask] = upward_closure(1 << mask, self.every_var)
+        bits = self[mask] = filter_bitset(self.n, (mask,))
         return bits
 
 
@@ -339,7 +335,7 @@ def _containment_closure(n: int, gens: tuple[int, ...], d: int,
     picks = []
     count = rng.randint(0, 2)
     if count and pool_bits:
-        pool = [c for c in _degree_masks(n, d + 2) if pool_bits >> c & 1]
+        pool = sorted(members(pool_bits), key=canonical_key)
         picks = [rng.choice(pool) for _ in range(count)]
     # J lies in degree d+2, so it leaves B alone and removes its own
     # generators from C
@@ -348,13 +344,6 @@ def _containment_closure(n: int, gens: tuple[int, ...], d: int,
         killed |= 1 << c
     s = (once & _degree_bits(n, d + 1)).bit_count()
     return kills, picks, s, C.bit_count() - killed.bit_count()
-
-
-@cache
-def _degree_masks(n: int, k: int) -> tuple[int, ...]:
-    """The degree-k masks of n variables, in canonical order."""
-    return tuple(sorted((m for m in range(1 << n) if m.bit_count() == k),
-                        key=canonical_key))
 
 
 @cache

@@ -22,27 +22,21 @@ from .monomials import MAX_AMBIENT, Ideal, Monomial, QuotientPair, canonical_key
 def poset_bitset(Q: QuotientPair) -> int:
     """Bit m set iff the squarefree monomial with mask m lies in I\\J."""
     n = Q.ambient
-    igens = Q.I.gen_masks()
-    jgens = Q.J.gen_masks()
-    # seed each generator's principal filter, then subtract J's filter
-    in_i = _filter_bitset(n, igens)
-    in_j = _filter_bitset(n, jgens)
-    return in_i & ~in_j
+    return filter_bitset(n, Q.I.gen_masks()) & ~filter_bitset(n, Q.J.gen_masks())
 
 
-def _filter_bitset(n: int, gens: tuple[int, ...]) -> int:
-    # union of upward closures {m : g ⊆ m}, by one shift-OR pass per variable
+def filter_bitset(n: int, gens: tuple[int, ...]) -> int:
+    """Bitset of the masks over x_1..x_n lying above some mask in `gens`."""
+    # seed each generator, then close upward by one shift-OR per variable
     out = 0
     for g in gens:
         out |= 1 << g
-    if not out:
-        return 0
-    return upward_closure(out, (1 << n) - 1)
+    return upward_closure(out, n)
 
 
-def upward_closure(bits: int, within: int) -> int:
-    """Close a subset-indexed bitset upward under adding variables of `within`."""
-    for i in members(within):
+def upward_closure(bits: int, n: int) -> int:
+    """Close a subset-indexed bitset upward under adding any of x_1..x_n."""
+    for i in range(n):
         bits |= (bits & _LOW_BLOCKS[i]) << (1 << i)
     return bits
 
@@ -69,9 +63,9 @@ def members(bits: int) -> list[int]:
     return out
 
 
-def downward_closure(bits: int, within: int) -> int:
-    """Close a subset-indexed bitset downward under removing variables of `within`."""
-    for i in members(within):
+def downward_closure(bits: int, n: int) -> int:
+    """Close a subset-indexed bitset downward under removing any of x_1..x_n."""
+    for i in range(n):
         bits |= (bits >> (1 << i)) & _LOW_BLOCKS[i]
     return bits
 
@@ -172,7 +166,7 @@ def pair_of(n: int, bits: int) -> QuotientPair | None:
     if not bits:
         return None
     I = Ideal._of_masks(n, members(_minimal(bits, n)))
-    above = upward_closure(bits, (1 << n) - 1) & ~bits
+    above = upward_closure(bits, n) & ~bits
     Q = QuotientPair(I, Ideal._of_masks(n, members(_minimal(above, n))))
     Q._poset = PosetView(bits, I.gen_masks()[0].bit_count())
     return Q
@@ -188,7 +182,7 @@ def split_pair(Q: QuotientPair, sub: Ideal) -> tuple:
     """
     Q.I._check_ambient(sub)
     bits = poset_view(Q).bits
-    inside = bits & _filter_bitset(Q.ambient, sub.gen_masks())
+    inside = bits & filter_bitset(Q.ambient, sub.gen_masks())
     if inside == bits:
         return Q, None
     return pair_of(Q.ambient, inside), pair_of(Q.ambient, bits & ~inside)

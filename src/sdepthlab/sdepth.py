@@ -154,7 +154,7 @@ def _decide(Q: QuotientPair, k: int) -> Partition | None:
     tops = view.layer(k)
     low_bits = sum(1 << u for u in lows)
     top_bits = sum(1 << v for v in tops)
-    every_var = (1 << Q.ambient) - 1
+    n = Q.ambient
     # per low: the tops above it, in canonical order (the order they are tried)
     tops_of: dict[int, list[int]] = {u: [] for u in lows}
     for v in tops:
@@ -168,7 +168,7 @@ def _decide(Q: QuotientPair, k: int) -> Partition | None:
 
     def _has_dead_low(covered: int) -> bool:
         # an uncovered low lying under no uncovered top
-        live = downward_closure(top_bits & ~covered, every_var)
+        live = downward_closure(top_bits & ~covered, n)
         return bool(low_bits & ~covered & ~live)
 
     if _has_dead_low(0):

@@ -335,13 +335,13 @@ def _tree_path(tree: dict, hit) -> list[Monomial] | None:
     return seq[::-1]
 
 
-def rotate(Q: QuotientPair, partition: Partition, lows) -> Partition:
+def rotate(Q: QuotientPair, partition: Partition,
+           lows: list[Monomial]) -> Partition:
     """Shift interval tops backwards along a divisibility-linked segment.
 
     Intervals [a_v,c_v],…,[a_p,c_p] become [a_v,c_p], [a_{j+1},c_j]; legality
     requires a_{j+1} | c_j along the segment and a_v | c_p to close it.
     """
-    lows = [m if isinstance(m, Monomial) else Monomial(m) for m in lows]
     if not lows:
         raise InputError("rotation needs at least one interval")
     by_lo = {iv.lo: iv for iv in partition.intervals}

@@ -70,12 +70,3 @@ def test_char0_walk_finds_the_char2_depth():
         assert zero.gf2 == depth(Q, 2), Q
         differ += zero.gf2.depth != zero.depth
     assert differ >= 1
-
-
-def test_clear_resets_entries():
-    cache = EngineCache()
-    Q = parse_input("n=4\nI = x1*x2, x2*x3, x3*x4\nJ = 0\n")
-    first = cache.sdepth(Q)
-    cache.clear()
-    again = cache.sdepth(Q)
-    assert again is not first and again == first

@@ -61,22 +61,24 @@ def test_config_validation():
         FuzzConfig().count = 7
 
 
-def test_stream_is_deterministic():
-    cfg = FuzzConfig(n=4, count=12, seed=11)
-    a = run_fuzz(cfg, keep_records=True)
-    b = run_fuzz(cfg, keep_records=True)
-    assert a.records == b.records
+def test_stream_is_deterministic(tmp_path):
+    logs = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    a, b = (run_fuzz(FuzzConfig(n=4, count=12, seed=11, out=str(log)))
+            for log in logs)
+    assert logs[0].read_bytes() == logs[1].read_bytes()
     assert a.to_json() == b.to_json()
 
 
-def test_stream_has_no_inconsistencies():
-    cfg = FuzzConfig(n=5, count=60, seed=42)
-    report = run_fuzz(cfg, keep_records=True)
+def test_stream_has_no_inconsistencies(tmp_path):
+    log = tmp_path / "stream.jsonl"
+    report = run_fuzz(FuzzConfig(n=5, count=60, seed=42, out=str(log)))
     assert report.instances == 60
     assert report.inconsistent == 0
     assert report.ml1_ok == report.ml1_runs
     assert report.to_json()["inconsistent"] == 0
-    for record in report.records:
+    records = [json.loads(ln) for ln in log.read_text().splitlines()]
+    assert len(records) == 60
+    for record in records:
         assert record["inconsistent"] == []
         assert set(record["depth"]) == {"0", "2"}
         assert set(record) == {

@@ -314,8 +314,11 @@ def test_cli_fuzz_bad_config_is_a_parse_error(capsys):
 
 def test_cli_fuzz_inconsistent_exit(capsys, monkeypatch):
     fake = SimpleNamespace(inconsistent=2, to_json=lambda: {"inconsistent": 2})
-    monkeypatch.setattr(cli, "run_fuzz", lambda cfg: fake)
+    seen = []
+    monkeypatch.setattr(cli, "run_fuzz", lambda cfg: seen.append(cfg) or fake)
     assert cli.main(["fuzz", "--count", "1"]) == cli.EXIT_INCONSISTENT
+    # every flag left unset takes FuzzConfig's default
+    assert seen == [FuzzConfig(count=1)]
 
 
 def test_cli_usage_errors():

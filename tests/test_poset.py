@@ -16,11 +16,20 @@ from helpers import (
     unit_ideal,
 )
 from sdepthlab.io import parse_input
-from sdepthlab.monomials import Ideal, Monomial, QuotientPair, indices_of, parse_monomial
+from sdepthlab.monomials import (
+    Ideal,
+    Monomial,
+    QuotientPair,
+    colon_pair,
+    indices_of,
+    parse_monomial,
+)
 from sdepthlab.poset import (
+    _minimal,
     downward_closure,
     poset_bitset,
     poset_view,
+    split_pair,
     strata,
     upward_closure,
 )
@@ -49,18 +58,19 @@ def test_poset_of_si_form_contains_unit():
     assert Monomial.of(1, 2).mask not in masks
 
 
-@given(st.integers(min_value=0, max_value=(1 << 8) - 1),
-       st.integers(min_value=0, max_value=(1 << 8) - 1))
-def test_upward_closure_brute(seed_bits, within):
-    closed = upward_closure(seed_bits, within)
+@st.composite
+def families(draw, max_n: int = 8) -> tuple[int, int]:
+    """(n, bits): an arbitrary subset-indexed bitset over x_1..x_n."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    return n, draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
+
+
+@given(families())
+def test_upward_closure_brute(family):
+    n, seed_bits = family
     seeds = _bits_to_masks(seed_bits)
-    expected = {
-        s | extra
-        for s in seeds
-        for extra in range(1 << 8)
-        if extra & ~within == 0
-    }
-    assert set(_bits_to_masks(closed)) == expected
+    expected = {m for m in range(1 << n) if any(s & ~m == 0 for s in seeds)}
+    assert set(_bits_to_masks(upward_closure(seed_bits, n))) == expected
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -70,14 +80,37 @@ def test_downward_closure_brute(n):
     full = (1 << space) - 1
     for _ in range(60):
         seed_bits = rng.randint(0, full) & rng.randint(0, full)
-        within = rng.choice([space - 1, rng.randint(0, space - 1)])
         seeds = _bits_to_masks(seed_bits)
-        expected = {
-            m
-            for m in range(space)
-            if any(m & ~s == 0 and s & ~m & ~within == 0 for s in seeds)
-        }
-        assert set(_bits_to_masks(downward_closure(seed_bits, within))) == expected
+        expected = {m for m in range(space) if any(m & ~s == 0 for s in seeds)}
+        assert set(_bits_to_masks(downward_closure(seed_bits, n))) == expected
+
+
+def _brute_minimal(bits: int) -> list[int]:
+    # the masks of the family with no proper submask in it
+    out = []
+    for m in _bits_to_masks(bits):
+        s = m
+        while s:
+            s = (s - 1) & m
+            if (bits >> s) & 1:
+                break
+        else:
+            out.append(m)
+    return out
+
+
+@given(quotient_pairs(max_n=8, max_gens=5), st.data())
+def test_minimal_matches_brute(Q, data):
+    # convex families: P itself, the posets of its colon pairs and both
+    # ends of a split by a random subideal
+    n = Q.ambient
+    sub = Ideal(n, [Monomial(data.draw(st.integers(1, (1 << n) - 1)))
+                    for _ in range(data.draw(st.integers(1, 3)))])
+    derived = [colon_pair(Q, j) for j in range(1, n + 1)]
+    derived += split_pair(Q, sub)
+    for P in [Q] + [D for D in derived if D is not None]:
+        bits = poset_view(P).bits
+        assert _bits_to_masks(_minimal(bits, n)) == _brute_minimal(bits)
 
 
 @given(quotient_pairs())

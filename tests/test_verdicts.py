@@ -297,8 +297,7 @@ def test_derived_pairs_live_on_the_cache_not_the_pair():
     held = [getattr(Q, name) for name in QuotientPair.__slots__]
     held += [getattr(Q._poset, name) for name in type(Q._poset).__slots__]
     assert not any(_holds_pair(v) for v in held)
-    cache.clear()
-    rebuilt = cache.derived_pairs(Q)
+    rebuilt = EngineCache().derived_pairs(Q)
     assert rebuilt is not derived and rebuilt == derived
 
 
