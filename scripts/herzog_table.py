@@ -14,8 +14,10 @@ from sdepthlab.hilbert import herzog_question
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-n", type=int, default=12,
-                    help="largest ambient dimension to tabulate (<= 12)")
+                    help="largest ambient dimension to tabulate, in [1, 12]")
     args = ap.parse_args(argv)
+    if not 1 <= args.max_n <= 12:
+        ap.error(f"--max-n {args.max_n} outside [1, 12]")
 
     print(f"{'n':>3}  {'hdepth1(m)':>11}  {'hdepth1(S+ + m)':>16}  equal")
     for n in range(1, args.max_n + 1):

@@ -18,7 +18,7 @@ from .io import parse_input
 from .monomials import Monomial, QuotientPair, minimalize, parse_monomial
 from .poset import split_pair
 from .reisner import reisner_depth_oracle
-from .surgery import build_h, build_reduced_pair, find_paths
+from .surgery import build_h, find_paths
 from .verdicts import bounds_report
 
 ITEMS: dict[str, str] = {
@@ -363,10 +363,8 @@ def _check_herzog(exp: dict) -> list[GoldenCheck]:
     return checks
 
 
-def run_corpus(expected: dict | None = None,
-               cache: EngineCache | None = None) -> CorpusReport:
-    exp = EXPECTED if expected is None else expected
-    cache = cache or EngineCache()
+def run_corpus() -> CorpusReport:
+    exp, cache = EXPECTED, EngineCache()
     checks: list[GoldenCheck] = []
     checks += _check_ex3(exp["ex3"], cache)
     checks += _check_ex(exp["ex"], cache)

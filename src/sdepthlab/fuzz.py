@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 
 from .engines import EngineCache
@@ -28,7 +27,7 @@ from .monomials import (
     canonical_key,
     mask_of,
 )
-from .poset import filter_bitset, members
+from .poset import degree_bits, filter_bitset, members
 from .surgery import (
     DriverFailure,
     SurgeryError,
@@ -100,7 +99,7 @@ def random_pair(rng: random.Random, cfg: FuzzConfig) -> QuotientPair:
 def _upper_elements(I: Ideal, d: int) -> list[int]:
     """Masks of elements of I with degree in [d+1, d+2] (J candidates), ascending."""
     n = I.ambient
-    layers = _degree_bits(n, d + 1) | _degree_bits(n, d + 2)
+    layers = degree_bits(n, d + 1) | degree_bits(n, d + 2)
     return members(filter_bitset(n, I.gen_masks()) & layers)
 
 
@@ -330,7 +329,7 @@ def _containment_closure(n: int, gens: tuple[int, ...], d: int,
     twice = 0
     for a, b in combinations(gens, 2):
         twice |= filters[a | b]
-    C = once & _degree_bits(n, d + 2)
+    C = once & degree_bits(n, d + 2)
     kills, pool_bits = C & ~twice, C & twice
     picks = []
     count = rng.randint(0, 2)
@@ -342,17 +341,5 @@ def _containment_closure(n: int, gens: tuple[int, ...], d: int,
     killed = kills
     for c in picks:
         killed |= 1 << c
-    s = (once & _degree_bits(n, d + 1)).bit_count()
+    s = (once & degree_bits(n, d + 1)).bit_count()
     return kills, picks, s, C.bit_count() - killed.bit_count()
-
-
-@cache
-def _degree_bits(n: int, k: int) -> int:
-    """Bitset of the degree-k masks of n variables."""
-    # layers[j]: the degree-j masks of the variables added so far; adding
-    # x_i shifts each degree-(j-1) mask up by 2^(i-1) into degree j
-    layers = [1] + [0] * k
-    for i in range(n):
-        for j in range(k, 0, -1):
-            layers[j] |= layers[j - 1] << (1 << i)
-    return layers[k]

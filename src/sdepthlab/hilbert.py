@@ -34,7 +34,10 @@ second inequality is sdepth ≤ hdepth1 for the colon pair.  The colon's layer
 counts need no colon pair: a squarefree w lies in (I:x_j)\\(J:x_j) iff
 w ∪ {j} ∈ P, so α'_e = a_j(e) + a_j(e+1), where a_j(e) counts the degree-e
 elements of P that x_j divides.  `colon_refuter` reads them off the pair's
-view and runs the β check at one p.
+bitset by popcounts and runs the β check at one p.
+
+A pair's hdepth1 reads `poset.layer_counts` and builds no series;
+`hilbert_series` is only an input form of `hdepth1`.
 """
 from __future__ import annotations
 
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .monomials import InputError, QuotientPair
-from .poset import members, poset_view
+from .poset import degree_bits, filter_bitset, layer_counts, poset_view
 
 
 @dataclass(frozen=True)
@@ -51,17 +54,6 @@ class HilbertSeries:
 
     denom_exp: int
     k_poly: tuple[int, ...]
-
-    def __add__(self, other: "HilbertSeries") -> "HilbertSeries":
-        if self.denom_exp != other.denom_exp:
-            raise InputError(
-                f"denominator exponent mismatch: {self.denom_exp} vs {other.denom_exp}"
-            )
-        a, b = self.k_poly, other.k_poly
-        width = max(len(a), len(b))
-        a = a + (0,) * (width - len(a))
-        b = b + (0,) * (width - len(b))
-        return HilbertSeries(self.denom_exp, _trim(tuple(x + y for x, y in zip(a, b))))
 
     def coefficient(self, k: int) -> int:
         """Degree-k coefficient of the expanded series."""
@@ -86,11 +78,9 @@ def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
 
 def hilbert_series(Q: QuotientPair) -> HilbertSeries:
     n = Q.ambient
-    view = poset_view(Q)
-    # Σ_e |layer e| · t^e (1-t)^(n-e)
+    # Σ_e α_e · t^e (1-t)^(n-e)
     acc = [0] * (n + 1)
-    for e in range(view.d, n + 1):
-        c = len(view.layer(e))
+    for e, c in enumerate(layer_counts(Q)):
         for i in range(n - e + 1):
             acc[e + i] += c * comb(n - e, i) * (-1) ** i
     return HilbertSeries(n, _trim(tuple(acc)))
@@ -126,10 +116,14 @@ def _first_negative_beta(alpha: list[int], p: int) -> int | None:
 
 def hdepth1(H: HilbertSeries) -> HdepthResult:
     """hdepth1 of a squarefree module series; InputError on any other."""
-    alpha = _layer_counts(H)
+    return _hdepth1_of_counts(_layer_counts(H))
+
+
+def _hdepth1_of_counts(alpha: list[int]) -> HdepthResult:
+    """hdepth1 of the module with layer counts α_0..α_n."""
     failing = None
     # β_0^0 = α_0 ≥ 0, so p = 0 always holds
-    for p in range(H.denom_exp, 0, -1):
+    for p in range(len(alpha) - 1, 0, -1):
         negative = _first_negative_beta(alpha, p)
         if negative is None:
             return HdepthResult(value=p, failing_coefficient=failing)
@@ -138,37 +132,31 @@ def hdepth1(H: HilbertSeries) -> HdepthResult:
 
 
 def hdepth1_pair(Q: QuotientPair) -> HdepthResult:
-    """hdepth1 of the pair's series, computed at most once per poset view.
+    """hdepth1 of the pair, computed at most once per poset view.
 
-    The series reads only the view's layers and n, so the result is kept on
+    The check reads only the pair's layer counts, so the result is kept on
     the view, next to the pair's strata, and shared by `sdepth` (its search
     ceiling) and `EngineCache.hdepth`, which keeps no copy of its own.
     """
     view = poset_view(Q)
     if view.hdepth is None:
-        view.hdepth = hdepth1(hilbert_series(Q))
+        view.hdepth = _hdepth1_of_counts(layer_counts(Q))
     return view.hdepth
 
 
 def colon_refuter(Q: QuotientPair, k: int) -> int | None:
     """The least j with hdepth1((I:x_j)/(J:x_j)) < k over the nonzero colons,
     or None; an answer proves sdepth(I/J) < k by the colon bound."""
-    n = Q.ambient
-    # a[j][e]: degree-e elements of P that x_{j+1} divides; a[j][n+1] stays 0.
-    # The bitset is read directly, so a refuted pair never sorts its elements.
-    a = [[0] * (n + 2) for _ in range(n)]
-    for m in members(poset_view(Q).bits):
-        e = m.bit_count()
-        while m:
-            var = m & -m
-            a[var.bit_length() - 1][e] += 1
-            m ^= var
-    for j, a_j in enumerate(a, 1):
-        if not any(a_j):
+    n, bits = Q.ambient, poset_view(Q).bits
+    for j in range(1, n + 1):
+        on_j = bits & filter_bitset(n, (1 << (j - 1),))
+        if not on_j:
             continue  # (I:x_j) = (J:x_j)
-        # for k > n the check stops by j = n, so it reads no α'_e past n:
+        # a_j(e): degree-e elements of P that x_j divides (a_j(n+1) = 0).
+        # For k > n the check stops by j = n, so it reads no α'_e past n:
         # (1-t)K'(t) has degree ≤ n and coefficient sum 0, and each further
         # factor (1-t) moves its first negative coefficient no later
+        a_j = [(on_j & degree_bits(n, e)).bit_count() for e in range(n + 2)]
         alpha = [a_j[e] + a_j[e + 1] for e in range(n + 1)]
         if _first_negative_beta(alpha, k) is not None:
             return j
@@ -183,11 +171,9 @@ def herzog_question(n: int) -> dict:
         raise InputError(f"n={n} outside [1, 12]")
     m_ideal = Ideal(n, [Monomial.of(i) for i in range(1, n + 1)])
     m_pair = QuotientPair(m_ideal, Ideal(n))
-    h_m = hilbert_series(m_pair)
-    s_series = HilbertSeries(n, (1,))
-    h_sm = s_series + h_m
-    a = hdepth1(h_m)
-    b = hdepth1(h_sm)
+    a = hdepth1_pair(m_pair)
+    # S = (1)/0 has every squarefree monomial: binom(n, e) in degree e
+    b = _hdepth1_of_counts([c + comb(n, e) for e, c in enumerate(layer_counts(m_pair))])
     return {
         "n": n,
         "hdepth_m": a.value,

@@ -5,7 +5,9 @@ J, once per pair: its bitset, its least degree d, and its elements in
 canonical order, layer by layer.  I/J depends only on P (Herzog-Vladoiu-
 Zheng, J. Algebra 322, 2009), so `pair_of` builds every derived pair from its
 poset, which `split_pair` and `monomials.colon_pair` cut out of the parent's
-bitset.  `strata` reads off the view, once per pair, the statistics the
+bitset.  `layer_counts` reads the number of elements in each degree off
+the bitset, one popcount against `degree_bits` per degree, with no sort.
+`strata` reads off the view, once per pair, the statistics the
 upper-bound theorems consume: the least degree d, the degree-d generators
 f_1..f_r, the higher-degree generators E, the degree-(d+1) and -(d+2) layers
 B and C, the pairwise generator lcms, and the lcm-constrained subsets C2 and
@@ -14,6 +16,7 @@ C3 of C.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 
 from .monomials import MAX_AMBIENT, Ideal, Monomial, QuotientPair, canonical_key
@@ -39,6 +42,25 @@ def upward_closure(bits: int, n: int) -> int:
     for i in range(n):
         bits |= (bits & _LOW_BLOCKS[i]) << (1 << i)
     return bits
+
+
+@cache
+def degree_bits(n: int, k: int) -> int:
+    """Bitset of the degree-k masks of n variables."""
+    # layers[j]: the degree-j masks of the variables added so far; adding
+    # x_i shifts each degree-(j-1) mask up by 2^(i-1) into degree j
+    layers = [1] + [0] * k
+    for i in range(n):
+        for j in range(k, 0, -1):
+            layers[j] |= layers[j - 1] << (1 << i)
+    return layers[k]
+
+
+def layer_counts(Q: QuotientPair) -> list[int]:
+    """α_0..α_n: the number of elements of P_{I\\J} in each degree, one
+    popcount per degree of the pair's bitset."""
+    n, bits = Q.ambient, poset_view(Q).bits
+    return [(bits & degree_bits(n, e)).bit_count() for e in range(n + 1)]
 
 
 def interval_bits(lo: int, hi: int) -> int:
@@ -93,7 +115,7 @@ class PosetView:
     who must not mutate it; that order is degree-major, so the elements of
     degree k form the contiguous run `layer(k)`.  `hdepth` and `strata` hold
     the pair's Hilbert depth and StrataReport once `hilbert.hdepth1_pair`
-    and `strata` have computed them from the layers.
+    and `strata` have computed them, from the layer counts and the layers.
     """
 
     __slots__ = ("bits", "d", "_elements", "_starts", "hdepth", "strata")

@@ -68,9 +68,6 @@ class Partition:
     def to_json(self) -> list[list[str]]:
         return [[str(iv.lo), str(iv.hi)] for iv in self.intervals]
 
-    def __len__(self) -> int:
-        return len(self.intervals)
-
 
 @dataclass(frozen=True)
 class VerifyResult:

@@ -505,6 +505,8 @@ class _Driver:
         self.Q = Q
         self.b = b
         self.trace: list[str] = []
+        # subideals `_try_candidate` has tried; a repeat would fail again
+        self.tried: set[Ideal] = set()
         self.st = strata(Q)
         self.d = self.st.d
 
@@ -762,8 +764,9 @@ class _Driver:
         if not gens:
             return None
         I_sub = minimalize(Q.ambient, gens)
-        if I_sub.is_zero() or I_sub.contains_ideal(Q.I):
+        if I_sub.is_zero() or I_sub.contains_ideal(Q.I) or I_sub in self.tried:
             return None
+        self.tried.add(I_sub)
         sub, rest = split_pair(Q, I_sub)
         if sub is None:
             return None

@@ -21,7 +21,7 @@ from operator import eq, ge, le
 
 from .engines import EngineCache
 from .monomials import Ideal, Monomial, QuotientPair
-from .poset import StrataReport, poset_view, split_pair
+from .poset import StrataReport, layer_counts, poset_view, split_pair
 
 # depth of the zero module, for Depth-Lemma arithmetic on short exact sequences
 INF_DEPTH = 10**9
@@ -288,6 +288,8 @@ def _colon_restriction_rules(
 
     When the restricted pair has more degree-(d_t+1) elements than
     C-count plus degree-d_t count, its sdepth is at most d_t+1 by counting.
+    The counts are the restriction's layer counts; its strata are built
+    only when the count fires.
     If on top of that the restriction falls in a proved conjecture case, its
     depth is at most d_t+1 as well, and localization monotonicity carries
     that bound back to the original pair.  No gate applies: a restriction
@@ -299,41 +301,41 @@ def _colon_restriction_rules(
     for t, (_, Ut, _) in enumerate(cache.derived_pairs(Q), 1):
         if Ut is None:
             continue
-        st_t = cache.strata(Ut)
-        rp_t = len(poset_view(Ut).layer(st_t.d))
-        if st_t.s <= st_t.q + rp_t:
+        d_t = poset_view(Ut).d
+        rp_t, s_t, q_t = (layer_counts(Ut) + [0, 0])[d_t:d_t + 3]
+        if s_t <= q_t + rp_t:
             continue
         fired = True
         sv_t = cache.sdepth(Ut).value
         detail = {
             "t": t,
-            "d_t": st_t.d,
-            "s_t": st_t.s,
-            "q_t": st_t.q,
+            "d_t": d_t,
+            "s_t": s_t,
+            "q_t": q_t,
             "degree_d_elements": rp_t,
         }
         out.append(
             Verdict(
                 "colon_restriction_count",
                 True,
-                f"t={t}: s_t={st_t.s} > q_t+r'_t={st_t.q}+{rp_t}",
+                f"t={t}: s_t={s_t} > q_t+r'_t={q_t}+{rp_t}",
                 "sdepth(restriction)",
                 "<=",
-                st_t.d + 1,
+                d_t + 1,
                 sv_t,
                 detail=detail,
             )
         )
-        case = _conjecture_case(st_t)
-        chain_ok = sv_t <= st_t.d + 1 and case is not None
+        case = _conjecture_case(cache.strata(Ut))
+        chain_ok = sv_t <= d_t + 1 and case is not None
         out.append(
             Verdict(
                 "colon_restriction_depth",
                 chain_ok,
-                f"t={t}: restricted sdepth={sv_t}<=d_t+1={st_t.d + 1}, case {case}",
+                f"t={t}: restricted sdepth={sv_t}<=d_t+1={d_t + 1}, case {case}",
                 "depth",
                 "<=",
-                st_t.d + 1,
+                d_t + 1,
                 dep,
                 detail=detail,
             )

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 
+import sdepthlab.corpus as corpus
 from sdepthlab.corpus import (
     BAD_PB_INTERVALS,
     EXPECTED,
@@ -10,7 +11,6 @@ from sdepthlab.corpus import (
     pair,
     run_corpus,
 )
-from sdepthlab.engines import EngineCache
 from sdepthlab.io import parse_input
 
 
@@ -21,7 +21,7 @@ def test_items_parse():
 
 
 def test_corpus_all_green():
-    report = run_corpus(cache=EngineCache())
+    report = run_corpus()
     assert report.ok
     assert report.failures() == ()
     assert len(report.checks) == 53
@@ -30,10 +30,11 @@ def test_corpus_all_green():
     assert all(c["ok"] for c in j["checks"])
 
 
-def test_corpus_detects_tampering():
+def test_corpus_detects_tampering(monkeypatch):
     tampered = copy.deepcopy(EXPECTED)
     tampered["ex3"]["d"] = 3
-    report = run_corpus(expected=tampered)
+    monkeypatch.setattr(corpus, "EXPECTED", tampered)
+    report = run_corpus()
     assert not report.ok
     bad = report.failures()
     assert len(bad) == 1

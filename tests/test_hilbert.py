@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import runpy
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from helpers import (
     si_pair,
     unit_ideal,
 )
+from sdepthlab import poset
 from sdepthlab.hilbert import (
     HdepthResult,
     HilbertSeries,
@@ -71,18 +74,19 @@ def test_hdepth1_computed_once_per_pair(monkeypatch):
     from sdepthlab.engines import EngineCache
 
     calls = []
-    original = hilbert_mod.hdepth1
+    original = hilbert_mod._hdepth1_of_counts
 
-    def counted(H):
-        calls.append(H)
-        return original(H)
+    def counted(alpha):
+        calls.append(alpha)
+        return original(alpha)
 
-    monkeypatch.setattr(hilbert_mod, "hdepth1", counted)
+    # one β check per view, on the pair's layer counts
+    monkeypatch.setattr(hilbert_mod, "_hdepth1_of_counts", counted)
     Q = QuotientPair(from_strs(4, "x1*x2", "x3"), from_strs(4, "x1*x2*x3"))
     res = sdepth(Q)
     assert EngineCache().hdepth(Q) == hdepth1_pair(Q)
     assert res.value <= hdepth1_pair(Q).value
-    assert len(calls) == 1
+    assert calls == [poset.layer_counts(Q)]
 
 
 def gapped_pair(n: int) -> QuotientPair:
@@ -149,20 +153,6 @@ def test_maximal_ideal_n2():
     assert hdepth1(H) == HdepthResult(value=1, failing_coefficient=2)
 
 
-def test_series_addition():
-    n = 3
-    m_pair = QuotientPair(
-        Ideal(n, [Monomial.of(i) for i in range(1, n + 1)]), Ideal(n)
-    )
-    h_m = hilbert_series(m_pair)
-    s = HilbertSeries(n, (1,))
-    total = s + h_m
-    for k in range(8):
-        assert total.coefficient(k) == h_m.coefficient(k) + comb(k + n - 1, n - 1)
-    with pytest.raises(InputError):
-        s + HilbertSeries(n + 1, (1,))
-
-
 def test_herzog_comparison_table():
     equal_ns = {1, 2, 3, 4, 5, 7, 9, 11}
     for n in range(1, 13):
@@ -176,6 +166,18 @@ def test_herzog_comparison_table():
     for bad_n in (0, 13):
         with pytest.raises(InputError):
             herzog_question(bad_n)
+
+
+def test_herzog_table_script(capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "herzog_table.py"
+    main = runpy.run_path(str(script))["main"]
+    assert main(["--max-n", "7"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[0] for row in rows] == [str(n) for n in range(1, 8)]
+    assert rows[5] == ["6", "3", "4", "NO"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--max-n", "13"])
+    assert exit_info.value.code == 2
 
 
 def test_si_form_series_matches_counts():

@@ -15,6 +15,7 @@ from helpers import (
     si_pair,
     unit_ideal,
 )
+from sdepthlab.hilbert import hdepth1, hdepth1_pair, hilbert_series
 from sdepthlab.io import parse_input
 from sdepthlab.monomials import (
     Ideal,
@@ -26,7 +27,9 @@ from sdepthlab.monomials import (
 )
 from sdepthlab.poset import (
     _minimal,
+    degree_bits,
     downward_closure,
+    layer_counts,
     poset_bitset,
     poset_view,
     split_pair,
@@ -111,6 +114,28 @@ def test_minimal_matches_brute(Q, data):
     for P in [Q] + [D for D in derived if D is not None]:
         bits = poset_view(P).bits
         assert _bits_to_masks(_minimal(bits, n)) == _brute_minimal(bits)
+
+
+def test_degree_bits_is_every_mask_of_its_degree():
+    for n in range(11):
+        for k in range(n + 2):
+            assert degree_bits(n, k) == sum(
+                1 << m for m in range(1 << n) if m.bit_count() == k)
+
+
+@given(quotient_pairs(max_n=8, max_gens=5, normalized=False), st.data())
+def test_layer_counts_match_brute(Q, data):
+    # the pair, its colon pairs and both ends of a split by a random
+    # subideal; hdepth1 from the counts against hdepth1 of the series
+    n = Q.ambient
+    sub = Ideal(n, [Monomial(data.draw(st.integers(1, (1 << n) - 1)))
+                    for _ in range(data.draw(st.integers(1, 3)))])
+    derived = [colon_pair(Q, j) for j in range(1, n + 1)]
+    derived += split_pair(Q, sub)
+    for P in [Q] + [D for D in derived if D is not None]:
+        degrees = [m.bit_count() for m in brute_poset_masks(P)]
+        assert layer_counts(P) == [degrees.count(e) for e in range(n + 1)]
+        assert hdepth1_pair(P) == hdepth1(hilbert_series(P))
 
 
 @given(quotient_pairs())

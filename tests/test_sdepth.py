@@ -49,7 +49,7 @@ def test_partition_value_and_json():
         Interval(Monomial.of(3), Monomial.of(1, 2, 3)),
     ))
     assert P.sdepth_value == 2
-    assert len(P) == 2
+    assert len(P.intervals) == 2
     assert P.to_json() == [["x1", "x1*x2"], ["x3", "x1*x2*x3"]]
     assert Partition(()).sdepth_value == 0
 

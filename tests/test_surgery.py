@@ -109,7 +109,7 @@ def test_normalize_partition_truncates_and_fills():
     out = normalize_partition(Q, big, 2)
     assert verify_partition(Q, out)
     assert out.sdepth_value == 2
-    assert len(out) == 3
+    assert len(out.intervals) == 3
     unchanged = normalize_partition(Q, big, 3)
     assert unchanged.intervals == big.intervals
 
@@ -412,7 +412,7 @@ def test_driver_dump_matches_the_recorded_answers():
 def test_driver_dump_at_n7_matches_the_recorded_answers():
     # `7 0 199`, 776 lines, holds 432 runs whose reduced pair fails d+2
     assert _driver_dump_sha256(7, range(200)) == (
-        "0a96c3a5ef4c4f744e48fd3b4e80a81a583a938087b0f05add5821aadc2f6b62"
+        "b6cf77847c7e13cbdd82b73e845ec82fe14d9d507aff11ecb51fb31444a55626"
     )
 
 
