@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .monomials import InputError, QuotientPair
-from .poset import degree_bits, filter_bitset, layer_counts, poset_view
+from .poset import degree_bits, layer_counts, poset_view, variable_filter
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def colon_refuter(Q: QuotientPair, k: int) -> int | None:
     or None; an answer proves sdepth(I/J) < k by the colon bound."""
     n, bits = Q.ambient, poset_view(Q).bits
     for j in range(1, n + 1):
-        on_j = bits & filter_bitset(n, (1 << (j - 1),))
+        on_j = bits & variable_filter(n, j)
         if not on_j:
             continue  # (I:x_j) = (J:x_j)
         # a_j(e): degree-e elements of P that x_j divides (a_j(n+1) = 0).

@@ -287,11 +287,10 @@ def colon_pair(Q: QuotientPair, j: int) -> QuotientPair | None:
     """(I:x_j)/(J:x_j) as `poset.pair_of` its poset, or None when the colons
     coincide.  A squarefree w lies in it iff w ∪ {j} lies in P, so its poset
     is r | (r >> 2^(j-1)) for r the elements of P that x_j divides."""
-    from .poset import interval_bits, pair_of, poset_view  # poset imports this module
+    from .poset import pair_of, poset_view, variable_filter  # poset imports this module
 
     n = Q.ambient
     if not 1 <= j <= n:
         raise InputError(f"variable index {j} out of range")
-    x = 1 << (j - 1)
-    r = poset_view(Q).bits & interval_bits(x, (1 << n) - 1)
-    return pair_of(n, r | (r >> x))
+    r = poset_view(Q).bits & variable_filter(n, j)
+    return pair_of(n, r | (r >> (1 << (j - 1))))

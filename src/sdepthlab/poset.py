@@ -56,6 +56,13 @@ def degree_bits(n: int, k: int) -> int:
     return layers[k]
 
 
+@cache
+def variable_filter(n: int, j: int) -> int:
+    """Bitset of the masks over x_1..x_n that x_j divides: its principal
+    filter, which the colon pairs and the colon screen read."""
+    return filter_bitset(n, (1 << (j - 1),))
+
+
 def layer_counts(Q: QuotientPair) -> list[int]:
     """α_0..α_n: the number of elements of P_{I\\J} in each degree, one
     popcount per degree of the pair's bitset."""

@@ -17,13 +17,17 @@ Exhaustiveness: the canonically least uncovered low element must be the
 already-covered low — so branching over its degree-k tops explores every
 normalized partition.
 
-Ceiling: `sdepth` searches k = d+1 .. hdepth1(I/J) and no further.  A
-Stanley decomposition ⊕ u_i K[Z_i] with |Z_i| ≥ k is also a Hilbert
-decomposition of the Z-graded series into shifted polynomial rings of
-dimension ≥ k, so sdepth ≤ hdepth1; a value that reaches hdepth1 has k+1
-refuted by that count (`refuted_by = "hdepth1"`), not by a search.  hdepth1
-is a finite integer check on the pair's layer counts |P_e| (see `hilbert`),
-so the ceiling costs no series expansion and cannot stall.
+Ceiling: `sdepth` decides k = hdepth1(I/J), hdepth1 - 1, .. down to d and
+stops at the first k that has a partition.  A Stanley decomposition
+⊕ u_i K[Z_i] with |Z_i| ≥ k is also a Hilbert decomposition of the Z-graded
+series into shifted polynomial rings of dimension ≥ k, so sdepth ≤ hdepth1;
+a value that reaches hdepth1 has k+1 refuted by that count
+(`refuted_by = "hdepth1"`), not by a search.  The decision is monotone: a
+partition of value ≥ k also has value ≥ k-1, so the first satisfiable k from
+the top is sdepth, and every k above it was refuted by search.  Most pairs
+reach their ceiling, so most cost one search.  hdepth1 is a finite integer
+check on the pair's layer counts |P_e| (see `hilbert`), so the ceiling costs
+no series expansion and cannot stall.
 
 Pruning: a node is abandoned when an uncovered low lies under no uncovered
 top.  One downward closure of the uncovered tops finds every such dead low,
@@ -281,7 +285,11 @@ def _whole_ring(free: int) -> Partition:
 
 
 def _search(Q: QuotientPair, ceiling: int) -> tuple[int, Partition, str | None]:
-    """sdepth of Q by deciding k = d+1 .. ceiling (≥ sdepth) in turn.
+    """sdepth of Q by deciding k = ceiling (≥ sdepth), ceiling - 1, .. d.
+
+    `sdepth_decide(Q, k)` answers yes iff sdepth ≥ k, so the first k that
+    it answers from the top is the value and its partition the certificate:
+    the same deterministic call that an upward loop would keep last.
 
     Returns the value, its certificate, and the refuter of value + 1
     (None when value is the ambient count).
@@ -289,16 +297,14 @@ def _search(Q: QuotientPair, ceiling: int) -> tuple[int, Partition, str | None]:
     d = poset_view(Q).d
     # the public name, so that a wrapper of it (perfbench's tracer) sees the
     # search; Q has no free variables, so it costs one support scan per k
-    best = sdepth_decide(Q, d)
+    for k in range(ceiling, d - 1, -1):
+        best = sdepth_decide(Q, k)
+        if best is not None:
+            break
     assert best is not None  # k = d has no lows; always satisfiable
-    for k in range(d + 1, ceiling + 1):
-        cert = sdepth_decide(Q, k)
-        if cert is None:
-            return k - 1, best, "search"
-        best = cert
-    if ceiling == Q.ambient:
-        return ceiling, best, None
-    return ceiling, best, "hdepth1"
+    if k == Q.ambient:
+        return k, best, None
+    return k, best, "hdepth1" if k == ceiling else "search"
 
 
 def _squeeze(mask: int, support: int) -> int:

@@ -13,9 +13,11 @@ from itertools import combinations, product
 
 from hypothesis import strategies as st
 
+from sdepthlab.hilbert import hdepth1_pair
 from sdepthlab.linalg import boundary_rank
 from sdepthlab.monomials import Ideal, Monomial, QuotientPair, parse_monomial
-from sdepthlab.poset import strata
+from sdepthlab.poset import poset_view, strata
+from sdepthlab.sdepth import sdepth_decide
 from sdepthlab.surgery import containment_violators, ml1_candidate_bs
 
 # frozen driver instances found by the deterministic sampler
@@ -111,6 +113,30 @@ def brute_poset_masks(Q: QuotientPair) -> list[int]:
     """Masks of squarefree monomials in I\\J, by direct membership tests."""
     return [m for m in range(1 << Q.ambient)
             if Q.I.member_mask(m) and not Q.J.member_mask(m)]
+
+
+def ascending_sdepth(Q: QuotientPair) -> dict:
+    """`sdepth(Q).to_json()` by the upward search on the whole pair: decide
+    k = d+1, d+2, .. up to hdepth1 through `sdepth_decide` and keep the
+    last partition found."""
+    d, ceiling = poset_view(Q).d, hdepth1_pair(Q).value
+    best = sdepth_decide(Q, d)
+    value, refuted_by = ceiling, "hdepth1"
+    for k in range(d + 1, ceiling + 1):
+        cert = sdepth_decide(Q, k)
+        if cert is None:
+            value, refuted_by = k - 1, "search"
+            break
+        best = cert
+    if value == Q.ambient:
+        refuted_by = None
+    return {
+        "value": value,
+        "certificate": best.to_json(),
+        "refuted_k": None if refuted_by is None else value + 1,
+        "refuted_by": refuted_by,
+        "free": restrict_to_support(Q)[1],
+    }
 
 
 def brute_monomial_count(Q: QuotientPair, degree: int) -> int:

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ascending_sdepth,
     brute_poset_masks,
     from_strs,
     quotient_pairs,
@@ -301,9 +302,8 @@ def test_decide_with_free_variables_searches_the_support():
     assert sdepth_decide(Q, 2) == sdepth_decide(Q, 3)
 
 
-def test_search_decides_through_sdepth_decide(monkeypatch):
-    # sdepth's k-loop calls the public sdepth_decide, once per k from d up,
-    # on the pair restricted to its support (x9, x10 free in the first)
+def _count_decisions(monkeypatch) -> list[tuple[int, int]]:
+    """The (ambient, k) of every sdepth_decide call that sdepth makes."""
     calls = []
     real = sdepth_module.sdepth_decide
 
@@ -312,13 +312,44 @@ def test_search_decides_through_sdepth_decide(monkeypatch):
         return real(Q, k)
 
     monkeypatch.setattr(sdepth_module, "sdepth_decide", counted)
+    return calls
+
+
+def test_search_decides_through_sdepth_decide(monkeypatch):
+    # sdepth's k-loop calls the public sdepth_decide, once per k from the
+    # hdepth1 ceiling down to the first yes, on the pair restricted to its
+    # support (x9, x10 free in the first, which reaches its ceiling 6)
+    calls = _count_decisions(monkeypatch)
     free = parse_input("n=10\nI = x3, x1*x4, x2*x6, x5*x7*x8\nJ = 0\n")
     assert sdepth(free).value == 8
-    assert calls == [(8, k) for k in range(1, 7)]
+    assert calls == [(8, 6)]
     calls.clear()
     ex1 = parse_input("n=5\nI = x1*x2, x1*x3, x1*x4, x2*x3*x5\nJ = x2*x3*x4*x5\n")
     assert sdepth(ex1).value == 3
-    assert calls == [(5, 2), (5, 3), (5, 4)]
+    assert calls == [(5, 4), (5, 3)]
+
+
+def test_stream_pool_costs_one_decision_per_pair_at_its_ceiling(monkeypatch):
+    # the 1 000 seed-2026 n=6 stream pairs: 938 reach their ceiling and cost
+    # one decision each, the other 62 two; deciding upward from d+1 made 2 370
+    calls = _count_decisions(monkeypatch)
+    cfg = FuzzConfig(n=6, seed=2026)
+    for idx in range(1000):
+        sdepth(random_pair(instance_rng(cfg.seed, idx), cfg))
+    assert len(calls) == 1062
+
+
+@given(quotient_pairs(max_n=7, normalized=False))
+@settings(max_examples=80)
+def test_descending_search_matches_the_ascending_one(Q):
+    assert sdepth(Q).to_json() == ascending_sdepth(Q)
+
+
+def test_descending_search_matches_the_ascending_one_on_the_stream():
+    cfg = FuzzConfig(n=6, seed=2026)
+    for idx in range(200):
+        Q = random_pair(instance_rng(cfg.seed, idx), cfg)
+        assert sdepth(Q).to_json() == ascending_sdepth(Q)
 
 
 def test_free_variable_answers_hold_on_the_full_pair():
