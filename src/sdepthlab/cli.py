@@ -1,12 +1,14 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage, 2 input/parse error, 3 internal invariant
-violation, 4 verdict inconsistency (or golden-corpus mismatch).
+Exit codes: 0 success (also when the reader of stdout closes it early),
+1 usage, 2 input/parse error (an unreadable file included), 3 internal
+invariant violation, 4 verdict inconsistency (or golden-corpus mismatch).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .corpus import run_corpus
@@ -239,11 +241,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except InputError as exc:
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout: the rest goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    except (OSError, InputError) as exc:  # a closed pipe is handled above
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except DriverFailure as exc:

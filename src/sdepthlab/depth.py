@@ -53,7 +53,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .linalg import check_field, rank
 from .monomials import InputError, Monomial, QuotientPair, canonical_key
-from .poset import poset_view
+from .poset import PosetView, poset_view
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,10 @@ def _lcm_closure(gens: tuple[int, ...]) -> set[int]:
     return out
 
 
-def _candidate_degrees(Q: QuotientPair) -> list[int]:
+def _candidate_degrees(Q: QuotientPair | PosetView) -> list[int]:
     """The lcm closures of gens(I) and gens(J), in canonical order."""
-    cands = _lcm_closure(Q.I.gen_masks()) | _lcm_closure(Q.J.gen_masks())
-    return sorted(cands, key=canonical_key)
+    I, J = poset_view(Q).gens
+    return sorted(_lcm_closure(I) | _lcm_closure(J), key=canonical_key)
 
 
 def _morse_matrix(cells: list[int], cols: dict[int, int], pbits: int, a: int,
@@ -191,7 +191,7 @@ def _top_homology(pbits: int, a: int, floor: int, char: int,
     return floor, screen_top
 
 
-def depth(Q: QuotientPair, field: int) -> DepthResult:
+def depth(Q: QuotientPair | PosetView, field: int) -> DepthResult:
     """depth(I/J) over the field of characteristic `field`."""
     char = check_field(field)
     pbits = poset_view(Q).bits

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .monomials import InputError, QuotientPair
-from .poset import degree_bits, layer_counts, poset_view, variable_filter
+from .poset import PosetView, degree_bits, layer_counts, poset_view, variable_filter, view_of
 
 
 @dataclass(frozen=True)
@@ -54,18 +54,6 @@ class HilbertSeries:
 
     denom_exp: int
     k_poly: tuple[int, ...]
-
-    def coefficient(self, k: int) -> int:
-        """Degree-k coefficient of the expanded series."""
-        n = self.denom_exp
-        return sum(
-            kj * comb(k - j + n - 1, n - 1)
-            for j, kj in enumerate(self.k_poly)
-            if k - j >= 0
-        )
-
-    def to_json(self) -> dict:
-        return {"denom_exp": self.denom_exp, "k_poly": list(self.k_poly)}
 
 
 def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -76,7 +64,7 @@ def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return coeffs[: last + 1] if last >= 0 else (0,)
 
 
-def hilbert_series(Q: QuotientPair) -> HilbertSeries:
+def hilbert_series(Q: QuotientPair | PosetView) -> HilbertSeries:
     n = Q.ambient
     # Σ_e α_e · t^e (1-t)^(n-e)
     acc = [0] * (n + 1)
@@ -131,20 +119,20 @@ def _hdepth1_of_counts(alpha: list[int]) -> HdepthResult:
     return HdepthResult(value=0, failing_coefficient=failing)
 
 
-def hdepth1_pair(Q: QuotientPair) -> HdepthResult:
-    """hdepth1 of the pair, computed at most once per poset view.
+def hdepth1_pair(Q: QuotientPair | PosetView) -> HdepthResult:
+    """hdepth1 of the module, computed at most once per poset view.
 
-    The check reads only the pair's layer counts, so the result is kept on
-    the view, next to the pair's strata, and shared by `sdepth` (its search
+    The check reads only the module's layer counts, so the result is kept on
+    the view, next to its strata, and shared by `sdepth` (its search
     ceiling) and `EngineCache.hdepth`, which keeps no copy of its own.
     """
     view = poset_view(Q)
     if view.hdepth is None:
-        view.hdepth = _hdepth1_of_counts(layer_counts(Q))
+        view.hdepth = _hdepth1_of_counts(layer_counts(view))
     return view.hdepth
 
 
-def colon_refuter(Q: QuotientPair, k: int) -> int | None:
+def colon_refuter(Q: QuotientPair | PosetView, k: int) -> int | None:
     """The least j with hdepth1((I:x_j)/(J:x_j)) < k over the nonzero colons,
     or None; an answer proves sdepth(I/J) < k by the colon bound."""
     n, bits = Q.ambient, poset_view(Q).bits
@@ -165,15 +153,12 @@ def colon_refuter(Q: QuotientPair, k: int) -> int | None:
 
 def herzog_question(n: int) -> dict:
     """Compare hdepth1 of the maximal ideal against that of S ⊕ m."""
-    from .monomials import Ideal, Monomial
-
     if not 1 <= n <= 12:
         raise InputError(f"n={n} outside [1, 12]")
-    m_ideal = Ideal(n, [Monomial.of(i) for i in range(1, n + 1)])
-    m_pair = QuotientPair(m_ideal, Ideal(n))
-    a = hdepth1_pair(m_pair)
+    m = view_of(n, (1 << (1 << n)) - 2)  # the maximal ideal: every mask but 0
+    a = hdepth1_pair(m)
     # S = (1)/0 has every squarefree monomial: binom(n, e) in degree e
-    b = _hdepth1_of_counts([c + comb(n, e) for e, c in enumerate(layer_counts(m_pair))])
+    b = _hdepth1_of_counts([c + comb(n, e) for e, c in enumerate(layer_counts(m))])
     return {
         "n": n,
         "hdepth_m": a.value,

@@ -85,12 +85,6 @@ class Monomial:
     def divides(self, other: "Monomial") -> bool:
         return self.mask & ~other.mask == 0
 
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.mask | other.mask)
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.mask & other.mask)
-
     def sort_key(self) -> int:
         return canonical_key(self.mask)
 
@@ -199,7 +193,7 @@ class Ideal:
         mine = self._masks
         return all(any(g & ~h == 0 for g in mine) for h in other._masks)
 
-    def _check_ambient(self, other: "Ideal") -> None:
+    def _check_ambient(self, other) -> None:  # an ideal, pair or poset view
         if self.ambient != other.ambient:
             raise AmbientMismatchError(
                 f"ambient mismatch: n={self.ambient} vs n={other.ambient}"
@@ -245,10 +239,11 @@ class QuotientPair:
     I\\J is nonempty.  `normalization_warning` is set when J has a minimal
     generator of degree ≤ d (d = least degree of I's generators); such pairs
     are fully supported, but the theorem-derived verdict rules assume the
-    normalized shape and are gated off.  Only an input pair can carry the
-    warning: every pair derived from another is built by `poset.pair_of`,
-    whose normal form has J generated in degrees > d.  The pair has no
-    field: only depth depends on one, and `depth.depth` takes it.
+    normalized shape and are gated off.  A pair exists only as parsed or
+    drawn input: a colon, split end or restriction of one is a
+    `poset.PosetView` alone, built by `poset.view_of` in a normal form with
+    J generated in degrees > d.  The pair has no field: only depth
+    depends on one, and `depth.depth` takes it.
     """
 
     __slots__ = ("ambient", "I", "J", "normalization_warning", "_key", "_poset")
@@ -266,7 +261,7 @@ class QuotientPair:
         self.J = J
         d = I.gen_masks()[0].bit_count()  # canonical order is degree-major
         self.normalization_warning = any(m.bit_count() <= d for m in J.gen_masks())
-        # the pair's identity: equality, hashing and the caching layer
+        # the pair's identity: equality and hashing
         self._key = (self.ambient, I.gen_masks(), J.gen_masks())
         self._poset = None  # PosetView, built on first use by poset.poset_view
 
@@ -283,14 +278,15 @@ class QuotientPair:
         return f"QuotientPair(n={self.ambient}; I=({self.I}); J=({self.J}))"
 
 
-def colon_pair(Q: QuotientPair, j: int) -> QuotientPair | None:
-    """(I:x_j)/(J:x_j) as `poset.pair_of` its poset, or None when the colons
-    coincide.  A squarefree w lies in it iff w ∪ {j} lies in P, so its poset
-    is r | (r >> 2^(j-1)) for r the elements of P that x_j divides."""
-    from .poset import pair_of, poset_view, variable_filter  # poset imports this module
+def colon_pair(Q, j: int):
+    """(I:x_j)/(J:x_j) of a pair or view as `poset.view_of` its poset, or None
+    when the colons coincide.  A squarefree w lies in it iff w ∪ {j} lies in
+    P, so its poset is r | (r >> 2^(j-1)) for r the elements of P that x_j
+    divides."""
+    from .poset import poset_view, variable_filter, view_of  # poset imports this module
 
     n = Q.ambient
     if not 1 <= j <= n:
         raise InputError(f"variable index {j} out of range")
     r = poset_view(Q).bits & variable_filter(n, j)
-    return pair_of(n, r | (r >> (1 << (j - 1))))
+    return view_of(n, r | (r >> (1 << (j - 1))))

@@ -1,13 +1,13 @@
 """The divisibility poset P_{I\\J} and its degree strata.
 
 `poset_view` reads P_{I\\J}, every squarefree monomial lying in I but not in
-J, once per pair: its bitset, its least degree d, and its elements in
-canonical order, layer by layer.  I/J depends only on P (Herzog-Vladoiu-
-Zheng, J. Algebra 322, 2009), so `pair_of` builds every derived pair from its
-poset, which `split_pair` and `monomials.colon_pair` cut out of the parent's
-bitset.  `layer_counts` reads the number of elements in each degree off
-the bitset, one popcount against `degree_bits` per degree, with no sort.
-`strata` reads off the view, once per pair, the statistics the
+J, once per input pair: its bitset, least degree d, generators and elements
+in canonical order.  I/J depends only on P (Herzog-Vladoiu-Zheng, J. Algebra
+322, 2009), so a derived module is only the view that `view_of` builds from
+the poset `split_pair` or `monomials.colon_pair` cuts out of its parent's,
+and the engines read views alone.  `layer_counts` reads the number of
+elements in each degree off the bitset, one popcount against `degree_bits`
+per degree, with no sort.  `strata` reads off the view the statistics the
 upper-bound theorems consume: the least degree d, the degree-d generators
 f_1..f_r, the higher-degree generators E, the degree-(d+1) and -(d+2) layers
 B and C, the pairwise generator lcms, and the lcm-constrained subsets C2 and
@@ -63,9 +63,9 @@ def variable_filter(n: int, j: int) -> int:
     return filter_bitset(n, (1 << (j - 1),))
 
 
-def layer_counts(Q: QuotientPair) -> list[int]:
+def layer_counts(Q: QuotientPair | PosetView) -> list[int]:
     """α_0..α_n: the number of elements of P_{I\\J} in each degree, one
-    popcount per degree of the pair's bitset."""
+    popcount per degree of the module's bitset."""
     n, bits = Q.ambient, poset_view(Q).bits
     return [(bits & degree_bits(n, e)).bit_count() for e in range(n + 1)]
 
@@ -113,23 +113,25 @@ _LOW_BLOCKS = tuple(_low_block(i) for i in range(MAX_AMBIENT))
 
 
 class PosetView:
-    """P_{I\\J} of one pair, computed once and read by every engine.
+    """P_{I\\J} of one module over x_1..x_ambient, read by every engine.
 
     `bits` has bit m set iff the monomial with mask m lies in I\\J; `d` is
-    the least degree of an element.  `poset_view` computes both for an input
-    pair, and `pair_of` seeds them for a derived one.  `elements` lists the
-    masks in canonical order, built on first use and shared by every reader,
-    who must not mutate it; that order is degree-major, so the elements of
-    degree k form the contiguous run `layer(k)`.  `hdepth` and `strata` hold
-    the pair's Hilbert depth and StrataReport once `hilbert.hdepth1_pair`
-    and `strata` have computed them, from the layer counts and the layers.
+    the least degree of an element; `gens` holds the generator masks of I
+    and J: a pair's own, or those of `view_of`'s normal form.  `elements`
+    lists the masks in canonical order, built on first use and shared by
+    every reader, who must not mutate it; that order is degree-major, so the
+    elements of degree k form the contiguous run `layer(k)`.  `hdepth` and
+    `strata` hold the module's Hilbert depth and StrataReport once
+    `hilbert.hdepth1_pair` and `strata` have computed them.
     """
 
-    __slots__ = ("bits", "d", "_elements", "_starts", "hdepth", "strata")
+    __slots__ = ("ambient", "bits", "d", "gens", "_elements", "_starts", "hdepth", "strata")
 
-    def __init__(self, bits: int, d: int):
+    def __init__(self, ambient: int, bits: int, d: int, gens: tuple):
+        self.ambient = ambient
         self.bits = bits
         self.d = d
+        self.gens = gens
         self._elements: list[int] | None = None
         self._starts: list[int] = []
         self.hdepth = None
@@ -164,14 +166,17 @@ class PosetView:
         return self.elements[self.start(k):self.start(k + 1)]
 
 
-def poset_view(Q: QuotientPair) -> PosetView:
-    """The pair's PosetView, built on first use and kept on the pair."""
+def poset_view(Q: QuotientPair | PosetView) -> PosetView:
+    """The view itself, or the pair's, built on first use and kept on it."""
+    if isinstance(Q, PosetView):
+        return Q
     view = Q._poset
     if view is None:
         bits = poset_bitset(Q)
+        I, J = Q.I.gen_masks(), Q.J.gen_masks()
         # a least-degree element is an I-generator outside J
-        d = min(m.bit_count() for m in Q.I.gen_masks() if (bits >> m) & 1)
-        view = Q._poset = PosetView(bits, d)
+        d = min(m.bit_count() for m in I if (bits >> m) & 1)
+        view = Q._poset = PosetView(Q.ambient, bits, d, (I, J))
     return view
 
 
@@ -184,37 +189,40 @@ def _minimal(bits: int, n: int) -> int:
     return bits & ~below
 
 
-def pair_of(n: int, bits: int) -> QuotientPair | None:
-    """The pair I'/J' over x_1..x_n whose poset P is the convex family
-    `bits`, with its view seeded from it, or None when `bits` is 0.
+def view_of(n: int, bits: int) -> PosetView | None:
+    """The view over x_1..x_n whose poset P is the convex family `bits`, or
+    None when `bits` is 0.
 
-    It is in normal form: I' is generated by the minimal elements of P and
-    J' by those of up(P) \\ P, which is I' ∩ J for any I/J with poset P.
-    So J' has no generator of degree ≤ d, and the pair no warning.
+    Its generators are those of the normal form I'/J': I' is generated by
+    the minimal elements of P and J' by those of up(P) \\ P, which is I' ∩ J
+    for any I/J with poset P.  So J' has no generator of degree ≤ d.
     """
     if not bits:
         return None
-    I = Ideal._of_masks(n, members(_minimal(bits, n)))
-    above = upward_closure(bits, n) & ~bits
-    Q = QuotientPair(I, Ideal._of_masks(n, members(_minimal(above, n))))
-    Q._poset = PosetView(bits, I.gen_masks()[0].bit_count())
-    return Q
+    I, J = (tuple(sorted(members(_minimal(b, n)), key=canonical_key))
+            for b in (bits, upward_closure(bits, n) & ~bits))
+    return PosetView(n, bits, I[0].bit_count(), (I, J))
 
 
-def split_pair(Q: QuotientPair, sub: Ideal) -> tuple:
+def split_pair(Q: QuotientPair | PosetView, sub: Ideal) -> tuple:
     """The ends of 0 → (I∩sub)/(J∩sub) → I/J → I/(J + I∩sub) → 0, each
     None when it is zero.
 
     Their posets are P ∩ F and P \\ F, for F the squarefree monomials of
-    sub; each end is `pair_of` its poset, except that a first end with all
-    of P is Q itself and shares its view.
+    sub; each end is `view_of` its poset, except that a first end with all
+    of P is Q itself.
     """
-    Q.I._check_ambient(sub)
-    bits = poset_view(Q).bits
-    inside = bits & filter_bitset(Q.ambient, sub.gen_masks())
+    sub._check_ambient(Q)
+    return split_filter(Q, filter_bitset(Q.ambient, sub.gen_masks()))
+
+
+def split_filter(Q: QuotientPair | PosetView, F: int) -> tuple:
+    """`split_pair` by the ideal whose squarefree monomials are the bitset F."""
+    n, bits = Q.ambient, poset_view(Q).bits
+    inside = bits & F
     if inside == bits:
         return Q, None
-    return pair_of(Q.ambient, inside), pair_of(Q.ambient, bits & ~inside)
+    return view_of(n, inside), view_of(n, bits & ~inside)
 
 
 @dataclass(frozen=True)
@@ -265,21 +273,21 @@ class StrataReport:
         }
 
 
-def strata(Q: QuotientPair) -> StrataReport:
-    """The pair's StrataReport, built on first use and kept on its PosetView."""
+def strata(Q: QuotientPair | PosetView) -> StrataReport:
+    """The module's StrataReport, built on first use and kept on its view."""
     view = poset_view(Q)
     if view.strata is None:
-        view.strata = _strata_report(Q, view)
+        view.strata = _strata_report(view)
     return view.strata
 
 
-def _strata_report(Q: QuotientPair, view: PosetView) -> StrataReport:
+def _strata_report(view: PosetView) -> StrataReport:
     d = view.d
     # I's masks and the layers are already in canonical order.  Tuples are
     # built from lists: tuple(<generator>) shrinks a 10-slot tuple, which
     # moves tuples between the interpreter's per-size free lists and raised
     # the peak RSS of surgery runs by 9%.
-    masks = Q.I.gen_masks()
+    masks = view.gens[0]
     f_list = tuple([Monomial(m) for m in masks if m.bit_count() == d])
     E = tuple([Monomial(m) for m in masks if m.bit_count() > d])
     B = tuple([Monomial(m) for m in view.layer(d + 1)])
@@ -313,7 +321,7 @@ def _strata_report(Q: QuotientPair, view: PosetView) -> StrataReport:
         if ok:
             c3.append(c)
     return StrataReport(
-        ambient=Q.ambient,
+        ambient=view.ambient,
         d=d,
         f_list=f_list,
         E=E,

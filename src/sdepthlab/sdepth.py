@@ -39,9 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .monomials import Ideal, InputError, Monomial, QuotientPair
+from .monomials import InputError, Monomial, QuotientPair
 from .hilbert import hdepth1_pair
-from .poset import downward_closure, interval_bits, poset_view
+from .poset import PosetView, downward_closure, filter_bitset, interval_bits, poset_view
 
 
 class MalformedIntervalError(InputError):
@@ -101,7 +101,7 @@ class SdepthResult:
         }
 
 
-def verify_partition(Q: QuotientPair, partition: Partition) -> VerifyResult:
+def verify_partition(Q: QuotientPair | PosetView, partition: Partition) -> VerifyResult:
     """Disjoint-cover check; reports the first offender in canonical order."""
     view = poset_view(Q)
     covered = twice = 0
@@ -125,28 +125,27 @@ def verify_partition(Q: QuotientPair, partition: Partition) -> VerifyResult:
     return VerifyResult(True)
 
 
-def sdepth_decide(Q: QuotientPair, k: int) -> Partition | None:
+def sdepth_decide(Q: QuotientPair | PosetView, k: int) -> Partition | None:
     """A verified partition witnessing sdepth ≥ k, or None when none exists.
 
     With f free variables (see `sdepth`) the search decides k - f on the
-    pair restricted to its support and lifts the certificate; when
+    module restricted to its support and lifts the certificate; when
     k - f < d, the lifted partition of value d answers yes.
     """
     view = poset_view(Q)
-    if not view.d <= k <= Q.ambient:
-        raise InputError(f"k={k} outside [{view.d}, {Q.ambient}]")
-    support, free = _support(Q)
+    if not view.d <= k <= view.ambient:
+        raise InputError(f"k={k} outside [{view.d}, {view.ambient}]")
+    support, free = _support(view)
     if not free:
-        return _decide(Q, k)
+        return _decide(view, k)
     if not support:
         return _whole_ring(free)
-    cert = _decide(_restrict(Q, support), max(k - free.bit_count(), view.d))
+    cert = _decide(_restrict(view, support), max(k - free.bit_count(), view.d))
     return None if cert is None else _lift(cert, support, free)
 
 
-def _decide(Q: QuotientPair, k: int) -> Partition | None:
+def _decide(view: PosetView, k: int) -> Partition | None:
     """`sdepth_decide` by search on the whole poset; d <= k <= n."""
-    view = poset_view(Q)
     elements = view.elements
     lows = elements[:view.start(k)]
     if not lows:
@@ -155,7 +154,7 @@ def _decide(Q: QuotientPair, k: int) -> Partition | None:
     tops = view.layer(k)
     low_bits = sum(1 << u for u in lows)
     top_bits = sum(1 << v for v in tops)
-    n = Q.ambient
+    n = view.ambient
     # per low: the tops above it, in canonical order (the order they are tried)
     tops_of: dict[int, list[int]] = {u: [] for u in lows}
     for v in tops:
@@ -217,7 +216,7 @@ def _expand(
     return Partition(tuple(ivs))
 
 
-def sdepth(Q: QuotientPair) -> SdepthResult:
+def sdepth(Q: QuotientPair | PosetView) -> SdepthResult:
     """Exact Stanley depth of I/J, with a certificate and the refuter of k+1.
 
     Variables that divide no generator of I or J are free: by
@@ -231,42 +230,42 @@ def sdepth(Q: QuotientPair) -> SdepthResult:
     restricts to a partition of P_{I\\J} whose tops lose at most one degree.  The Hilbert series gains a
     factor 1/(1-t) per free variable, so hdepth1 also gains exactly one.
 
-    So with f free variables the search runs on the pair restricted to the
+    So with f free variables the search runs on the module restricted to the
     used ones, relabelled onto x_1..x_m in order, with ceiling
     hdepth1(I/J) - f, and its certificate lifts interval by interval to
     [u, v·x_F], x_F the product of the free variables.  The value and
-    `refuted_k` are those of the full pair; `refuted_by` names what refuted
-    the restricted k.
+    `refuted_k` are those of the full module; `refuted_by` names what
+    refuted the restricted k.
     """
-    support, free = _support(Q)
+    view = poset_view(Q)
+    support, free = _support(view)
     f = free.bit_count()
     if not support:  # I = (1), J = 0: S itself is the Stanley space 1·K[x_1..x_n]
         return SdepthResult(f, _whole_ring(free), refuted_k=None,
                             refuted_by=None, free=f)
-    R = _restrict(Q, support) if f else Q
-    value, best, refuted_by = _search(R, hdepth1_pair(Q).value - f)
+    R = _restrict(view, support) if f else view
+    value, best, refuted_by = _search(R, hdepth1_pair(view).value - f)
     if f:
         best = _lift(best, support, free)
     refuted_k = None if refuted_by is None else value + f + 1
     return SdepthResult(value + f, best, refuted_k, refuted_by, free=f)
 
 
-def _support(Q: QuotientPair) -> tuple[int, int]:
+def _support(view: PosetView) -> tuple[int, int]:
     """The masks of the variables that divide a generator of I or J, and of
     the free ones."""
     support = 0
-    for g in Q.I.gen_masks() + Q.J.gen_masks():
+    for g in view.gens[0] + view.gens[1]:
         support |= g
-    return support, ((1 << Q.ambient) - 1) & ~support
+    return support, ((1 << view.ambient) - 1) & ~support
 
 
-def _restrict(Q: QuotientPair, support: int) -> QuotientPair:
-    """Q restricted to the variables of `support`, relabelled onto x_1..x_m."""
+def _restrict(view: PosetView, support: int) -> PosetView:
+    """The view restricted to the variables of `support`, relabelled onto
+    x_1..x_m, which keeps the generators' canonical order and the degree d."""
     m = support.bit_count()
-    return QuotientPair(
-        Ideal._of_masks(m, [_squeeze(g, support) for g in Q.I.gen_masks()]),
-        Ideal._of_masks(m, [_squeeze(g, support) for g in Q.J.gen_masks()]),
-    )
+    I, J = (tuple([_squeeze(g, support) for g in side]) for side in view.gens)
+    return PosetView(m, filter_bitset(m, I) & ~filter_bitset(m, J), view.d, (I, J))
 
 
 def _lift(partition: Partition, support: int, free: int) -> Partition:
@@ -284,8 +283,8 @@ def _whole_ring(free: int) -> Partition:
     return Partition((Interval(Monomial(0), Monomial(free)),))
 
 
-def _search(Q: QuotientPair, ceiling: int) -> tuple[int, Partition, str | None]:
-    """sdepth of Q by deciding k = ceiling (≥ sdepth), ceiling - 1, .. d.
+def _search(view: PosetView, ceiling: int) -> tuple[int, Partition, str | None]:
+    """sdepth of the view by deciding k = ceiling (≥ sdepth), ceiling - 1, .. d.
 
     `sdepth_decide(Q, k)` answers yes iff sdepth ≥ k, so the first k that
     it answers from the top is the value and its partition the certificate:
@@ -294,15 +293,14 @@ def _search(Q: QuotientPair, ceiling: int) -> tuple[int, Partition, str | None]:
     Returns the value, its certificate, and the refuter of value + 1
     (None when value is the ambient count).
     """
-    d = poset_view(Q).d
     # the public name, so that a wrapper of it (perfbench's tracer) sees the
-    # search; Q has no free variables, so it costs one support scan per k
-    for k in range(ceiling, d - 1, -1):
-        best = sdepth_decide(Q, k)
+    # search; the view has no free variables, so each k costs one support scan
+    for k in range(ceiling, view.d - 1, -1):
+        best = sdepth_decide(view, k)
         if best is not None:
             break
     assert best is not None  # k = d has no lows; always satisfiable
-    if k == Q.ambient:
+    if k == view.ambient:
         return k, best, None
     return k, best, "hdepth1" if k == ceiling else "search"
 
@@ -332,7 +330,7 @@ def _spread(mask: int, support: int) -> int:
     return out
 
 
-def brute_force_sdepth(Q: QuotientPair, limit: int = 14) -> int:
+def brute_force_sdepth(Q: QuotientPair | PosetView, limit: int = 14) -> int:
     """Independent oracle: exhaustive search over all interval partitions.
 
     Exponential; guarded by `limit` on the poset size.

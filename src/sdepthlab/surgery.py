@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from .depth import depth
 from .hilbert import colon_refuter
 from .monomials import Ideal, InputError, Monomial, QuotientPair, minimalize
-from .poset import StrataReport, interval_bits, members, poset_view, split_pair, strata
+from .poset import PosetView, StrataReport, interval_bits, members, poset_view, split_pair, strata
 from .sdepth import (
     Interval,
     Partition,
@@ -56,9 +56,10 @@ def _designated_generator(st: StrataReport, b: Monomial) -> Monomial:
     return divisors[0]
 
 
-def build_reduced_pair(Q: QuotientPair, b: Monomial) -> QuotientPair:
+def build_reduced_pair(Q: QuotientPair, b: Monomial) -> PosetView:
     """Drop b and the generator dividing it: I_b = (other f's, B minus b).
-    The pair I_b/(J∩I_b) is in the normal form of `poset.pair_of`."""
+    The module I_b/(J∩I_b) is a PosetView in the normal form of
+    `poset.view_of`: b lies in P but not in I_b, so it is never Q."""
     st = strata(Q)
     if b not in st.B:
         raise SurgeryError(f"b={b} is not a degree-(d+1) element of the poset")
@@ -93,7 +94,7 @@ def _inner_elements(iv: Interval) -> tuple[Monomial, ...]:
     return tuple(sorted(inner, key=Monomial.sort_key))
 
 
-def normalize_partition(Q: QuotientPair, partition: Partition, k: int) -> Partition:
+def normalize_partition(Q: QuotientPair | PosetView, partition: Partition, k: int) -> Partition:
     """Reshape a partition so every element of degree < k tops out at degree k.
 
     Intervals reaching past degree k are truncated (their high elements are
@@ -145,7 +146,7 @@ class HMap:
     bottoms its own interval and contributes h(b') = top.
     """
 
-    pair_b: QuotientPair
+    pair_b: PosetView
     b: Monomial
     partition: Partition
     st: StrataReport
@@ -174,7 +175,7 @@ def build_h(Q: QuotientPair, b: Monomial, P_b: Partition) -> HMap:
     return _h_map(strata(Q), build_reduced_pair(Q, b), b, P_b)
 
 
-def _h_map(st: StrataReport, pair_b: QuotientPair, b: Monomial,
+def _h_map(st: StrataReport, pair_b: PosetView, b: Monomial,
            P_b: Partition) -> HMap:
     view_b = poset_view(pair_b)
     d_b = view_b.d
@@ -335,7 +336,7 @@ def _tree_path(tree: dict, hit) -> list[Monomial] | None:
     return seq[::-1]
 
 
-def rotate(Q: QuotientPair, partition: Partition,
+def rotate(Q: QuotientPair | PosetView, partition: Partition,
            lows: list[Monomial]) -> Partition:
     """Shift interval tops backwards along a divisibility-linked segment.
 
@@ -366,7 +367,7 @@ def rotate(Q: QuotientPair, partition: Partition,
 
 
 def swap_into_generator(
-    Q: QuotientPair, partition: Partition, f: Monomial, a_t: Monomial
+    Q: QuotientPair | PosetView, partition: Partition, f: Monomial, a_t: Monomial
 ) -> Partition:
     """Trade [f,c'_f], [a_t,c_t] for [f,c_t], [u',c'_f].
 
@@ -401,7 +402,7 @@ def _in_order(pieces) -> Partition:
     return Partition(tuple(sorted(pieces, key=lambda iv: iv.lo.sort_key())))
 
 
-def _rewritten(Q: QuotientPair, partition: Partition, drop, add,
+def _rewritten(Q: QuotientPair | PosetView, partition: Partition, drop, add,
                what: str) -> Partition:
     """`partition` without the intervals bottomed in `drop`, plus `add`, in
     canonical order; raises unless the result is a partition of Q."""

@@ -10,9 +10,10 @@ Counting rules come in two flavours.  The Stanley-depth flavour is proved by
 pure interval counting inside the poset, so it holds for any pair; it uses
 the number of degree-d poset elements rather than the generator count.  The
 depth flavour relies on the normalization assumptions (J generated in degrees
-> d), so it is gated on an input pair's `normalization_warning`; the pairs
-derived from it are built in that normal form (`poset.pair_of`).  Only
-depth depends on the field, whose characteristic the entry points take.
+> d), so it is gated on an input pair's `normalization_warning`; the
+colons, restrictions and splits derived from it are PosetViews in that
+normal form (`poset.view_of`).  Only depth depends on the field, whose
+characteristic the entry points take.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from operator import eq, ge, le
 
 from .engines import EngineCache
 from .monomials import Ideal, Monomial, QuotientPair
-from .poset import StrataReport, layer_counts, poset_view, split_pair
+from .poset import PosetView, StrataReport, layer_counts, poset_view, split_pair
 
 # depth of the zero module, for Depth-Lemma arithmetic on short exact sequences
 INF_DEPTH = 10**9
@@ -400,8 +401,8 @@ class AuditReport:
         return {"ok": self.ok, "checks": [c.to_json() for c in self.checks]}
 
 
-def _depth_of(cache: EngineCache, pair: QuotientPair | None, field: int) -> int:
-    return INF_DEPTH if pair is None else cache.depth(pair, field).depth
+def _depth_of(cache: EngineCache, M: QuotientPair | PosetView | None, field: int) -> int:
+    return INF_DEPTH if M is None else cache.depth(M, field).depth
 
 
 def _sequence_checks(

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from sdepthlab.hilbert import hdepth1_pair
 from sdepthlab.linalg import boundary_rank
 from sdepthlab.monomials import Ideal, Monomial, QuotientPair, parse_monomial
-from sdepthlab.poset import poset_view, strata
+from sdepthlab.poset import PosetView, poset_view, strata
 from sdepthlab.sdepth import sdepth_decide
 from sdepthlab.surgery import containment_violators, ml1_candidate_bs
 
@@ -97,6 +97,15 @@ def rename_pair(Q: QuotientPair, n: int, to: dict[int, int]) -> QuotientPair:
         return Ideal(n, [Monomial.of(*(to[i] for i in g.vars)) for g in ideal.gens])
 
     return QuotientPair(rename(Q.I), rename(Q.J))
+
+
+def as_pair(M: QuotientPair | PosetView) -> QuotientPair:
+    """M if it is a pair; for a view, the pair its generator masks give, for
+    the oracles that test membership in I and J."""
+    if isinstance(M, QuotientPair):
+        return M
+    I, J = (Ideal(M.ambient, map(Monomial, side)) for side in M.gens)
+    return QuotientPair(I, J)
 
 
 def restrict_to_support(Q: QuotientPair) -> tuple[QuotientPair, int]:

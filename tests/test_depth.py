@@ -22,7 +22,7 @@ from sdepthlab.depth import DepthResult, _candidate_degrees, depth
 from sdepthlab.engines import EngineCache
 from sdepthlab.fuzz import FuzzConfig, instance_rng, random_pair
 from sdepthlab.io import parse_input
-from sdepthlab.monomials import Ideal, InputError, Monomial, QuotientPair, colon_pair
+from sdepthlab.monomials import Ideal, InputError, Monomial, QuotientPair
 from sdepthlab.reisner import reisner_depth_oracle
 
 PATH = parse_input("n=4\nI = x1*x2, x2*x3, x3*x4\nJ = 0\n")
@@ -53,11 +53,15 @@ def test_depth_result_invariants(Q):
 
 @st.composite
 def colon_pairs(draw):
-    """(I:x_j)/(J:x_j) of a random pair, or the pair itself when the colons
-    coincide; I:x_j is (1) whenever x_j ∈ I."""
+    """(I:x_j)/(J:x_j) of a random pair, built by ideal arithmetic for the
+    oracle, or the pair itself when the colons coincide; I:x_j is (1)
+    whenever x_j ∈ I."""
     Q = draw(quotient_pairs(normalized=False))
     j = draw(st.integers(min_value=1, max_value=Q.ambient))
-    return colon_pair(Q, j) or Q
+    n, x = Q.ambient, 1 << (j - 1)
+    I, J = (Ideal(n, [Monomial(g & ~x) for g in side.gen_masks()])
+            for side in (Q.I, Q.J))
+    return Q if J.contains_ideal(I) else QuotientPair(I, J)
 
 
 def _oracle_depth(Q, char):

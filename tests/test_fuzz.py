@@ -20,8 +20,9 @@ from sdepthlab.fuzz import (
     run_instance,
     sample_ml1_instance,
 )
+from sdepthlab.engines import EngineCache
 from sdepthlab.io import parse_input
-from sdepthlab.monomials import Ideal, InputError, Monomial
+from sdepthlab.monomials import Ideal, InputError, Monomial, QuotientPair
 
 
 @st.composite
@@ -124,6 +125,24 @@ def test_run_instance_record_shape():
     assert record["findings_count"] == len(findings)
     assert isinstance(record["verdicts"], list) and record["verdicts"]
     assert record["strata"].keys() == {"d", "r", "s", "q", "E_size"}
+
+
+def test_run_instance_builds_no_pair_past_its_input(monkeypatch):
+    # every colon, split and restriction of the pipeline is a PosetView:
+    # a QuotientPair exists only as the input
+    cfg = FuzzConfig(n=6, seed=2026)
+    pairs = [random_pair(instance_rng(2026, i), cfg) for i in range(100)]
+    built = []
+    init = QuotientPair.__init__
+
+    def counted(self, I, J):
+        built.append((I, J))
+        init(self, I, J)
+
+    monkeypatch.setattr(QuotientPair, "__init__", counted)
+    for Q in pairs:
+        run_instance(Q, cfg, cache=EngineCache())
+    assert built == []
 
 
 def test_run_instance_reports_driver_runs_and_the_fallback(monkeypatch):

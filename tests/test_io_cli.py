@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -336,6 +337,32 @@ def test_cli_parse_exit_codes(tmp_path):
     semantic = tmp_path / "semantic.txt"
     semantic.write_text("n=3\nI = x1\nJ = x2\n", encoding="utf-8")
     assert cli.main(["analyze", str(semantic)]) == cli.EXIT_PARSE
+
+
+def test_cli_unreadable_input_is_a_parse_error(tmp_path, capsys):
+    # a directory opens with IsADirectoryError, an OSError like a missing file
+    assert cli.main(["sdepth", str(tmp_path)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_ends_quietly_when_the_reader_closes_the_pipe(tmp_path):
+    # m_14's certificate (~100 KB) outgrows the pipe, so the writer meets
+    # the closed end whatever the timing
+    path = tmp_path / "m14.txt"
+    gens = ", ".join(f"x{i}" for i in range(1, 15))
+    path.write_text(f"n=14\nI = {gens}\nJ = 0\n", encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sdepthlab.cli", "sdepth", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src})
+    head = proc.stdout.read(60)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_OK
+    assert head.startswith(b"sdepth = 7") and err == b""
 
 
 def test_cli_internal_exit_codes(capsys, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import brute_poset_masks, from_strs, quotient_pairs
+from helpers import as_pair, brute_poset_masks, from_strs, quotient_pairs
 from sdepthlab.depth import depth
 from sdepthlab.engines import EngineCache
 from sdepthlab.hilbert import hdepth1_pair
@@ -25,7 +25,7 @@ from sdepthlab.monomials import (
     minimalize,
     parse_monomial,
 )
-from sdepthlab.poset import pair_of, poset_bitset, poset_view, split_pair, strata
+from sdepthlab.poset import PosetView, poset_bitset, poset_view, split_pair, strata, view_of
 from sdepthlab.sdepth import sdepth
 
 masks = st.integers(min_value=0, max_value=(1 << 6) - 1)
@@ -40,8 +40,6 @@ def test_monomial_basics():
     assert str(Monomial(0)) == "1"
     assert Monomial.of(1).divides(Monomial.of(1, 3))
     assert not Monomial.of(2).divides(Monomial.of(1, 3))
-    assert Monomial.of(1, 2).lcm(Monomial.of(2, 3)) == Monomial.of(1, 2, 3)
-    assert Monomial.of(1, 2).gcd(Monomial.of(2, 3)) == Monomial.of(2)
     assert Monomial.of(2, 7).max_index() == 7
 
 
@@ -70,15 +68,6 @@ def test_parse_str_round_trip(mask):
 @given(masks, masks)
 def test_divides_is_subset(a, b):
     assert Monomial(a).divides(Monomial(b)) == (set(indices_of(a)) <= set(indices_of(b)))
-
-
-@given(masks, masks)
-def test_lcm_gcd_identities(a, b):
-    x, y = Monomial(a), Monomial(b)
-    assert x.lcm(y) == y.lcm(x)
-    assert x.gcd(y).divides(x)
-    assert x.divides(x.lcm(y))
-    assert x.lcm(x.gcd(y)) == x  # absorption
     assert mask_of(indices_of(a)) == a
 
 
@@ -197,11 +186,21 @@ def test_with_field_and_key():
     assert QuotientPair(Q.I, from_strs(3, "x1*x2")) != Q
 
 
+def _gens(I: Ideal, J: Ideal) -> tuple:
+    return I.gen_masks(), J.gen_masks()
+
+
+def _in_normal_form(P: PosetView) -> bool:
+    """No generator of J' has degree <= d: the shape without a warning."""
+    return all(m.bit_count() > P.d for m in P.gens[1])
+
+
 def test_colon_pair():
     Q2 = QuotientPair(from_strs(3, "x1"), from_strs(3, "x1*x2"))
     assert colon_pair(Q2, 2) is None  # (J:x2) = (x1) = (I:x2)
     cp = colon_pair(Q2, 3)
-    assert cp is not None and cp.I == Q2.I and cp.J == Q2.J
+    assert isinstance(cp, PosetView) and cp.ambient == 3
+    assert cp.gens == _gens(Q2.I, Q2.J) and cp.bits == poset_view(Q2).bits
 
 
 def test_split_pair():
@@ -211,11 +210,13 @@ def test_split_pair():
     assert split_pair(Q, from_strs(3, "x2", "x1"))[0] is Q
     # P = {x1, x2, x1*x3, x2*x3}: the ends hold {x1, x1*x3} and {x2, x2*x3}
     A, C = split_pair(Q, from_strs(3, "x1"))
-    assert (A.I, A.J) == (from_strs(3, "x1"), Q.J)
-    assert (C.I, C.J) == (from_strs(3, "x2"), Q.J)
-    # a subideal inside J has a zero first end
+    assert A.gens == _gens(from_strs(3, "x1"), Q.J)
+    assert C.gens == _gens(from_strs(3, "x2"), Q.J)
+    # a subideal inside J has a zero first end, and a second end with Q's
+    # poset and generators that is not Q
     A, C = split_pair(Q, from_strs(3, "x1*x2"))
-    assert A is None and C == Q and C is not Q
+    assert A is None and C is not Q
+    assert (C.ambient, *C.gens) == Q.key() and C.bits == poset_view(Q).bits
     # a subideal holding all of P is a first end equal to the pair itself,
     # even where J + sub is not I
     Q2 = QuotientPair(I, from_strs(3, "x2"))
@@ -223,9 +224,9 @@ def test_split_pair():
     # the ends of a pair with a warning are in normal form: x2 lies in J
     Q3 = QuotientPair(from_strs(3, "x1", "x2", "x3"), from_strs(3, "x2"))
     A, C = split_pair(Q3, from_strs(3, "x1"))
-    assert (A.I, A.J) == (from_strs(3, "x1"), from_strs(3, "x1*x2"))
-    assert (C.I, C.J) == (from_strs(3, "x3"), from_strs(3, "x1*x3", "x2*x3"))
-    assert not A.normalization_warning and not C.normalization_warning
+    assert A.gens == _gens(from_strs(3, "x1"), from_strs(3, "x1*x2"))
+    assert C.gens == _gens(from_strs(3, "x3"), from_strs(3, "x1*x3", "x2*x3"))
+    assert _in_normal_form(A) and _in_normal_form(C)
     with pytest.raises(AmbientMismatchError):
         split_pair(Q, from_strs(4, "x1"))
 
@@ -236,22 +237,24 @@ def _bits_of(I: Ideal, J: Ideal) -> int:
                if I.member_mask(m) and not J.member_mask(m))
 
 
-def _check_derived(P: QuotientPair | None, bits: int, Q: QuotientPair) -> None:
-    """P is `pair_of` the poset `bits` cut out of Q, or None when it is 0."""
+def _check_derived(P, bits: int, Q: QuotientPair) -> None:
+    """P is `view_of` the poset `bits` cut out of Q, or None when it is 0."""
     if not bits:
         assert P is None
         return
-    assert poset_view(P).bits == bits == poset_bitset(P)
+    # the generators of P, pair or view, give back its poset
+    assert poset_view(P).bits == bits == poset_bitset(as_pair(P))
     if P is Q:
         return
     # normal form: I' is generated by P and J' by the members of I' outside P
     n = Q.ambient
     elements = [m for m in range(1 << n) if bits >> m & 1]
-    assert P.I == Ideal(n, [Monomial(m) for m in elements])
-    assert P.J == Ideal(n, [Monomial(m) for m in range(1 << n)
-                            if P.I.member_mask(m) and not bits >> m & 1])
-    assert not P.normalization_warning
-    assert poset_view(P).d == min(m.bit_count() for m in elements)
+    I = Ideal(n, [Monomial(m) for m in elements])
+    J = Ideal(n, [Monomial(m) for m in range(1 << n)
+                  if I.member_mask(m) and not bits >> m & 1])
+    assert isinstance(P, PosetView) and P.ambient == n
+    assert P.gens == _gens(I, J) and _in_normal_form(P)
+    assert P.d == min(m.bit_count() for m in elements)
 
 
 @given(quotient_pairs(normalized=False), st.data())
@@ -277,14 +280,21 @@ def test_derived_pairs_match_ideal_arithmetic(Q, data):
 
 
 @given(quotient_pairs(normalized=False))
-def test_pair_of_its_poset_keeps_every_invariant(Q):
+def test_view_of_its_poset_keeps_every_invariant(Q):
+    # every derived view stands for its module by this: the normal form of
+    # the input's poset gives the input's answers, witnesses included
     bits = sum(1 << m for m in brute_poset_masks(Q))
-    P = pair_of(Q.ambient, bits)
-    assert pair_of(Q.ambient, 0) is None
-    assert not P.normalization_warning
-    assert P.J == intersect(P.I, Q.J)
-    for char in (0, 2):
-        assert depth(P, field=char).depth == depth(Q, field=char).depth
+    P = view_of(Q.ambient, bits)
+    assert view_of(Q.ambient, 0) is None
+    assert _in_normal_form(P)
+    N = as_pair(P)
+    assert N.J == intersect(N.I, Q.J)
+    for char in (0, 2, 3):
+        got, want = depth(P, field=char), depth(Q, field=char)
+        assert got.to_json() == want.to_json()
+        assert (got.gf2 is None) == (want.gf2 is None) == (char != 0)
+        if char == 0:
+            assert got.gf2.to_json() == want.gf2.to_json()
     assert sdepth(P).value == sdepth(Q).value
     assert hdepth1_pair(P) == hdepth1_pair(Q)
     a, b = strata(P), strata(Q)
@@ -297,8 +307,10 @@ def test_equality_and_hash_are_those_of_key(Q, R):
     same = QuotientPair(Q.I, Q.J)
     assert same == Q and hash(same) == hash(Q) == hash(Q.key())
     # the normal form has Q's poset, but is equal to Q only with its generators
-    P = pair_of(Q.ambient, poset_view(Q).bits)
-    for other in (P, R):
+    P = view_of(Q.ambient, poset_view(Q).bits)
+    N = as_pair(P)
+    assert N.key() == (P.ambient, *P.gens)
+    for other in (N, R):
         assert (other == Q) == (other.key() == Q.key())
         assert hash(other) == hash(other.key())
 

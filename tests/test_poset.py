@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     CASE_BAD_PATH,
     CASE_WEAK_PATH,
+    as_pair,
     brute_poset_masks,
     from_strs,
     quotient_pairs,
@@ -133,7 +134,7 @@ def test_layer_counts_match_brute(Q, data):
     derived = [colon_pair(Q, j) for j in range(1, n + 1)]
     derived += split_pair(Q, sub)
     for P in [Q] + [D for D in derived if D is not None]:
-        degrees = [m.bit_count() for m in brute_poset_masks(P)]
+        degrees = [m.bit_count() for m in brute_poset_masks(as_pair(P))]
         assert layer_counts(P) == [degrees.count(e) for e in range(n + 1)]
         assert hdepth1_pair(P) == hdepth1(hilbert_series(P))
 
@@ -164,7 +165,8 @@ def test_strata_layers_match_brute(Q):
 def test_strata_lcm_sets_match_brute(Q):
     rep = strata(Q)
     f = rep.f_list
-    lcms = {f[i].lcm(f[j]) for i in range(len(f)) for j in range(i + 1, len(f))}
+    lcms = {Monomial(f[i].mask | f[j].mask)
+            for i in range(len(f)) for j in range(i + 1, len(f))}
     assert set(rep.W_all) == lcms
     assert set(rep.W_B) == lcms & set(rep.B)
     assert set(rep.C2) == {c for c in rep.C if c in lcms}

@@ -13,6 +13,7 @@ from helpers import (
     CASE_BAD_PATH,
     CASE_TRAIL_REVISIT,
     CASE_WEAK_PATH,
+    as_pair,
     containment_kills_one_at_a_time,
     from_strs,
 )
@@ -64,7 +65,7 @@ def _bad_setup():
 
 def test_build_reduced_pair():
     Q, b, _ = _bad_setup()
-    pair_b = build_reduced_pair(Q, b)
+    pair_b = as_pair(build_reduced_pair(Q, b))
     assert pair_b.I == from_strs(6, "x2", "x3", "x1*x5", "x4*x5", "x5*x6")
     assert not pair_b.I.member(b)
     assert pair_b.J == intersect(Q.J, pair_b.I)

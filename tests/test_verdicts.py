@@ -9,6 +9,7 @@ from sdepthlab.engines import EngineCache
 from sdepthlab.fuzz import FuzzConfig, instance_rng, random_pair
 from sdepthlab.io import parse_input, serialize_pair
 from sdepthlab.monomials import Ideal, Monomial, QuotientPair
+from sdepthlab.poset import PosetView, poset_view
 from sdepthlab.verdicts import (
     AuditCheck,
     AuditReport,
@@ -280,10 +281,18 @@ def test_shared_cache_reports_match_fresh_caches():
             assert _reports(Q, lambda: shared) == _reports(Q, EngineCache), (n, i)
 
 
-def _holds_pair(value) -> bool:
-    if isinstance(value, QuotientPair):
+def _holds_module(value) -> bool:
+    if isinstance(value, (QuotientPair, PosetView)):
         return True
-    return isinstance(value, tuple) and any(_holds_pair(v) for v in value)
+    return isinstance(value, tuple) and any(_holds_module(v) for v in value)
+
+
+def _poset_of(module) -> tuple | None:
+    """What identifies a derived module: its ambient, generators and poset."""
+    if module is None:
+        return None
+    view = poset_view(module)
+    return view.ambient, view.gens, view.bits
 
 
 def test_derived_pairs_live_on_the_cache_not_the_pair():
@@ -292,13 +301,16 @@ def test_derived_pairs_live_on_the_cache_not_the_pair():
     bounds_report(Q, cache)
     consistency_audit(Q, cache, 2)
     derived = cache.derived_pairs(Q)
-    assert len(derived) == Q.ambient and _holds_pair(derived)
+    assert len(derived) == Q.ambient and _holds_module(derived)
     assert cache.derived_pairs(parse_input(serialize_pair(Q))) is derived
-    held = [getattr(Q, name) for name in QuotientPair.__slots__]
-    held += [getattr(Q._poset, name) for name in type(Q._poset).__slots__]
-    assert not any(_holds_pair(v) for v in held)
+    # the pair holds its own view, and neither holds a derived module
+    held = [getattr(Q, name) for name in QuotientPair.__slots__ if name != "_poset"]
+    held += [getattr(Q._poset, name) for name in PosetView.__slots__]
+    assert not any(_holds_module(v) for v in held)
     rebuilt = EngineCache().derived_pairs(Q)
-    assert rebuilt is not derived and rebuilt == derived
+    assert rebuilt is not derived
+    assert [list(map(_poset_of, row)) for row in rebuilt] == [
+        list(map(_poset_of, row)) for row in derived]
 
 
 def test_a_restriction_equal_to_the_pair_is_the_pair():
@@ -306,4 +318,4 @@ def test_a_restriction_equal_to_the_pair_is_the_pair():
     Q = QuotientPair(from_strs(3, "x1*x2", "x1*x3"), from_strs(3, "x1*x2*x3"))
     derived = EngineCache().derived_pairs(Q)
     assert derived[0][1] is Q and derived[0][2] is None
-    assert derived[1][1].I == from_strs(3, "x1*x2")  # I∩(x2)
+    assert derived[1][1].gens[0] == from_strs(3, "x1*x2").gen_masks()  # I∩(x2)
