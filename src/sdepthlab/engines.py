@@ -13,7 +13,15 @@ from __future__ import annotations
 from .depth import DepthResult, depth
 from .hilbert import HdepthResult, hdepth1_pair
 from .monomials import QuotientPair, colon_pair
-from .poset import PosetView, StrataReport, poset_view, split_filter, strata, variable_filter
+from .poset import (
+    PosetView,
+    StrataReport,
+    filter_bitset,
+    poset_view,
+    split_filter,
+    strata,
+    variable_filter,
+)
 from .sdepth import SdepthResult, sdepth
 
 
@@ -28,6 +36,7 @@ class EngineCache:
         self._sdepth: dict[tuple, SdepthResult] = {}
         self._depth: dict[tuple, DepthResult] = {}
         self._derived: dict[tuple, tuple] = {}
+        self._subideal: dict[tuple, tuple] = {}
 
     def poset_bits(self, Q: QuotientPair | PosetView) -> int:
         return poset_view(Q).bits
@@ -69,4 +78,15 @@ class EngineCache:
                 (colon_pair(Q, t), *split_filter(Q, variable_filter(Q.ambient, t)))
                 for t in range(1, Q.ambient + 1)
             )
+        return got
+
+    def subideal_split(self, Q: QuotientPair | PosetView) -> tuple:
+        """`split_filter` of Q by I' = (f_1, .., f_r), its generators of I of
+        least degree (`strata(Q).f_list`): (I∩I')/(J∩I') and I/(J + I')."""
+        k = _key(Q)
+        got = self._subideal.get(k)
+        if got is None:
+            f_masks = [f.mask for f in strata(Q).f_list]
+            got = self._subideal[k] = split_filter(
+                Q, filter_bitset(Q.ambient, f_masks))
         return got

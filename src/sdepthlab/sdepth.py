@@ -34,6 +34,14 @@ top.  One downward closure of the uncovered tops finds every such dead low,
 and a dead low stays dead below the node, since covering only removes tops.
 The search is one loop over an explicit stack with an entry per chosen
 interval, so its depth is bounded by memory, not by the recursion limit.
+
+Interval bits: a (low, top) pair's bitset is computed when the pair is
+first tried, and again on its first retry after a backtrack, which keeps it
+for the rest of the decision; a hard refutation retries a few hundred pairs
+tens of thousands of times.  A pair tried only once keeps nothing, so a
+search without backtracking (m_n) holds no more bitsets than the stack's.
+The bits are a function of the pair alone, so the nodes, their order, and
+every certificate and refutation are those of computing them at each try.
 """
 from __future__ import annotations
 
@@ -165,13 +173,13 @@ def _decide(view: PosetView, k: int) -> Partition | None:
             if not g:
                 break
             g = (g - 1) & v
+    # per visited low, beside each top its interval's bits: 0 untried, -1
+    # tried once, then the bits, kept from the first retry on (see
+    # "Interval bits" above)
+    bits_of: list[list[int] | None] = [None] * len(lows)
 
-    def _has_dead_low(covered: int) -> bool:
-        # an uncovered low lying under no uncovered top
-        live = downward_closure(top_bits & ~covered, n)
-        return bool(low_bits & ~covered & ~live)
-
-    if _has_dead_low(0):
+    # a dead low: an uncovered low lying under no uncovered top
+    if low_bits & ~downward_closure(top_bits, n):
         return None
     # per chosen interval: its low's index, the index of the low's next top
     # to try, and the interval's bits
@@ -183,15 +191,24 @@ def _decide(view: PosetView, k: int) -> Partition | None:
         if i == len(lows):
             break
         u = lows[i]
-        above = tops_of[u]
+        above, memo = tops_of[u], bits_of[i]
+        if memo is None:
+            memo = bits_of[i] = [0] * len(above)
         for t in range(j, len(above)):
             v = above[t]
             if (covered >> v) & 1:
                 continue
-            ibits = interval_bits(u, v)
-            if ibits & covered or _has_dead_low(covered | ibits):
+            ibits = memo[t]
+            if ibits <= 0:
+                fresh = interval_bits(u, v)
+                memo[t] = fresh if ibits else -1
+                ibits = fresh
+            if ibits & covered:
                 continue
-            covered |= ibits
+            rest = covered | ibits
+            if low_bits & ~rest & ~downward_closure(top_bits & ~rest, n):
+                continue
+            covered = rest
             stack.append((i, t + 1, ibits))
             i, j = i + 1, 0
             break

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field as dc_field
 from operator import eq, ge, le
 
 from .engines import EngineCache
-from .monomials import Ideal, Monomial, QuotientPair
-from .poset import PosetView, StrataReport, layer_counts, poset_view, split_pair
+from .monomials import Monomial, QuotientPair
+from .poset import PosetView, StrataReport, layer_counts, poset_view
 
 # depth of the zero module, for Depth-Lemma arithmetic on short exact sequences
 INF_DEPTH = 10**9
@@ -469,10 +469,10 @@ def consistency_audit(Q: QuotientPair, cache: EngineCache | None = None,
 
     st = cache.strata(Q)
     if st.E:
-        sub = Ideal(Q.ambient, st.f_list)
-        A, C = split_pair(Q, sub)
+        A, C = cache.subideal_split(Q)
         dA = _depth_of(cache, A, field)
         dC = _depth_of(cache, C, field)
+        sub = ", ".join(str(f) for f in st.f_list)
         checks.extend(
             _sequence_checks("subideal_sequence", f"I'={sub}", dA, dB, dC)
         )

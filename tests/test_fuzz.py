@@ -129,17 +129,22 @@ def test_run_instance_record_shape():
 
 def test_run_instance_builds_no_pair_past_its_input(monkeypatch):
     # every colon, split and restriction of the pipeline is a PosetView:
-    # a QuotientPair exists only as the input
+    # a QuotientPair, or an Ideal, exists only as the input
     cfg = FuzzConfig(n=6, seed=2026)
     pairs = [random_pair(instance_rng(2026, i), cfg) for i in range(100)]
     built = []
-    init = QuotientPair.__init__
+    init, fill = QuotientPair.__init__, Ideal._fill
 
     def counted(self, I, J):
         built.append((I, J))
         init(self, I, J)
 
+    def counted_fill(self, ambient, masks):
+        built.append(masks)
+        fill(self, ambient, masks)
+
     monkeypatch.setattr(QuotientPair, "__init__", counted)
+    monkeypatch.setattr(Ideal, "_fill", counted_fill)
     for Q in pairs:
         run_instance(Q, cfg, cache=EngineCache())
     assert built == []

@@ -219,6 +219,24 @@ def test_dead_low_refutes_before_any_interval(monkeypatch):
     assert sdepth(Q).value == 1
 
 
+def test_hard_refutation_computes_each_interval_at_most_twice(monkeypatch):
+    # seed-99 n=10 #10 refutes k = 8 by choosing and taking back 29 771
+    # intervals among 213 (low, top) pairs, whose bits the search computed
+    # 134 104 times when it computed them at every try; now each pair is
+    # computed on its first try and on its first retry, then kept
+    calls = []
+    real = sdepth_module.interval_bits
+    monkeypatch.setattr(sdepth_module, "interval_bits",
+                        lambda lo, hi: calls.append((lo, hi)) or real(lo, hi))
+    cfg = FuzzConfig(n=10, seed=99, max_gens=5, max_degree=3)
+    Q = random_pair(instance_rng(99, 10), cfg)
+    assert sdepth_decide(Q, 8) is None
+    counts = {pair: calls.count(pair) for pair in set(calls)}
+    assert len(counts) == 213
+    assert max(counts.values()) == 2
+    assert len(calls) == 411
+
+
 def test_brute_force_limit_guard():
     Q = QuotientPair(from_strs(5, "x1"), Ideal(5))  # 16 poset elements
     with pytest.raises(InputError):

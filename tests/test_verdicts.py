@@ -9,7 +9,7 @@ from sdepthlab.engines import EngineCache
 from sdepthlab.fuzz import FuzzConfig, instance_rng, random_pair
 from sdepthlab.io import parse_input, serialize_pair
 from sdepthlab.monomials import Ideal, Monomial, QuotientPair
-from sdepthlab.poset import PosetView, poset_view
+from sdepthlab.poset import PosetView, poset_view, split_pair
 from sdepthlab.verdicts import (
     AuditCheck,
     AuditReport,
@@ -311,6 +311,30 @@ def test_derived_pairs_live_on_the_cache_not_the_pair():
     assert rebuilt is not derived
     assert [list(map(_poset_of, row)) for row in rebuilt] == [
         list(map(_poset_of, row)) for row in derived]
+
+
+def test_subideal_split_is_the_split_by_the_ideal_of_the_f_list():
+    # the audit splits I/J by I' = (f_1, .., f_r) once per pair, on the
+    # cache, and names I' as the ideal would print
+    cfg = FuzzConfig(n=6, seed=2026)
+    checked = 0
+    for idx in range(200):
+        Q = random_pair(instance_rng(cfg.seed, idx), cfg)
+        cache = EngineCache()
+        st = cache.strata(Q)
+        if not st.E:
+            continue
+        checked += 1
+        sub = Ideal(Q.ambient, st.f_list)
+        split = cache.subideal_split(Q)
+        assert list(map(_poset_of, split)) == list(
+            map(_poset_of, split_pair(Q, sub)))
+        for char in (0, 2):
+            params = {c.param for c in consistency_audit(Q, cache, char).checks
+                      if c.name.startswith("subideal_sequence")}
+            assert params == {f"I'={sub}"}
+        assert cache.subideal_split(Q) is split
+    assert checked > 50
 
 
 def test_a_restriction_equal_to_the_pair_is_the_pair():
