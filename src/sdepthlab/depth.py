@@ -13,7 +13,9 @@ monomial resolutions", Math. Res. Lett. 6, 1999) the multidegree of such a
 Betti number is the lcm of a nonempty set of generators of I, resp. of J,
 except Tor_0(S/J) in degree 1, which meets I/J only when 1 ∈ I\\J, that is
 when 1 generates I.  So the candidates are the lcm closures of gens(I) and
-of gens(J): squarefree, and free of the variables no generator uses.
+of gens(J): squarefree, and free of the variables no generator uses.  This
+holds for any presentation, and the engine reads the normal form I'/J' of
+the poset (`poset.view_of`), so the witness is a function of (n, bits).
 
 In multidegree `a` the term K_i has basis {F ⊆ a : |F| = i, x^(a\\F) ∈ I\\J}
 with differential e_F ↦ Σ_{k∈F} (-1)^{pos(k,F)} e_{F\\{k}}, entries killed
@@ -86,7 +88,7 @@ def _lcm_closure(gens: tuple[int, ...]) -> set[int]:
 
 
 def _candidate_degrees(Q: QuotientPair | PosetView) -> list[int]:
-    """The lcm closures of gens(I) and gens(J), in canonical order."""
+    """The lcm closures of gens(I') and gens(J'), in canonical order."""
     I, J = poset_view(Q).gens
     return sorted(_lcm_closure(I) | _lcm_closure(J), key=canonical_key)
 

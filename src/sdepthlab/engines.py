@@ -2,11 +2,12 @@
 
 Audits and verdict rules repeatedly query depth/sdepth of the same modules
 (colon pairs for different variables frequently coincide), so a small
-per-run cache keyed by generator tuples pays for itself.  Results are exact;
-the cache only avoids recomputation.  Depth, keyed on the characteristic
-too, is the one engine that reads it; a characteristic-0 depth also fills
-the characteristic-2 entry.  The poset bitset, strata and hdepth1 are kept
-on the PosetView, derived modules here (the pair may outlive the cache).
+per-run cache keyed on (n, bits), the module's poset, pays for itself: a
+pair and every view of its poset share one entry.  Results are exact; the
+cache only avoids recomputation.  Depth, keyed on the characteristic too,
+is the one engine that reads it; a characteristic-0 depth also fills the
+characteristic-2 entry.  Strata and hdepth1 are kept on the module (the
+pair may outlive the cache).
 """
 from __future__ import annotations
 
@@ -25,10 +26,10 @@ from .poset import (
 from .sdepth import SdepthResult, sdepth
 
 
-def _key(Q: QuotientPair | PosetView) -> tuple:
-    """(ambient, I's masks, J's masks): an input pair's own `key()`."""
+def _key(Q: QuotientPair | PosetView) -> tuple[int, int]:
+    """(n, bits): the module's poset."""
     view = poset_view(Q)
-    return (view.ambient, *view.gens)
+    return view.ambient, view.bits
 
 
 class EngineCache:
@@ -48,16 +49,14 @@ class EngineCache:
         k = _key(Q)
         got = self._sdepth.get(k)
         if got is None:
-            got = sdepth(Q)
-            self._sdepth[k] = got
+            got = self._sdepth[k] = sdepth(Q)
         return got
 
     def depth(self, Q: QuotientPair | PosetView, field: int = 0) -> DepthResult:
         k = _key(Q)
         got = self._depth.get((k, field))
         if got is None:
-            got = depth(Q, field)
-            self._depth[(k, field)] = got
+            got = self._depth[(k, field)] = depth(Q, field)
             if got.gf2 is not None:
                 self._depth.setdefault((k, 2), got.gf2)
         return got
@@ -69,7 +68,8 @@ class EngineCache:
         """Per x_t: (I:x_t)/(J:x_t), I∩(x_t)/J∩(x_t) and I/(J + I∩(x_t)), or None.
 
         Each is `poset.view_of` its poset, cut out of Q's, except that a
-        restriction equal to I/J is Q itself and shares Q's view and strata.
+        restriction equal to I/J is the module first queried with Q's poset,
+        and shares its view and strata.
         """
         k = _key(Q)
         got = self._derived.get(k)

@@ -125,6 +125,8 @@ def parse_monomial(text: str) -> Monomial:
             raise InputError(f"bad variable index in {factor!r}") from None
         if i < 1:
             raise InputError(f"variable index {i} out of range")
+        if mask >> (i - 1) & 1:
+            raise InputError(f"repeated variable x{i}: {text!r} is not squarefree")
         mask |= 1 << (i - 1)
     return Monomial(mask)
 
@@ -242,11 +244,14 @@ class QuotientPair:
     normalized shape and are gated off.  A pair exists only as parsed or
     drawn input: a colon, split end or restriction of one is a
     `poset.PosetView` alone, built by `poset.view_of` in a normal form with
-    J generated in degrees > d.  The pair has no field: only depth
-    depends on one, and `depth.depth` takes it.
+    J generated in degrees > d.  The pair's own view is that normal form
+    too, so among the engines only `poset.strata` of the pair itself reads
+    its generators.  The pair has no field: only depth depends on one, and
+    `depth.depth` takes it.
     """
 
-    __slots__ = ("ambient", "I", "J", "normalization_warning", "_key", "_poset")
+    __slots__ = ("ambient", "I", "J", "normalization_warning", "_key", "_poset",
+                 "_strata")
 
     def __init__(self, I: Ideal, J: Ideal):
         I._check_ambient(J)
@@ -264,6 +269,7 @@ class QuotientPair:
         # the pair's identity: equality and hashing
         self._key = (self.ambient, I.gen_masks(), J.gen_masks())
         self._poset = None  # PosetView, built on first use by poset.poset_view
+        self._strata = None  # its own StrataReport, built by poset.strata
 
     def key(self) -> tuple:
         return self._key

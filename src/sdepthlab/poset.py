@@ -1,17 +1,18 @@
 """The divisibility poset P_{I\\J} and its degree strata.
 
-`poset_view` reads P_{I\\J}, every squarefree monomial lying in I but not in
-J, once per input pair: its bitset, least degree d, generators and elements
-in canonical order.  I/J depends only on P (Herzog-Vladoiu-Zheng, J. Algebra
-322, 2009), so a derived module is only the view that `view_of` builds from
-the poset `split_pair` or `monomials.colon_pair` cuts out of its parent's,
-and the engines read views alone.  `layer_counts` reads the number of
-elements in each degree off the bitset, one popcount against `degree_bits`
-per degree, with no sort.  `strata` reads off the view the statistics the
-upper-bound theorems consume: the least degree d, the degree-d generators
-f_1..f_r, the higher-degree generators E, the degree-(d+1) and -(d+2) layers
-B and C, the pairwise generator lcms, and the lcm-constrained subsets C2 and
-C3 of C.
+I/J depends only on P_{I\\J}, every squarefree monomial lying in I but not
+in J (Herzog-Vladoiu-Zheng, J. Algebra 322, 2009), so every module is read
+through a `PosetView`, and `view_of(n, bits)` builds every view: the
+bitset, least degree d, normal-form generators and elements in canonical
+order.  An input pair's view is `view_of` its `poset_bitset`, kept on the
+pair; a colon, split end or restriction is `view_of` the poset cut out of
+its parent's.  So all an engine reads is a function of (n, bits).
+`layer_counts` reads the number of elements in each degree off the bitset,
+one popcount against `degree_bits` per degree, with no sort.  `strata`
+reads off the view the statistics the upper-bound theorems consume: the
+least degree d, the degree-d generators f_1..f_r, the higher-degree
+generators E, the degree-(d+1) and -(d+2) layers B and C, the pairwise
+generator lcms, and the lcm-constrained subsets C2 and C3 of C.
 """
 from __future__ import annotations
 
@@ -116,16 +117,16 @@ class PosetView:
     """P_{I\\J} of one module over x_1..x_ambient, read by every engine.
 
     `bits` has bit m set iff the monomial with mask m lies in I\\J; `d` is
-    the least degree of an element; `gens` holds the generator masks of I
-    and J: a pair's own, or those of `view_of`'s normal form.  `elements`
+    the least degree of an element; `gens` holds the generator masks of the
+    normal form I'/J' (see `view_of`).  `elements`
     lists the masks in canonical order, built on first use and shared by
     every reader, who must not mutate it; that order is degree-major, so the
     elements of degree k form the contiguous run `layer(k)`.  `hdepth` and
-    `strata` hold the module's Hilbert depth and StrataReport once
+    `_strata` hold the module's Hilbert depth and StrataReport once
     `hilbert.hdepth1_pair` and `strata` have computed them.
     """
 
-    __slots__ = ("ambient", "bits", "d", "gens", "_elements", "_starts", "hdepth", "strata")
+    __slots__ = ("ambient", "bits", "d", "gens", "_elements", "_starts", "hdepth", "_strata")
 
     def __init__(self, ambient: int, bits: int, d: int, gens: tuple):
         self.ambient = ambient
@@ -135,7 +136,7 @@ class PosetView:
         self._elements: list[int] | None = None
         self._starts: list[int] = []
         self.hdepth = None
-        self.strata = None
+        self._strata = None
 
     @property
     def elements(self) -> list[int]:
@@ -170,14 +171,9 @@ def poset_view(Q: QuotientPair | PosetView) -> PosetView:
     """The view itself, or the pair's, built on first use and kept on it."""
     if isinstance(Q, PosetView):
         return Q
-    view = Q._poset
-    if view is None:
-        bits = poset_bitset(Q)
-        I, J = Q.I.gen_masks(), Q.J.gen_masks()
-        # a least-degree element is an I-generator outside J
-        d = min(m.bit_count() for m in I if (bits >> m) & 1)
-        view = Q._poset = PosetView(Q.ambient, bits, d, (I, J))
-    return view
+    if Q._poset is None:
+        Q._poset = view_of(Q.ambient, poset_bitset(Q))
+    return Q._poset
 
 
 def _minimal(bits: int, n: int) -> int:
@@ -191,7 +187,7 @@ def _minimal(bits: int, n: int) -> int:
 
 def view_of(n: int, bits: int) -> PosetView | None:
     """The view over x_1..x_n whose poset P is the convex family `bits`, or
-    None when `bits` is 0.
+    None when `bits` is 0; the one constructor of a `PosetView`.
 
     Its generators are those of the normal form I'/J': I' is generated by
     the minimal elements of P and J' by those of up(P) \\ P, which is I' ∩ J
@@ -274,20 +270,25 @@ class StrataReport:
 
 
 def strata(Q: QuotientPair | PosetView) -> StrataReport:
-    """The module's StrataReport, built on first use and kept on its view."""
-    view = poset_view(Q)
-    if view.strata is None:
-        view.strata = _strata_report(view)
-    return view.strata
+    """The module's StrataReport, built on first use and kept on it.
+
+    A pair's report is kept on the pair, not on its view: it reads f_1..f_r
+    and E off the pair's own generators, which differ from the normal form's
+    when a generator of I lies in J.  `perfbench/stream_reference.json` pins
+    E_size for 41 such pool pairs, until ROADMAP item 1 records it again.
+    """
+    if Q._strata is None:
+        view = poset_view(Q)
+        Q._strata = _strata_report(view, view.gens[0] if Q is view else Q.I.gen_masks())
+    return Q._strata
 
 
-def _strata_report(view: PosetView) -> StrataReport:
+def _strata_report(view: PosetView, masks: tuple[int, ...]) -> StrataReport:
     d = view.d
     # I's masks and the layers are already in canonical order.  Tuples are
     # built from lists: tuple(<generator>) shrinks a 10-slot tuple, which
     # moves tuples between the interpreter's per-size free lists and raised
     # the peak RSS of surgery runs by 9%.
-    masks = view.gens[0]
     f_list = tuple([Monomial(m) for m in masks if m.bit_count() == d])
     E = tuple([Monomial(m) for m in masks if m.bit_count() > d])
     B = tuple([Monomial(m) for m in view.layer(d + 1)])

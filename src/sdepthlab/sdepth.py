@@ -27,7 +27,9 @@ partition of value ≥ k also has value ≥ k-1, so the first satisfiable k from
 the top is sdepth, and every k above it was refuted by search.  Most pairs
 reach their ceiling, so most cost one search.  hdepth1 is a finite integer
 check on the pair's layer counts |P_e| (see `hilbert`), so the ceiling costs
-no series expansion and cannot stall.
+no series expansion and cannot stall.  Each decision goes through
+`sdepth_decide`, the one place that restricts a module to the variables its
+normal form uses, lifts the certificate and answers S = (1)/0.
 
 Pruning: a node is abandoned when an uncovered low lies under no uncovered
 top.  One downward closure of the uncovered tops finds every such dead low,
@@ -46,10 +48,12 @@ every certificate and refutation are those of computing them at each try.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .monomials import InputError, Monomial, QuotientPair
 from .hilbert import hdepth1_pair
-from .poset import PosetView, downward_closure, filter_bitset, interval_bits, poset_view
+from .poset import (
+    PosetView, downward_closure, filter_bitset, interval_bits, poset_view, view_of)
 
 
 class MalformedIntervalError(InputError):
@@ -97,7 +101,7 @@ class SdepthResult:
     certificate: Partition
     refuted_k: int | None
     refuted_by: str | None  # "hdepth1" or "search"; None when value = n
-    free: int  # variables that divide no generator of I or J
+    free: int  # variables that divide no generator of the normal form
 
     def to_json(self) -> dict:
         return {
@@ -136,9 +140,22 @@ def verify_partition(Q: QuotientPair | PosetView, partition: Partition) -> Verif
 def sdepth_decide(Q: QuotientPair | PosetView, k: int) -> Partition | None:
     """A verified partition witnessing sdepth ≥ k, or None when none exists.
 
-    With f free variables (see `sdepth`) the search decides k - f on the
-    module restricted to its support and lifts the certificate; when
-    k - f < d, the lifted partition of value d answers yes.
+    Variables that divide no generator of the normal form are free: by
+    Herzog–Vladoiu–Zheng, J. Algebra 322 (2009), Lemma 3.6, adjoining one
+    (S' = S[x]) gives sdepth(IS'/JS') = sdepth(I/J) + 1.  In poset terms
+    P_{IS'\\JS'} = P_{I\\J} × {1, x}, and both directions are direct:
+    (≥) a partition of P_{I\\J} into intervals [u, v] lifts to the intervals
+    [u, v·x], which cover each element and its multiple by x once; (≤) the
+    elements of an interval [u, v] of a partition of P_{IS'\\JS'} that x does
+    not divide form [u, v with x removed], or nothing when x | u, so it
+    restricts to a partition of P_{I\\J} whose tops lose at most one degree.
+
+    So with f free variables the search decides k - f on the module
+    restricted to the used ones, relabelled onto x_1..x_m in order, and its
+    certificate lifts interval by interval to [u, v·x_F], x_F the product of
+    the free variables; when k - f < d, the lifted partition of value d + f
+    answers yes.  With no used variable the module is S = (1)/0, the one
+    Stanley space 1·K[x_1..x_n].
     """
     view = poset_view(Q)
     if not view.d <= k <= view.ambient:
@@ -147,7 +164,7 @@ def sdepth_decide(Q: QuotientPair | PosetView, k: int) -> Partition | None:
     if not free:
         return _decide(view, k)
     if not support:
-        return _whole_ring(free)
+        return Partition((Interval(Monomial(0), Monomial(free)),))
     cert = _decide(_restrict(view, support), max(k - free.bit_count(), view.d))
     return None if cert is None else _lift(cert, support, free)
 
@@ -236,36 +253,24 @@ def _expand(
 def sdepth(Q: QuotientPair | PosetView) -> SdepthResult:
     """Exact Stanley depth of I/J, with a certificate and the refuter of k+1.
 
-    Variables that divide no generator of I or J are free: by
-    Herzog–Vladoiu–Zheng, J. Algebra 322 (2009), Lemma 3.6, adjoining one
-    (S' = S[x]) gives sdepth(IS'/JS') = sdepth(I/J) + 1.  In poset terms
-    P_{IS'\\JS'} = P_{I\\J} × {1, x}, and both directions are direct:
-    (≥) a partition of P_{I\\J} into intervals [u, v] lifts to the intervals
-    [u, v·x], which cover each element and its multiple by x once; (≤) the
-    elements of an interval [u, v] of a partition of P_{IS'\\JS'} that x does
-    not divide form [u, v with x removed], or nothing when x | u, so it
-    restricts to a partition of P_{I\\J} whose tops lose at most one degree.  The Hilbert series gains a
-    factor 1/(1-t) per free variable, so hdepth1 also gains exactly one.
-
-    So with f free variables the search runs on the module restricted to the
-    used ones, relabelled onto x_1..x_m in order, with ceiling
-    hdepth1(I/J) - f, and its certificate lifts interval by interval to
-    [u, v·x_F], x_F the product of the free variables.  The value and
-    `refuted_k` are those of the full module; `refuted_by` names what
-    refuted the restricted k.
+    `sdepth_decide(Q, k)` answers yes iff sdepth ≥ k, so deciding k = hdepth1,
+    hdepth1 - 1, .. d, the first k that it answers is the value and its
+    partition the certificate: the same deterministic call that an upward
+    loop would keep last.  `free` counts the free variables, which
+    `sdepth_decide` handles.
     """
     view = poset_view(Q)
-    support, free = _support(view)
-    f = free.bit_count()
-    if not support:  # I = (1), J = 0: S itself is the Stanley space 1·K[x_1..x_n]
-        return SdepthResult(f, _whole_ring(free), refuted_k=None,
-                            refuted_by=None, free=f)
-    R = _restrict(view, support) if f else view
-    value, best, refuted_by = _search(R, hdepth1_pair(view).value - f)
-    if f:
-        best = _lift(best, support, free)
-    refuted_k = None if refuted_by is None else value + f + 1
-    return SdepthResult(value + f, best, refuted_k, refuted_by, free=f)
+    ceiling = hdepth1_pair(view).value
+    # the public name, so that a wrapper of it (perfbench's tracer) sees the
+    # search
+    for k in range(ceiling, view.d - 1, -1):
+        best = sdepth_decide(view, k)
+        if best is not None:
+            break
+    assert best is not None  # k = d has no lows; always satisfiable
+    refuted_by = None if k == view.ambient else "hdepth1" if k == ceiling else "search"
+    return SdepthResult(k, best, None if refuted_by is None else k + 1, refuted_by,
+                        free=_support(view)[1].bit_count())
 
 
 def _support(view: PosetView) -> tuple[int, int]:
@@ -277,12 +282,14 @@ def _support(view: PosetView) -> tuple[int, int]:
     return support, ((1 << view.ambient) - 1) & ~support
 
 
+@lru_cache(maxsize=1)  # sdepth decides each k on the same view: restrict it once
 def _restrict(view: PosetView, support: int) -> PosetView:
-    """The view restricted to the variables of `support`, relabelled onto
-    x_1..x_m, which keeps the generators' canonical order and the degree d."""
+    """The module on the variables of `support`, relabelled onto x_1..x_m:
+    `view_of` the poset of its squeezed generators, which keeps the
+    canonical order and the degree d."""
     m = support.bit_count()
-    I, J = (tuple([_squeeze(g, support) for g in side]) for side in view.gens)
-    return PosetView(m, filter_bitset(m, I) & ~filter_bitset(m, J), view.d, (I, J))
+    I, J = ([_squeeze(g, support) for g in side] for side in view.gens)
+    return view_of(m, filter_bitset(m, I) & ~filter_bitset(m, J))
 
 
 def _lift(partition: Partition, support: int, free: int) -> Partition:
@@ -293,33 +300,6 @@ def _lift(partition: Partition, support: int, free: int) -> Partition:
                  Monomial(_spread(iv.hi.mask, support) | free))
         for iv in partition.intervals
     ))
-
-
-def _whole_ring(free: int) -> Partition:
-    """The partition of S = (1)/0 into the one interval [1, x_1···x_n]."""
-    return Partition((Interval(Monomial(0), Monomial(free)),))
-
-
-def _search(view: PosetView, ceiling: int) -> tuple[int, Partition, str | None]:
-    """sdepth of the view by deciding k = ceiling (≥ sdepth), ceiling - 1, .. d.
-
-    `sdepth_decide(Q, k)` answers yes iff sdepth ≥ k, so the first k that
-    it answers from the top is the value and its partition the certificate:
-    the same deterministic call that an upward loop would keep last.
-
-    Returns the value, its certificate, and the refuter of value + 1
-    (None when value is the ambient count).
-    """
-    # the public name, so that a wrapper of it (perfbench's tracer) sees the
-    # search; the view has no free variables, so each k costs one support scan
-    for k in range(ceiling, view.d - 1, -1):
-        best = sdepth_decide(view, k)
-        if best is not None:
-            break
-    assert best is not None  # k = d has no lows; always satisfiable
-    if k == view.ambient:
-        return k, best, None
-    return k, best, "hdepth1" if k == ceiling else "search"
 
 
 def _squeeze(mask: int, support: int) -> int:

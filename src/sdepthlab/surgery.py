@@ -21,7 +21,9 @@ from dataclasses import dataclass, replace
 from .depth import depth
 from .hilbert import colon_refuter
 from .monomials import Ideal, InputError, Monomial, QuotientPair, minimalize
-from .poset import PosetView, StrataReport, interval_bits, members, poset_view, split_pair, strata
+from .poset import (
+    PosetView, StrataReport, filter_bitset, interval_bits, members, poset_view,
+    split_filter, split_pair, strata)
 from .sdepth import (
     Interval,
     Partition,
@@ -64,12 +66,11 @@ def build_reduced_pair(Q: QuotientPair, b: Monomial) -> PosetView:
     if b not in st.B:
         raise SurgeryError(f"b={b} is not a degree-(d+1) element of the poset")
     f1 = _designated_generator(st, b)
-    gens = [f for f in st.f_list if f != f1]
-    gens.extend(m for m in st.B if m != b)
-    I_b = minimalize(Q.ambient, gens)
-    if I_b.member(b):
+    F = filter_bitset(Q.ambient, [m.mask for m in st.f_list + st.B
+                                  if m != f1 and m != b])
+    if (F >> b.mask) & 1:
         raise SurgeryError(f"reduction failed: {b} still lies in I_b")
-    pair_b = split_pair(Q, I_b)[0]
+    pair_b = split_filter(Q, F)[0]
     if pair_b is None:
         raise SurgeryError("reduced pair I_b/J_b must be nonzero")
     return pair_b

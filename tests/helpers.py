@@ -109,11 +109,12 @@ def as_pair(M: QuotientPair | PosetView) -> QuotientPair:
 
 
 def restrict_to_support(Q: QuotientPair) -> tuple[QuotientPair, int]:
-    """Q over only the variables its generators use, renamed x_1..x_m in
-    order, and the number of variables left out."""
-    used = sorted({i for g in Q.I.gens + Q.J.gens for i in g.vars})
+    """Q's normal form over only the variables its generators use, renamed
+    x_1..x_m in order, and the number of variables left out."""
+    N = as_pair(poset_view(Q))
+    used = sorted({i for g in N.I.gens + N.J.gens for i in g.vars})
     to = {i: j for j, i in enumerate(used, 1)}
-    return rename_pair(Q, len(used), to), Q.ambient - len(used)
+    return rename_pair(N, len(used), to), Q.ambient - len(used)
 
 
 # -- brute-force oracles ------------------------------------------------------

@@ -4,7 +4,7 @@ from sdepthlab.depth import depth
 from sdepthlab.engines import EngineCache
 from sdepthlab.fuzz import FuzzConfig, instance_rng, random_pair
 from sdepthlab.io import parse_input
-from sdepthlab.poset import strata
+from sdepthlab.poset import poset_view, strata, view_of
 from sdepthlab.sdepth import sdepth
 
 PP2 = (
@@ -27,6 +27,13 @@ def test_cache_returns_identical_objects():
     Q2 = parse_input("n=5\nI = x1*x2, x1*x3, x1*x4, x2*x3*x5\nJ = x2*x3*x4*x5\n")
     assert Q2 is not Q and Q2 == Q
     assert cache.sdepth(Q2) is cache.sdepth(Q)
+    # a pair whose generators are not its normal form shares one entry per
+    # engine with the view of its poset: the cache keys on (n, bits)
+    R = parse_input("n=3\nI = x1, x2*x3\nJ = x2*x3\n")
+    N = view_of(3, poset_view(R).bits)
+    assert N.gens != (R.I.gen_masks(), R.J.gen_masks())
+    assert cache.depth(N) is cache.depth(R)
+    assert cache.sdepth(N) is cache.sdepth(R)
 
 
 def test_cache_matches_direct_computation():

@@ -62,6 +62,7 @@ def test_parse_flexible_layout():
         ("n=3\nI = x1\n", 1, 1, "missing J"),
         ("n=3\nI = x1,,x2\nJ = 0\n", 2, 8, "empty monomial"),
         ("n=3\nI = y1\nJ = 0\n", 2, 5, "y1"),
+        ("n=3\nI = x1*x1, x2\nJ = 0\n", 2, 5, "repeated"),
         # constructor-level errors point at the whole list, not one chunk
         ("n=2\nI = x3\nJ = 0\n", 2, 4, "ambient"),
     ],

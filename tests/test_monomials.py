@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import as_pair, brute_poset_masks, from_strs, quotient_pairs
 from sdepthlab.depth import depth
 from sdepthlab.engines import EngineCache
+from sdepthlab.fuzz import FuzzConfig, instance_rng, random_pair
 from sdepthlab.hilbert import hdepth1_pair
 from sdepthlab.monomials import (
     MAX_AMBIENT,
@@ -279,10 +280,23 @@ def test_derived_pairs_match_ideal_arithmetic(Q, data):
     _check_derived(C, _bits_of(Q.I, ideal_sum(Q.J, sub)), Q)
 
 
+def _pool_pair(idx: int) -> QuotientPair:
+    """Pair `idx` of the criterion-9 stream pool (seed 2026, n = 6)."""
+    cfg = FuzzConfig(n=6, seed=2026)
+    return random_pair(instance_rng(cfg.seed, idx), cfg)
+
+
+# pool pairs with a generator of I inside J, whose generators use more
+# variables than their normal form does
+@example(_pool_pair(336))
+@example(_pool_pair(350))
+@example(_pool_pair(904))
+@example(_pool_pair(955))
 @given(quotient_pairs(normalized=False))
 def test_view_of_its_poset_keeps_every_invariant(Q):
     # every derived view stands for its module by this: the normal form of
-    # the input's poset gives the input's answers, witnesses included
+    # the input's poset gives the input's answers, certificates, witnesses
+    # and free variables included
     bits = sum(1 << m for m in brute_poset_masks(Q))
     P = view_of(Q.ambient, bits)
     assert view_of(Q.ambient, 0) is None
@@ -295,10 +309,21 @@ def test_view_of_its_poset_keeps_every_invariant(Q):
         assert (got.gf2 is None) == (want.gf2 is None) == (char != 0)
         if char == 0:
             assert got.gf2.to_json() == want.gf2.to_json()
-    assert sdepth(P).value == sdepth(Q).value
+    assert sdepth(P).to_json() == sdepth(Q).to_json()
     assert hdepth1_pair(P) == hdepth1_pair(Q)
     a, b = strata(P), strata(Q)
     assert (a.d, a.s, a.q) == (b.d, b.s, b.q)
+
+
+def test_an_input_pairs_own_strata_stay_off_its_view():
+    # I = (x5, x1*x6) with x1*x6 in J: the pair's report reads its own
+    # generators, its view's report those of the normal form (x5)/(..)
+    Q = _pool_pair(336)
+    view = poset_view(Q)
+    assert strata(view) == strata(as_pair(view))
+    assert [str(m) for m in strata(view).f_list + strata(view).E] == ["x5"]
+    assert [str(m) for m in strata(Q).f_list + strata(Q).E] == ["x5", "x1*x6"]
+    assert strata(view) is strata(view) is not strata(Q)
 
 
 @given(quotient_pairs(normalized=False), quotient_pairs(normalized=False))

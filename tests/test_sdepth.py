@@ -335,12 +335,13 @@ def _count_decisions(monkeypatch) -> list[tuple[int, int]]:
 
 def test_search_decides_through_sdepth_decide(monkeypatch):
     # sdepth's k-loop calls the public sdepth_decide, once per k from the
-    # hdepth1 ceiling down to the first yes, on the pair restricted to its
-    # support (x9, x10 free in the first, which reaches its ceiling 6)
+    # hdepth1 ceiling down to the first yes, on the whole module: x9, x10
+    # are free in the first, which reaches its ceiling 8, and sdepth_decide
+    # alone restricts it to its support
     calls = _count_decisions(monkeypatch)
     free = parse_input("n=10\nI = x3, x1*x4, x2*x6, x5*x7*x8\nJ = 0\n")
     assert sdepth(free).value == 8
-    assert calls == [(8, 6)]
+    assert calls == [(10, 8)]
     calls.clear()
     ex1 = parse_input("n=5\nI = x1*x2, x1*x3, x1*x4, x2*x3*x5\nJ = x2*x3*x4*x5\n")
     assert sdepth(ex1).value == 3
