@@ -48,6 +48,20 @@ computed only where the GF(2) homology is nonzero.  The screen also
 answers characteristic 2 (`DepthResult.gf2`): pd over Q ≤ pd over GF(2) in
 every multidegree, so the characteristic-0 walk visits every degree a
 characteristic-2 walk would.
+
+Scan order.  A cell F of K_i(a) needs x^(a\\F) ∈ I\\J, so |a\\F| ≥ d, the
+least degree of an element, and H_i = 0 in multidegree a for i > |a| − d.
+So `depth` scans the candidates from the highest degree down, in canonical
+order within a degree, and stops at the first a with |a| − d < pd: no
+later candidate can reach pd.  The witness stays the canonically first a
+that reaches pd, which the upward scan in canonical order finds.  A
+candidate of lower degree than the current witness comes earlier in that
+order, so it is walked with floor pd − 1 and takes the witness on a tie;
+one of the same degree comes later and must exceed pd.  The GF(2) answer
+keeps its own floor and witness by the same rule.  So depth, pd, witness
+and the GF(2) answer are the upward scan's (`ascending_depth` in the tests
+keeps that scan as the reference); only the lower-degree candidates that
+cannot reach pd go unranked.
 """
 from __future__ import annotations
 
@@ -88,9 +102,12 @@ def _lcm_closure(gens: tuple[int, ...]) -> set[int]:
 
 
 def _candidate_degrees(Q: QuotientPair | PosetView) -> list[int]:
-    """The lcm closures of gens(I') and gens(J'), in canonical order."""
+    """The lcm closures of gens(I') and gens(J'), highest degree first and in
+    canonical order within a degree: the order `depth` scans them in."""
     I, J = poset_view(Q).gens
-    return sorted(_lcm_closure(I) | _lcm_closure(J), key=canonical_key)
+    # the sort by degree is stable, so each degree keeps its canonical order
+    return sorted(sorted(_lcm_closure(I) | _lcm_closure(J), key=canonical_key),
+                  key=int.bit_count, reverse=True)
 
 
 def _morse_matrix(cells: list[int], cols: dict[int, int], pbits: int, a: int,
@@ -196,15 +213,24 @@ def _top_homology(pbits: int, a: int, floor: int, char: int,
 def depth(Q: QuotientPair | PosetView, field: int) -> DepthResult:
     """depth(I/J) over the field of characteristic `field`."""
     char = check_field(field)
-    pbits = poset_view(Q).bits
+    view = poset_view(Q)
+    pbits, d = view.bits, view.d
     pd = pd2 = -1  # over `char`, and over its screen field
     witness = witness2 = None
-    for a in _candidate_degrees(Q):
-        top, top2 = _top_homology(pbits, a, pd, char, pd2)
-        if top > pd:
-            pd, witness = top, a
-        if top2 > pd2:
-            pd2, witness2 = top2, a
+    wdeg = wdeg2 = -1  # the witnesses' degrees
+    for a in _candidate_degrees(view):
+        deg = a.bit_count()
+        if deg - d < pd:  # no later candidate reaches pd
+            break
+        # below the witness's degree, `a` comes first canonically: a tie wins.
+        # floor <= floor2, as `_top_homology` needs: pd <= pd2, and when they
+        # are equal the GF(2) witness comes no later than the witness
+        floor, floor2 = pd - (deg < wdeg), pd2 - (deg < wdeg2)
+        top, top2 = _top_homology(pbits, a, floor, char, floor2)
+        if top > floor:
+            pd, witness, wdeg = top, a, deg
+        if top2 > floor2:
+            pd2, witness2, wdeg2 = top2, a, deg
     if witness is None:  # unreachable for a valid pair: H_0 never vanishes
         raise InputError("no nonvanishing Koszul homology found")
     gf2 = None

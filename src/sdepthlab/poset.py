@@ -172,7 +172,11 @@ def poset_view(Q: QuotientPair | PosetView) -> PosetView:
     if isinstance(Q, PosetView):
         return Q
     if Q._poset is None:
-        Q._poset = view_of(Q.ambient, poset_bitset(Q))
+        view = view_of(Q.ambient, poset_bitset(Q))
+        own = Q.I.gen_masks(), Q.J.gen_masks()
+        if view.gens == own:  # keep the pair's tuples, not an equal copy
+            view.gens = own
+        Q._poset = view
     return Q._poset
 
 

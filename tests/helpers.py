@@ -13,9 +13,16 @@ from itertools import combinations, product
 
 from hypothesis import strategies as st
 
+from sdepthlab.depth import _candidate_degrees, _top_homology
 from sdepthlab.hilbert import hdepth1_pair
 from sdepthlab.linalg import boundary_rank
-from sdepthlab.monomials import Ideal, Monomial, QuotientPair, parse_monomial
+from sdepthlab.monomials import (
+    Ideal,
+    Monomial,
+    QuotientPair,
+    canonical_key,
+    parse_monomial,
+)
 from sdepthlab.poset import PosetView, poset_view, strata
 from sdepthlab.sdepth import sdepth_decide
 from sdepthlab.surgery import containment_violators, ml1_candidate_bs
@@ -147,6 +154,28 @@ def ascending_sdepth(Q: QuotientPair) -> dict:
         "refuted_by": refuted_by,
         "free": restrict_to_support(Q)[1],
     }
+
+
+def ascending_depth(Q: QuotientPair | PosetView, char: int) -> tuple:
+    """`depth(Q, char).to_json()` and its gf2's (None unless char is 0) by the
+    upward scan: every lcm candidate in canonical order, with floor pd, so
+    the first to reach pd stays the witness."""
+    pbits = poset_view(Q).bits
+    pd = pd2 = -1
+    witness = witness2 = 0
+    for a in sorted(_candidate_degrees(Q), key=canonical_key):
+        top, top2 = _top_homology(pbits, a, pd, char, pd2)
+        if top > pd:
+            pd, witness = top, a
+        if top2 > pd2:
+            pd2, witness2 = top2, a
+
+    def result(pd: int, witness: int, field: int) -> dict:
+        return {"depth": Q.ambient - pd, "pd": pd,
+                "witness_degree": str(Monomial(witness)), "witness_index": pd,
+                "field": field}
+
+    return result(pd, witness, char), result(pd2, witness2, 2) if char == 0 else None
 
 
 def brute_monomial_count(Q: QuotientPair, degree: int) -> int:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ascending_depth,
     from_strs,
     koszul_betti,
     nonsquarefree_koszul_sweep,
@@ -17,12 +18,20 @@ from helpers import (
     si_pair,
     unit_ideal,
 )
+import sdepthlab.depth as depth_module
 from sdepthlab import corpus
 from sdepthlab.depth import DepthResult, _candidate_degrees, depth
 from sdepthlab.engines import EngineCache
-from sdepthlab.fuzz import FuzzConfig, instance_rng, random_pair
+from sdepthlab.fuzz import FuzzConfig, instance_rng, random_pair, run_instance
 from sdepthlab.io import parse_input
-from sdepthlab.monomials import Ideal, InputError, Monomial, QuotientPair
+from sdepthlab.monomials import (
+    Ideal,
+    InputError,
+    Monomial,
+    QuotientPair,
+    colon_pair,
+)
+from sdepthlab.poset import filter_bitset, poset_view, split_filter
 from sdepthlab.reisner import reisner_depth_oracle
 
 PATH = parse_input("n=4\nI = x1*x2, x2*x3, x3*x4\nJ = 0\n")
@@ -125,6 +134,76 @@ def test_depth_answers_match_the_recorded_answers():
     )
 
 
+@st.composite
+def derived_views(draw):
+    """A colon (I:x_j)/(J:x_j) of a random pair, or an end of its split by
+    the squarefree monomials of a random ideal: views, as the verdicts hand
+    them to depth."""
+    Q = draw(quotient_pairs(max_n=7, normalized=False))
+    n = Q.ambient
+    if draw(st.booleans()):
+        return colon_pair(Q, draw(st.integers(min_value=1, max_value=n))) or Q
+    gens = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1),
+                         min_size=1, max_size=3))
+    ends = [end for end in split_filter(Q, filter_bitset(n, tuple(gens))) if end]
+    return draw(st.sampled_from(ends))
+
+
+def _assert_scans_agree(Q):
+    for char in (0, 2, 3):
+        res = depth(Q, char)
+        gf2 = res.gf2.to_json() if res.gf2 else None
+        assert (res.to_json(), gf2) == ascending_depth(Q, char), char
+
+
+# the real projective plane: pd over Q (3) lies below pd over GF(2) (4), so
+# the two floors of one scan differ
+RP2 = parse_input(
+    "n=6\nI = 1\n"
+    "J = x1*x2*x4, x1*x2*x5, x1*x3*x5, x1*x3*x6, x1*x4*x6, "
+    "x2*x3*x4, x2*x3*x6, x2*x5*x6, x3*x4*x5, x4*x5*x6\n"
+)
+
+
+@given(st.one_of(quotient_pairs(max_n=7, normalized=False), derived_views()))
+@settings(max_examples=150)
+@example(RP2)
+@example(colon_pair(RP2, 1))
+def test_top_down_scan_matches_the_ascending_one(Q):
+    _assert_scans_agree(Q)
+
+
+def test_top_down_scan_matches_the_ascending_one_on_the_stream():
+    cfg = FuzzConfig(n=6, seed=2026)
+    for idx in range(200):
+        _assert_scans_agree(random_pair(instance_rng(cfg.seed, idx), cfg))
+
+
+def test_stream_pass_scans_from_the_top(monkeypatch):
+    # one run_instance pass over the 1 000 seed-2026 n=6 stream pairs, each
+    # with a fresh cache; the upward scan of every candidate made 61 338
+    calls = []
+    real = depth_module._top_homology
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(depth_module, "_top_homology", counted)
+    cfg = FuzzConfig(n=6, seed=2026)
+    pool = [random_pair(instance_rng(cfg.seed, idx), cfg) for idx in range(1000)]
+    for Q in pool:
+        run_instance(Q, cfg, cache=EngineCache())
+    assert len(calls) == 25657
+    # pair 12 ties pd = 2 in degrees 5 and 4: the lower-degree candidate
+    # comes first canonically, so it must take the witness over the higher
+    Q = pool[12]
+    res = depth(Q, 0)
+    assert (res.pd, str(res.witness_degree)) == (2, "x2*x3*x5*x6")
+    high = Monomial.of(1, 2, 4, 5, 6).mask
+    assert real(poset_view(Q).bits, high, 1, 0, 1) == (2, 2)
+
+
 @given(st.one_of(quotient_pairs(normalized=False), proper_ideals().map(si_pair)))
 def test_homology_lies_in_the_lcm_candidates(Q):
     cands = set(_candidate_degrees(Q))
@@ -170,12 +249,7 @@ def test_depth_pinned_corpus_values():
 def test_characteristic_dependence_projective_plane():
     # the 6-vertex triangulation of the real projective plane: its quotient
     # has depth 3 except in characteristic 2, where it drops to 2
-    text = (
-        "n=6\nI = 1\n"
-        "J = x1*x2*x4, x1*x2*x5, x1*x3*x5, x1*x3*x6, x1*x4*x6, "
-        "x2*x3*x4, x2*x3*x6, x2*x5*x6, x3*x4*x5, x4*x5*x6\n"
-    )
-    sr = parse_input(text).J
+    sr = RP2.J
     by_char = {c: depth(si_pair(sr), field=c).depth for c in (0, 2, 3, 32003)}
     assert by_char == {0: 3, 2: 2, 3: 3, 32003: 3}
     for c, val in by_char.items():
