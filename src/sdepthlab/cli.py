@@ -99,7 +99,6 @@ def _analysis_report(Q: QuotientPair, cache: EngineCache, field: int) -> dict:
             "J": [str(g) for g in Q.J.gens],
             "field": field,
         },
-        "normalization_warning": Q.normalization_warning,
         "strata": st.to_json(),
         "sdepth": cache.sdepth(Q).to_json(),
         "depth": cache.depth(Q, field).to_json(),
@@ -120,8 +119,6 @@ def _cmd_analyze(args) -> int:
         st = report["strata"]
         print(f"n={report['input']['n']}  I=({', '.join(report['input']['I'])})"
               f"  J=({', '.join(report['input']['J']) or '0'})")
-        if report["normalization_warning"]:
-            print("warning: J has a generator of degree <= d")
         print(f"strata: d={st['d']} r={st['r']} s={st['s']} q={st['q']} "
               f"|E|={len(st['E'])}")
         print(f"sdepth = {report['sdepth']['value']}")

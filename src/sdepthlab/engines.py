@@ -6,8 +6,8 @@ per-run cache keyed on (n, bits), the module's poset, pays for itself: a
 pair and every view of its poset share one entry.  Results are exact; the
 cache only avoids recomputation.  Depth, keyed on the characteristic too,
 is the one engine that reads it; a characteristic-0 depth also fills the
-characteristic-2 entry.  Strata and hdepth1 are kept on the module (the
-pair may outlive the cache).
+characteristic-2 entry.  Strata and hdepth1 are kept on the module's view,
+which an input pair keeps too (the pair may outlive the cache).
 """
 from __future__ import annotations
 
@@ -81,8 +81,9 @@ class EngineCache:
         return got
 
     def subideal_split(self, Q: QuotientPair | PosetView) -> tuple:
-        """`split_filter` of Q by I' = (f_1, .., f_r), its generators of I of
-        least degree (`strata(Q).f_list`): (I∩I')/(J∩I') and I/(J + I')."""
+        """`split_filter` of Q by I' = (f_1, .., f_r), the least-degree
+        generators of its normal form (`strata(Q).f_list`): (I∩I')/(J∩I')
+        and I/(J + I')."""
         k = _key(Q)
         got = self._subideal.get(k)
         if got is None:

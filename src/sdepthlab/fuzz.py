@@ -3,12 +3,12 @@
 Every instance is generated from an RNG derived only from (seed, index), so
 a record replays bit-for-bit from its header.  Each instance runs the full
 pipeline — strata, Stanley depth, depth over characteristic 0 and 2, the
-bound verdicts, the exact-sequence audit — and, when the two-generator
-surgery hypotheses hold, the rewriting driver with independent re-checks.
+bound verdicts and the exact-sequence audit.  The surgery driver is not run
+here: `sample_ml1_instance` draws its instances.
 
 Inconsistent verdicts are collected in the main JSONL log (they fail the
-run); Stanley-positivity observations and driver anomalies go to a separate
-findings log, since those would be discoveries rather than bugs.
+run); Stanley-positivity observations go to a separate findings log, since
+those would be discoveries rather than bugs.
 """
 from __future__ import annotations
 
@@ -28,13 +28,7 @@ from .monomials import (
     mask_of,
 )
 from .poset import degree_bits, filter_bitset, members
-from .surgery import (
-    DriverFailure,
-    SurgeryError,
-    ml1_candidate_bs,
-    ml1_driver,
-    verify_outcome,
-)
+from .surgery import ml1_candidate_bs
 from .verdicts import (
     bounds_report,
     consistency_audit,
@@ -46,7 +40,6 @@ _SEED_STRIDE = 1_000_003
 _J_RATE = 0.6             # share of pairs that get a nonzero J
 _MAX_J_PICKS = 4          # most elements drawn into J
 _AUDIT_CHARS = (0, 2)     # characteristics the verdicts and audit run in
-_ML1_MAX_RUNS = 4         # most driver runs per pair, in candidate order
 
 
 @dataclass(frozen=True)
@@ -103,54 +96,6 @@ def _upper_elements(I: Ideal, d: int) -> list[int]:
     return members(filter_bitset(n, I.gen_masks()) & layers)
 
 
-def _pair_json(Q: QuotientPair) -> dict:
-    return {"n": Q.ambient,
-            "I": [str(g) for g in Q.I.gens],
-            "J": [str(g) for g in Q.J.gens]}
-
-
-def _ml1_entries(Q: QuotientPair, findings: list[dict]) -> list[dict]:
-    entries: list[dict] = []
-    for b in ml1_candidate_bs(Q)[:_ML1_MAX_RUNS]:
-        entry: dict = {"b": str(b)}
-        try:
-            outcome = ml1_driver(Q, b)
-        except SurgeryError as exc:
-            entry["status"] = "hypothesis_unsatisfied"
-            entry["reason"] = str(exc)
-            entries.append(entry)
-            continue
-        except DriverFailure as exc:
-            entry["status"] = "driver_failure"
-            entry["reason"] = str(exc)
-            findings.append({
-                "kind": "ml1_driver_failure",
-                "pair": _pair_json(Q),
-                "b": str(b),
-                "trace": list(exc.trace),
-            })
-            entries.append(entry)
-            continue
-        verified = verify_outcome(Q, outcome)
-        entry.update({
-            "status": "ok",
-            "kind": outcome.kind,
-            "fallback": outcome.fallback,
-            "verified": verified,
-        })
-        if outcome.fallback or not verified:
-            findings.append({
-                "kind": "ml1_driver_anomaly",
-                "pair": _pair_json(Q),
-                "b": str(b),
-                "fallback": outcome.fallback,
-                "verified": verified,
-                "trace": list(outcome.trace),
-            })
-        entries.append(entry)
-    return entries
-
-
 def run_instance(Q: QuotientPair, cfg: FuzzConfig,
                  cache: EngineCache | None = None) -> tuple[dict, list[dict]]:
     """Full pipeline on one pair; returns (record, findings).
@@ -163,10 +108,16 @@ def run_instance(Q: QuotientPair, cfg: FuzzConfig,
     st = cache.strata(Q)
     sres = cache.sdepth(Q)
     depths = {str(c): cache.depth(Q, c).depth for c in _AUDIT_CHARS}
+    # E_size counts Q's own generators of I above degree d, some of which
+    # may lie in J, as `perfbench/stream_reference.json` records it until
+    # ROADMAP item 1 records it again
+    E_size = sum(m.bit_count() > st.d for m in Q.I.gen_masks())
     record: dict = {
-        "instance": _pair_json(Q),
+        "instance": {"n": Q.ambient,
+                     "I": [str(g) for g in Q.I.gens],
+                     "J": [str(g) for g in Q.J.gens]},
         "strata": {"d": st.d, "r": st.r, "s": st.s, "q": st.q,
-                   "E_size": len(st.E)},
+                   "E_size": E_size},
         "sdepth": sres.value,
         "depth": depths,
         "hdepth": cache.hdepth(Q).value,
@@ -187,7 +138,6 @@ def run_instance(Q: QuotientPair, cfg: FuzzConfig,
             findings.append(obs)
     record["verdicts"] = verdicts_json
     record["inconsistent"] = bad
-    record["ml1"] = _ml1_entries(Q, findings)
     record["findings_count"] = len(findings)
     return record, findings
 
@@ -198,8 +148,6 @@ class FuzzReport:
     instances: int = 0
     inconsistent: int = 0
     findings: int = 0
-    ml1_runs: int = 0
-    ml1_ok: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -209,8 +157,6 @@ class FuzzReport:
             "instances": self.instances,
             "inconsistent": self.inconsistent,
             "findings": self.findings,
-            "ml1_runs": self.ml1_runs,
-            "ml1_ok": self.ml1_ok,
         }
 
 
@@ -230,11 +176,6 @@ def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
             report.instances += 1
             report.inconsistent += len(record["inconsistent"])
             report.findings += len(findings)
-            for entry in record["ml1"]:
-                if entry["status"] != "hypothesis_unsatisfied":
-                    report.ml1_runs += 1
-                    if entry.get("verified"):
-                        report.ml1_ok += 1
             if find_fh:
                 for f in findings:
                     payload = dict(header)

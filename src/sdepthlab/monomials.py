@@ -238,20 +238,15 @@ class QuotientPair:
     """A validated quotient module I/J of squarefree monomial ideals.
 
     Invariants: J ⊆ I and J ≠ I, so the poset of squarefree monomials in
-    I\\J is nonempty.  `normalization_warning` is set when J has a minimal
-    generator of degree ≤ d (d = least degree of I's generators); such pairs
-    are fully supported, but the theorem-derived verdict rules assume the
-    normalized shape and are gated off.  A pair exists only as parsed or
-    drawn input: a colon, split end or restriction of one is a
-    `poset.PosetView` alone, built by `poset.view_of` in a normal form with
-    J generated in degrees > d.  The pair's own view is that normal form
-    too, so among the engines only `poset.strata` of the pair itself reads
-    its generators.  The pair has no field: only depth depends on one, and
-    `depth.depth` takes it.
+    I\\J is nonempty.  A pair exists only as parsed or drawn input, and every
+    engine reads it through its view (`poset.poset_view`), the normal form
+    I'/J' of its poset built by `poset.view_of`, in which J' is generated in
+    degrees > d.  A colon, split end or restriction of a pair is such a
+    `poset.PosetView` alone.  The pair has no field: only depth depends on
+    one, and `depth.depth` takes it.
     """
 
-    __slots__ = ("ambient", "I", "J", "normalization_warning", "_key", "_poset",
-                 "_strata")
+    __slots__ = ("ambient", "I", "J", "_key", "_poset")
 
     def __init__(self, I: Ideal, J: Ideal):
         I._check_ambient(J)
@@ -264,12 +259,9 @@ class QuotientPair:
         self.ambient = I.ambient
         self.I = I
         self.J = J
-        d = I.gen_masks()[0].bit_count()  # canonical order is degree-major
-        self.normalization_warning = any(m.bit_count() <= d for m in J.gen_masks())
         # the pair's identity: equality and hashing
         self._key = (self.ambient, I.gen_masks(), J.gen_masks())
         self._poset = None  # PosetView, built on first use by poset.poset_view
-        self._strata = None  # its own StrataReport, built by poset.strata
 
     def key(self) -> tuple:
         return self._key

@@ -9,10 +9,10 @@ pair; a colon, split end or restriction is `view_of` the poset cut out of
 its parent's.  So all an engine reads is a function of (n, bits).
 `layer_counts` reads the number of elements in each degree off the bitset,
 one popcount against `degree_bits` per degree, with no sort.  `strata`
-reads off the view the statistics the upper-bound theorems consume: the
-least degree d, the degree-d generators f_1..f_r, the higher-degree
-generators E, the degree-(d+1) and -(d+2) layers B and C, the pairwise
-generator lcms, and the lcm-constrained subsets C2 and C3 of C.
+reads off the view alone the statistics the upper-bound theorems consume:
+the least degree d, the normal form's degree-d generators f_1..f_r and
+higher-degree generators E, the degree-(d+1) and -(d+2) layers B and C, the
+pairwise generator lcms, and the lcm-constrained subsets C2 and C3 of C.
 """
 from __future__ import annotations
 
@@ -274,25 +274,20 @@ class StrataReport:
 
 
 def strata(Q: QuotientPair | PosetView) -> StrataReport:
-    """The module's StrataReport, built on first use and kept on it.
-
-    A pair's report is kept on the pair, not on its view: it reads f_1..f_r
-    and E off the pair's own generators, which differ from the normal form's
-    when a generator of I lies in J.  `perfbench/stream_reference.json` pins
-    E_size for 41 such pool pairs, until ROADMAP item 1 records it again.
-    """
-    if Q._strata is None:
-        view = poset_view(Q)
-        Q._strata = _strata_report(view, view.gens[0] if Q is view else Q.I.gen_masks())
-    return Q._strata
+    """The StrataReport of the module's view, built on first use and kept
+    on the view: f_1..f_r and E are the generators of the normal form I'."""
+    view = poset_view(Q)
+    if view._strata is None:
+        view._strata = _strata_report(view)
+    return view._strata
 
 
-def _strata_report(view: PosetView, masks: tuple[int, ...]) -> StrataReport:
-    d = view.d
-    # I's masks and the layers are already in canonical order.  Tuples are
-    # built from lists: tuple(<generator>) shrinks a 10-slot tuple, which
-    # moves tuples between the interpreter's per-size free lists and raised
-    # the peak RSS of surgery runs by 9%.
+def _strata_report(view: PosetView) -> StrataReport:
+    d, masks = view.d, view.gens[0]
+    # The generator masks of I' and the layers are already in canonical order.
+    # Tuples are built from lists: tuple(<generator>) shrinks a 10-slot
+    # tuple, which moves tuples between the interpreter's per-size free
+    # lists and raised the peak RSS of surgery runs by 9%.
     f_list = tuple([Monomial(m) for m in masks if m.bit_count() == d])
     E = tuple([Monomial(m) for m in masks if m.bit_count() > d])
     B = tuple([Monomial(m) for m in view.layer(d + 1)])

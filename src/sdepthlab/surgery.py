@@ -421,7 +421,7 @@ class SurgeryOutcome:
     partition: Partition | None = None
     subideal: Ideal | None = None
     sdepth_sub: int | None = None
-    depth_rest: int | None = None   # None when I/(J,I') is the zero module
+    depth_rest: int | None = None   # depth of I/(J,I'); None when upgraded
     fallback: bool = False
     trace: tuple[str, ...] = ()
 
@@ -468,11 +468,6 @@ def check_pair_hypotheses(Q: QuotientPair) -> None:
     st = strata(Q)
     if st.r != 2:
         raise SurgeryError(f"hypothesis r=2 fails: r={st.r}")
-    if Q.normalization_warning:
-        raise SurgeryError(
-            "hypothesis fails: relations of degree <= d present "
-            "(J must be generated in degrees > d)"
-        )
     if any(g.degree != st.d + 1 for g in st.E):
         raise SurgeryError(
             "hypothesis fails: higher generators must all have degree d+1"
@@ -763,38 +758,33 @@ class _Driver:
 
     def _try_candidate(self, gens):
         Q, d = self.Q, self.d
-        if not gens:
-            return None
         I_sub = minimalize(Q.ambient, gens)
-        if I_sub.is_zero() or I_sub.contains_ideal(Q.I) or I_sub in self.tried:
+        if I_sub in self.tried:
             return None
         self.tried.add(I_sub)
+        # I' is proper when it leaves part of the poset outside it
         sub, rest = split_pair(Q, I_sub)
-        if sub is None:
+        if sub is None or rest is None:
             return None
         cert_sub = sdepth_decide(sub, d + 2)
         if cert_sub is None:
-            depth_rest = None
-            if rest is not None:
-                depth_rest = depth(rest, 0).depth
-                if depth_rest < d + 1:
-                    self.log(
-                        f"candidate ({I_sub}) rejected: "
-                        f"depth of the complement is {depth_rest} < {d + 1}"
-                    )
-                    return None
+            depth_rest = depth(rest, 0).depth
+            if depth_rest < d + 1:
+                self.log(
+                    f"candidate ({I_sub}) rejected: "
+                    f"depth of the complement is {depth_rest} < {d + 1}"
+                )
+                return None
             value = sdepth(sub).value
             self.log(
                 f"subideal witness ({I_sub}): sdepth {value} <= {d + 1}"
             )
             return self._outcome(kind="subideal_witness", subideal=I_sub,
                                  sdepth_sub=value, depth_rest=depth_rest)
-        pieces = list(cert_sub.intervals)
-        if rest is not None:
-            cert_rest = sdepth_decide(rest, d + 2)
-            if cert_rest is None:
-                return None
-            pieces.extend(cert_rest.intervals)
+        cert_rest = sdepth_decide(rest, d + 2)
+        if cert_rest is None:
+            return None
+        pieces = [*cert_sub.intervals, *cert_rest.intervals]
         return self._upgrade(pieces, f"upgrade by splitting along ({I_sub})")
 
     def _fallback(self, H: HMap) -> SurgeryOutcome:
@@ -824,12 +814,13 @@ class _Driver:
 def ml1_driver(Q: QuotientPair, b: Monomial) -> SurgeryOutcome:
     """Run the two-generator case analysis from the removed element b.
 
-    Preconditions (each reported by name if violated): r=2 with normalized
-    degrees, 4 <= s <= q+2, the C-containment condition, and a value-(d+2)
-    partition of the reduced pair.  That last one is screened first by the
-    colon bound (`hilbert.colon_refuter`), which refutes it without a search
-    whenever some variable's colon pair has hdepth1 < d+2; only pairs it
-    passes go to `sdepth_decide`.  The outcome is always engine-verified;
+    Preconditions, read off the normal form of Q's poset (each reported by
+    name if violated): r=2, E in degree d+1, 4 <= s <= q+2, the
+    C-containment condition, and a value-(d+2) partition of the reduced
+    pair.  That last one is screened first by the colon bound
+    (`hilbert.colon_refuter`), which refutes it without a search whenever
+    some variable's colon pair has hdepth1 < d+2; only pairs it passes go to
+    `sdepth_decide`.  The outcome is always engine-verified;
     if every rewriting strategy dead-ends, the disjunction is settled by
     direct computation and flagged as a fallback.
     """
@@ -848,11 +839,10 @@ def verify_outcome(Q: QuotientPair, outcome: SurgeryOutcome) -> bool:
     if outcome.kind != "subideal_witness" or outcome.subideal is None:
         return False
     I_sub = outcome.subideal
-    if I_sub.is_zero() or I_sub.contains_ideal(Q.I):
-        return False
     if not Q.I.contains_ideal(I_sub):
         return False
+    # a proper I' leaves part of the poset outside it
     sub, rest = split_pair(Q, I_sub)
-    if sub is None or sdepth_decide(sub, d + 2) is not None:
+    if sub is None or rest is None or sdepth_decide(sub, d + 2) is not None:
         return False
-    return rest is None or depth(rest, 0).depth >= d + 1
+    return depth(rest, 0).depth >= d + 1

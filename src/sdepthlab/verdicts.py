@@ -6,13 +6,12 @@ compute the exact values independently, so every applicable rule is a live
 consistency check: a violated bound means a bug somewhere, and callers treat
 it as a hard failure.
 
-Counting rules come in two flavours.  The Stanley-depth flavour is proved by
-pure interval counting inside the poset, so it holds for any pair; it uses
-the number of degree-d poset elements rather than the generator count.  The
-depth flavour relies on the normalization assumptions (J generated in degrees
-> d), so it is gated on an input pair's `normalization_warning`; the
-colons, restrictions and splits derived from it are PosetViews in that
-normal form (`poset.view_of`).  Only depth depends on the field, whose
+Every rule reads the module through its normal form I'/J' (`poset.view_of`),
+which is isomorphic to I/J and has J' generated in degrees > d, the shape
+the theorems assume.  So no rule is gated.  The counting rules come in
+pairs: the Stanley-depth flavour is proved by pure interval counting inside
+the poset, the depth flavour by the theorems; on the normal form both count
+r, the degree-d elements.  Only depth depends on the field, whose
 characteristic the entry points take.
 """
 from __future__ import annotations
@@ -89,10 +88,7 @@ def bounds_report(
     sv = cache.sdepth(Q).value
     dep = cache.depth(Q, field).depth
     hd = cache.hdepth(Q).value
-    warn = Q.normalization_warning
     d, r, s, q = st.d, st.r, st.s, st.q
-    # the degree-d poset elements: the degree-d generators outside J
-    rp = len(poset_view(Q).layer(d))
     out = []
 
     out.append(
@@ -136,41 +132,41 @@ def bounds_report(
     # pure counting in the poset: a partition of value >= d+2 forces
     # s >= 2*(#degree-d elements) and s <= q + (#degree-d elements).
     # These are the k = d+2 case of the Hilbert-depth test in hilbert.py,
-    # on the layer counts (r', s, q) of degrees d, d+1, d+2:
-    # β_{d+1}^{d+2} = s - 2r' and β_{d+2}^{d+2} = q - s + r'.  So when
+    # on the layer counts (r, s, q) of degrees d, d+1, d+2:
+    # β_{d+1}^{d+2} = s - 2r and β_{d+2}^{d+2} = q - s + r.  So when
     # d+2 <= n, one of the two rules applies iff hdepth1 <= d+1, and they
     # restate `sdepth_le_hilbert_depth` there.  Their names stay, because
     # the fuzz JSONL records them.
     out.append(
         Verdict(
             "b_count_exceeds_c_plus_r_sdepth",
-            s > q + rp,
-            f"s={s} > q+r'={q}+{rp}",
+            s > q + r,
+            f"s={s} > q+r'={q}+{r}",
             "sdepth",
             "<=",
             d + 1,
             sv,
-            detail={"degree_d_elements": rp},
+            detail={"degree_d_elements": r},
         )
     )
     out.append(
         Verdict(
             "b_count_below_2r_sdepth",
-            s < 2 * rp,
-            f"s={s} < 2r'={2 * rp}",
+            s < 2 * r,
+            f"s={s} < 2r'={2 * r}",
             "sdepth",
             "<=",
             d + 1,
             sv,
-            detail={"degree_d_elements": rp},
+            detail={"degree_d_elements": r},
         )
     )
 
     out.append(
         Verdict(
             "b_count_exceeds_c_plus_r",
-            not warn and s > q + r,
-            f"s={s} > q+r={q}+{r}" + (" [skipped: low-degree relations]" if warn else ""),
+            s > q + r,
+            f"s={s} > q+r={q}+{r}",
             "depth",
             "<=",
             d + 1,
@@ -180,8 +176,8 @@ def bounds_report(
     out.append(
         Verdict(
             "b_count_below_2r",
-            not warn and s < 2 * r,
-            f"s={s} < 2r={2 * r}" + (" [skipped: low-degree relations]" if warn else ""),
+            s < 2 * r,
+            f"s={s} < 2r={2 * r}",
             "depth",
             "<=",
             d + 1,
@@ -192,7 +188,7 @@ def bounds_report(
     out.append(
         Verdict(
             "sdepth_eq_min_forces_depth",
-            not warn and sv == d,
+            sv == d,
             f"sdepth={sv}, d={d}",
             "depth",
             "==",
@@ -205,7 +201,7 @@ def bounds_report(
     out.append(
         Verdict(
             "conjecture_small_cases",
-            not warn and sv == d + 1 and conj_small,
+            sv == d + 1 and conj_small,
             f"sdepth={sv}=d+1, r={r}, |E|={len(st.E)}",
             "depth",
             "<=",
@@ -216,7 +212,7 @@ def bounds_report(
     out.append(
         Verdict(
             "three_generators_step",
-            not warn and sv == d + 1 and r <= 3,
+            sv == d + 1 and r <= 3,
             f"sdepth={sv}=d+1, r={r}",
             "depth",
             "<=",
@@ -228,7 +224,7 @@ def bounds_report(
     out.append(
         Verdict(
             "four_generators_step",
-            not warn and sv == d + 1 and r == 4 and not st.E and escape is not None,
+            sv == d + 1 and r == 4 and not st.E and escape is not None,
             f"sdepth={sv}=d+1, r={r}, |E|={len(st.E)}, escape={escape}",
             "depth",
             "<=",
@@ -242,7 +238,7 @@ def bounds_report(
     out.append(
         Verdict(
             "cover_by_lcms_depth_one",
-            not warn and d == 1 and covered,
+            d == 1 and covered,
             f"d={d}, B inside E union pairwise lcms: {covered}",
             "depth",
             "==",
@@ -269,7 +265,7 @@ def bounds_report(
     out.append(
         Verdict(
             "all_low_divisors_generate",
-            not warn and d >= 1 and closed,
+            d >= 1 and closed,
             f"|E|={len(st.E)}, all degree-d divisors of B are generators: {closed}",
             "depth",
             "==",
@@ -293,9 +289,8 @@ def _colon_restriction_rules(
     only when the count fires.
     If on top of that the restriction falls in a proved conjecture case, its
     depth is at most d_t+1 as well, and localization monotonicity carries
-    that bound back to the original pair.  No gate applies: a restriction
-    is in normal form, or is Q itself, whose case implies that of its
-    normal form (the generators of Q outside J).
+    that bound back to the original pair.  No gate applies: a restriction,
+    like every module, is read through its normal form.
     """
     out: list[Verdict] = []
     fired = False

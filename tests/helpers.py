@@ -51,8 +51,8 @@ def quotient_pairs(draw, max_n: int = 5, max_gens: int = 4,
                    normalized: bool = True) -> QuotientPair:
     """Random validated pairs; J is sampled from members of I.
 
-    With `normalized=True` every J generator has degree > d, so the pair
-    never carries a normalization warning.
+    With `normalized=True` every J generator has degree > d, the shape the
+    theorems assume, though a generator of I may still lie in J.
     """
     n = draw(st.integers(min_value=2, max_value=max_n))
     k = draw(st.integers(min_value=1, max_value=max_gens))

@@ -215,8 +215,7 @@ def test_criterion_09_bulk_stream_consistency():
         assert report.instances == 10_000
         assert report.inconsistent == 0
         entry["detail"] = (
-            f"instances={report.instances} "
-            f"ml1 {report.ml1_ok}/{report.ml1_runs} findings={report.findings}"
+            f"instances={report.instances} findings={report.findings}"
         )
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import CASE_BAD_PATH, reference_ml1_sampler
+from helpers import reference_ml1_sampler
 from sdepthlab import fuzz
 from sdepthlab.fuzz import (
     FuzzConfig,
@@ -21,7 +21,6 @@ from sdepthlab.fuzz import (
     sample_ml1_instance,
 )
 from sdepthlab.engines import EngineCache
-from sdepthlab.io import parse_input
 from sdepthlab.monomials import Ideal, InputError, Monomial, QuotientPair
 
 
@@ -72,7 +71,6 @@ def test_stream_has_no_inconsistencies(tmp_path):
     report = run_fuzz(FuzzConfig(n=5, count=60, seed=42, out=str(log)))
     assert report.instances == 60
     assert report.inconsistent == 0
-    assert report.ml1_ok == report.ml1_runs
     assert report.to_json()["inconsistent"] == 0
     records = [json.loads(ln) for ln in log.read_text().splitlines()]
     assert len(records) == 60
@@ -81,14 +79,8 @@ def test_stream_has_no_inconsistencies(tmp_path):
         assert set(record["depth"]) == {"0", "2"}
         assert set(record) == {
             "seed", "index", "instance", "strata", "sdepth", "depth",
-            "hdepth", "verdicts", "inconsistent", "ml1", "findings_count",
+            "hdepth", "verdicts", "inconsistent", "findings_count",
         }
-        for entry in record["ml1"]:
-            assert entry["status"] in (
-                "ok", "hypothesis_unsatisfied", "driver_failure"
-            )
-            if entry["status"] == "ok":
-                assert entry["verified"] is True
 
 
 def test_jsonl_log_replays(tmp_path):
@@ -108,12 +100,12 @@ def test_jsonl_log_replays(tmp_path):
 
 
 def test_jsonl_log_matches_the_recorded_records(tmp_path):
-    # sha256 of the JSONL log: every record's strata, depths, verdicts and
-    # driver entries, so a change to any engine can show it keeps them
+    # sha256 of the JSONL log: every record's strata, depths and verdicts,
+    # so a change to any engine can show it keeps them
     log = tmp_path / "stream.jsonl"
     run_fuzz(FuzzConfig(n=6, seed=2026, count=200, out=str(log)))
     assert hashlib.sha256(log.read_bytes()).hexdigest() == (
-        "9335eae512e82498bfd6b5939376f4146e67250edc8d058cc2156bd81f3cf8e1"
+        "dfda429d8d4322b7179742c4ae624e18bf12c47fbfe171501540350233a53f93"
     )
 
 
@@ -148,40 +140,6 @@ def test_run_instance_builds_no_pair_past_its_input(monkeypatch):
     for Q in pairs:
         run_instance(Q, cfg, cache=EngineCache())
     assert built == []
-
-
-def test_run_instance_reports_driver_runs_and_the_fallback(monkeypatch):
-    # the pair has six candidate bs; lift the per-pair cap to reach them all
-    monkeypatch.setattr(fuzz, "_ML1_MAX_RUNS", 6)
-    Q = parse_input(CASE_BAD_PATH)
-    record, findings = run_instance(Q, FuzzConfig(n=6))
-    ok = {"status": "ok", "kind": "upgraded_partition", "verified": True}
-    assert record["ml1"] == [
-        {"b": b, **ok, "fallback": b == "x3*x4*x5"}
-        for b in ("x1*x2*x4", "x1*x3*x4", "x1*x4*x6", "x2*x4*x5",
-                  "x3*x4*x5", "x4*x5*x6")
-    ]
-    pair = {
-        "n": 6,
-        "I": ["x1*x4", "x4*x5", "x2*x4*x6", "x3*x4*x6"],
-        "J": ["x1*x2*x3*x4", "x1*x4*x5*x6", "x2*x3*x4*x5"],
-    }
-    assert record["instance"] == pair
-    assert findings == [{
-        "kind": "ml1_driver_anomaly",
-        "pair": pair,
-        "b": "x3*x4*x5",
-        "fallback": True,
-        "verified": True,
-        "trace": [
-            "reduced pair partition of value 4 found",
-            "stage 0: start x1*x3*x4",
-            "case 3: bad path ['x1*x3*x4'] with top x1*x3*x4*x5",
-            "continuation vertex x1*x4*x5 is not admissible",
-            "fallback: deciding the disjunction by direct computation",
-        ],
-    }]
-    assert record["findings_count"] == 1
 
 
 @pytest.mark.parametrize("n, seeds", [(5, 30), (6, 60), (7, 30), (8, 4)])

@@ -114,7 +114,7 @@ def test_cli_analyze_json(ex1_file, capsys):
     assert cli.main(["analyze", ex1_file, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert set(report) == {
-        "input", "normalization_warning", "strata", "sdepth", "depth",
+        "input", "strata", "sdepth", "depth",
         "hdepth", "verdicts", "audit", "inconsistent", "findings",
     }
     assert report["strata"]["d"] == 2
@@ -125,11 +125,24 @@ def test_cli_analyze_json(ex1_file, capsys):
     assert report["audit"]["ok"] is True
 
 
-def test_cli_analyze_warning_line(tmp_path, capsys):
-    path = tmp_path / "warn.txt"
+def test_cli_analyze_reads_the_normal_form(tmp_path, capsys):
+    # x2 lies in J, so the module is (x1)/(x1*x2): r = 1, and the depth
+    # rules of that shape apply to it
+    path = tmp_path / "low.txt"
     path.write_text("n=3\nI = x1, x2\nJ = x2\n", encoding="utf-8")
-    assert cli.main(["analyze", str(path)]) == 0
-    assert "warning: J has a generator of degree <= d" in capsys.readouterr().out
+    assert cli.main(["analyze", str(path)]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "strata: d=1 r=1 s=1 q=0 |E|=0" in out
+    assert "verdicts: 7 applicable, 0 inconsistent" in out
+    assert [ln.strip() for ln in out.splitlines() if ln.startswith("  [")] == [
+        "[ok] depth_ge_min_degree: depth >= 1",
+        "[ok] sdepth_ge_min_degree: sdepth >= 1",
+        "[ok] sdepth_le_hilbert_depth: sdepth <= 2",
+        "[ok] b_count_below_2r_sdepth: sdepth <= 2",
+        "[ok] b_count_below_2r: depth <= 2",
+        "[ok] conjecture_small_cases: depth <= 2",
+        "[ok] three_generators_step: depth <= 2",
+    ]
 
 
 @pytest.mark.parametrize("text, char", [
@@ -160,7 +173,7 @@ def test_cli_analyze_json_is_pinned(tmp_path, capsys):
             assert cli.main(["analyze", str(path), "--json", "--char", str(char)]) == 0
             h.update(capsys.readouterr().out.encode())
     assert h.hexdigest() == (
-        "0aeeb88ea90fe529b3ecc545af3a0c92f334c7a6c63419fc046a878a307f37d2"
+        "02490f89454310cd65785c19d8c281035ed34e04ca06f49a0756199605d8bffb"
     )
 
 

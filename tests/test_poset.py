@@ -139,7 +139,7 @@ def test_layer_counts_match_brute(Q, data):
         assert hdepth1_pair(P) == hdepth1(hilbert_series(P))
 
 
-@given(quotient_pairs())
+@given(quotient_pairs(normalized=False))
 def test_strata_layers_match_brute(Q):
     st_report = strata(Q)
     poset = brute_poset_masks(Q)
@@ -155,9 +155,10 @@ def test_strata_layers_match_brute(Q):
     )
     assert st_report.s == len(st_report.B)
     assert st_report.q == len(st_report.C)
-    # generator split by degree
-    assert set(st_report.f_list) == {g for g in Q.I.gens if g.degree == d}
-    assert set(st_report.E) == {g for g in Q.I.gens if g.degree > d}
+    # the minimal elements of the poset, split by degree
+    minimal = [m for m in poset if not any(o != m and o & ~m == 0 for o in poset)]
+    assert set(st_report.f_list) == {Monomial(m) for m in minimal if m.bit_count() == d}
+    assert set(st_report.E) == {Monomial(m) for m in minimal if m.bit_count() > d}
     assert st_report.r == len(st_report.f_list)
 
 

@@ -228,14 +228,10 @@ def test_swap_into_generator():
 def test_check_pair_hypotheses_clauses():
     with pytest.raises(SurgeryError, match=r"r=2 fails: r=3"):
         check_pair_hypotheses(parse_input(ITEMS["bad"]))
-    # r is checked before the normalization warning
-    with pytest.raises(SurgeryError, match=r"r=2 fails: r=3"):
+    # the clauses read the normal form: x3 lies in J, so I' = (x1, x2), r = 2
+    with pytest.raises(SurgeryError, match=r"4 <= s <= q\+2 fails: s=3, q=1"):
         check_pair_hypotheses(
             QuotientPair(from_strs(4, "x1", "x2", "x3"), from_strs(4, "x3"))
-        )
-    with pytest.raises(SurgeryError, match="degrees > d"):
-        check_pair_hypotheses(
-            QuotientPair(from_strs(3, "x1", "x2"), from_strs(3, "x2"))
         )
     with pytest.raises(SurgeryError, match="degree d\\+1"):
         check_pair_hypotheses(
@@ -309,6 +305,56 @@ def test_driver_weak_path_witness():
     j = out.to_json()
     assert j["subideal"] == ["x2*x3", "x2*x6"]
     assert j["sdepth_sub"] == 2 and j["depth_rest"] == 2
+
+
+def test_driver_runs_every_b_of_the_bad_path_pair():
+    # every candidate b upgrades the partition, and only x3*x4*x5 needs the
+    # fallback
+    Q = parse_input(CASE_BAD_PATH)
+    bs = ("x1*x2*x4", "x1*x3*x4", "x1*x4*x6", "x2*x4*x5", "x3*x4*x5", "x4*x5*x6")
+    assert [str(b) for b in ml1_candidate_bs(Q)] == list(bs)
+    outcomes = {b: ml1_driver(Q, parse_monomial(b)) for b in bs}
+    for b, out in outcomes.items():
+        assert out.kind == "upgraded_partition"
+        assert out.fallback == (b == "x3*x4*x5")
+        assert verify_outcome(Q, out)
+    assert outcomes["x3*x4*x5"].trace == (
+        "reduced pair partition of value 4 found",
+        "stage 0: start x1*x3*x4",
+        "case 3: bad path ['x1*x3*x4'] with top x1*x3*x4*x5",
+        "continuation vertex x1*x4*x5 is not admissible",
+        "fallback: deciding the disjunction by direct computation",
+    )
+
+
+def _driver_answer(Q, b):
+    try:
+        out = ml1_driver(Q, b)
+    except (SurgeryError, DriverFailure) as exc:
+        return type(exc).__name__, str(exc)
+    return out.to_json(), verify_outcome(Q, out)
+
+
+@pytest.mark.parametrize("n, seeds", [(5, range(100)), (6, range(100))])
+def test_driver_reads_the_normal_form_of_a_re_embedded_pair(n, seeds):
+    # adding x_{n+1} to both I and J keeps the poset, so every answer must
+    # stay the same although J now has a generator of degree 1.  At n=6,
+    # seed 45 (I = (x1, x4, x2*x6, x5*x6), b = x3*x4) reaches the candidate
+    # I' = I in its fallback: not proper, since it leaves no rest, although
+    # it does not contain the re-embedded I, which has x7 too
+    runs = 0
+    for seed in seeds:
+        got = sample_ml1_instance(random.Random(seed), n=n)
+        if got is None:
+            continue
+        Q, bs = got
+        x = Monomial.of(n + 1)
+        R = QuotientPair(Ideal(n + 1, (*Q.I.gens, x)), Ideal(n + 1, (*Q.J.gens, x)))
+        assert ml1_candidate_bs(R) == bs
+        for b in bs:
+            assert _driver_answer(R, b) == _driver_answer(Q, b)
+            runs += 1
+    assert runs > 50
 
 
 def test_driver_trail_revisit_at_stage_1():

@@ -3,12 +3,13 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import from_strs, quotient_pairs
+from helpers import as_pair, from_strs, quotient_pairs
 from sdepthlab.engines import EngineCache
 from sdepthlab.fuzz import FuzzConfig, instance_rng, random_pair
 from sdepthlab.io import parse_input, serialize_pair
-from sdepthlab.monomials import Ideal, Monomial, QuotientPair
+from sdepthlab.monomials import Ideal, Monomial, QuotientPair, ideal_sum
 from sdepthlab.poset import PosetView, poset_view, split_pair
 from sdepthlab.verdicts import (
     AuditCheck,
@@ -36,17 +37,6 @@ ALWAYS_PRESENT = {
     "all_low_divisors_generate",
 }
 
-WARNING_GATED = {
-    "b_count_exceeds_c_plus_r",
-    "b_count_below_2r",
-    "sdepth_eq_min_forces_depth",
-    "conjecture_small_cases",
-    "three_generators_step",
-    "four_generators_step",
-    "cover_by_lcms_depth_one",
-    "all_low_divisors_generate",
-}
-
 
 @given(quotient_pairs(max_n=4, normalized=False))
 @settings(max_examples=25)
@@ -64,17 +54,30 @@ def test_no_inconsistencies_on_random_pairs(Q):
         assert "colon_restriction_count" in names
 
 
-def test_warning_pair_gates_depth_rules():
-    Q = QuotientPair(from_strs(3, "x1", "x2"), from_strs(3, "x2"))
-    assert Q.normalization_warning
-    verdicts = bounds_report(Q)
-    by_rule = {v.rule: v for v in verdicts if v.rule in ALWAYS_PRESENT}
-    for rule in WARNING_GATED:
-        assert by_rule[rule].applicable is False
-    # the pure-counting and definitional rules stay live
-    assert by_rule["depth_ge_min_degree"].applicable
-    assert by_rule["sdepth_ge_min_degree"].applicable
-    assert inconsistencies(verdicts) == ()
+@st.composite
+def _presentations(draw) -> QuotientPair:
+    """Pairs whose J may have generators of degree <= d, with some of the
+    generators of I moved into J."""
+    Q = draw(quotient_pairs(normalized=False))
+    moved = draw(st.lists(st.sampled_from(Q.I.gens), max_size=2))
+    J = ideal_sum(Q.J, Ideal(Q.ambient, moved))
+    return Q if J.contains_ideal(Q.I) else QuotientPair(Q.I, J)
+
+
+@given(_presentations())
+def test_verdicts_read_only_the_normal_form(Q):
+    # I/J is isomorphic to the normal form of its poset, so every rule and
+    # check must read the same on both presentations
+    N = as_pair(poset_view(Q))
+    for char in (0, 2):
+        reports = []
+        for M in (Q, N):
+            cache = EngineCache()
+            verdicts = bounds_report(M, cache, char)
+            audit = consistency_audit(M, cache, char)
+            assert inconsistencies(verdicts, audit) == ()
+            reports.append(([v.to_json() for v in verdicts], audit.to_json()))
+        assert reports[0] == reports[1]
 
 
 def test_all_low_divisors_rule_is_gated_only_at_d_zero():
@@ -86,7 +89,7 @@ def test_all_low_divisors_rule_is_gated_only_at_d_zero():
         Q = random_pair(instance_rng(31, idx), cfg)
         v = next(v for v in bounds_report(Q) if v.rule == "all_low_divisors_generate")
         closed = v.hypothesis.endswith("True")
-        assert v.applicable == (closed and not Q.normalization_warning)
+        assert v.applicable == closed
         seen_closed += v.applicable
     assert seen_closed > 0
     unit = QuotientPair(Ideal(3, [Monomial(0)]), Ideal(3))
@@ -321,11 +324,11 @@ def test_subideal_split_is_the_split_by_the_ideal_of_the_f_list():
     for idx in range(200):
         Q = random_pair(instance_rng(cfg.seed, idx), cfg)
         cache = EngineCache()
-        st = cache.strata(Q)
-        if not st.E:
+        report = cache.strata(Q)
+        if not report.E:
             continue
         checked += 1
-        sub = Ideal(Q.ambient, st.f_list)
+        sub = Ideal(Q.ambient, report.f_list)
         split = cache.subideal_split(Q)
         assert list(map(_poset_of, split)) == list(
             map(_poset_of, split_pair(Q, sub)))
