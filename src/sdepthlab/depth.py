@@ -51,9 +51,11 @@ characteristic-2 walk would.
 
 Scan order.  A cell F of K_i(a) needs x^(a\\F) ∈ I\\J, so |a\\F| ≥ d, the
 least degree of an element, and H_i = 0 in multidegree a for i > |a| − d.
-So `depth` scans the candidates from the highest degree down, in canonical
-order within a degree, and stops at the first a with |a| − d < pd: no
-later candidate can reach pd.  The witness stays the canonically first a
+So `depth` groups the candidates by degree and scans the groups from the
+highest degree down, and stops at the first degree k with k − d < pd: no
+candidate of degree k or below can reach pd.  A group is sorted into
+canonical order only when the scan reaches it, so the degrees below the
+stop are never sorted.  The witness stays the canonically first a
 that reaches pd, which the upward scan in canonical order finds.  A
 candidate of lower degree than the current witness comes earlier in that
 order, so it is walked with floor pd − 1 and takes the witness on a tie;
@@ -65,7 +67,9 @@ cannot reach pd go unranked.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
+from itertools import groupby
 
 from .linalg import check_field, rank
 from .monomials import InputError, Monomial, QuotientPair, canonical_key
@@ -101,13 +105,13 @@ def _lcm_closure(gens: tuple[int, ...]) -> set[int]:
     return out
 
 
-def _candidate_degrees(Q: QuotientPair | PosetView) -> list[int]:
-    """The lcm closures of gens(I') and gens(J'), highest degree first and in
-    canonical order within a degree: the order `depth` scans them in."""
+def _candidates_by_degree(
+        Q: QuotientPair | PosetView) -> Iterator[tuple[int, Iterator[int]]]:
+    """The lcm closures of gens(I') and gens(J') grouped by degree, highest
+    degree first: pairs (k, the candidates of degree k, unsorted)."""
     I, J = poset_view(Q).gens
-    # the sort by degree is stable, so each degree keeps its canonical order
-    return sorted(sorted(_lcm_closure(I) | _lcm_closure(J), key=canonical_key),
-                  key=int.bit_count, reverse=True)
+    return groupby(sorted(_lcm_closure(I) | _lcm_closure(J),
+                          key=int.bit_count, reverse=True), key=int.bit_count)
 
 
 def _morse_matrix(cells: list[int], cols: dict[int, int], pbits: int, a: int,
@@ -218,19 +222,19 @@ def depth(Q: QuotientPair | PosetView, field: int) -> DepthResult:
     pd = pd2 = -1  # over `char`, and over its screen field
     witness = witness2 = None
     wdeg = wdeg2 = -1  # the witnesses' degrees
-    for a in _candidate_degrees(view):
-        deg = a.bit_count()
-        if deg - d < pd:  # no later candidate reaches pd
+    for deg, bucket in _candidates_by_degree(view):
+        if deg - d < pd:  # no candidate of this degree or below reaches pd
             break
-        # below the witness's degree, `a` comes first canonically: a tie wins.
-        # floor <= floor2, as `_top_homology` needs: pd <= pd2, and when they
-        # are equal the GF(2) witness comes no later than the witness
-        floor, floor2 = pd - (deg < wdeg), pd2 - (deg < wdeg2)
-        top, top2 = _top_homology(pbits, a, floor, char, floor2)
-        if top > floor:
-            pd, witness, wdeg = top, a, deg
-        if top2 > floor2:
-            pd2, witness2, wdeg2 = top2, a, deg
+        # below the witness's degree, a candidate comes first canonically: a
+        # tie wins.  floor <= floor2, as `_top_homology` needs: pd <= pd2, and
+        # when they are equal the GF(2) witness comes no later than the witness
+        for a in sorted(bucket, key=canonical_key):
+            floor, floor2 = pd - (deg < wdeg), pd2 - (deg < wdeg2)
+            top, top2 = _top_homology(pbits, a, floor, char, floor2)
+            if top > floor:
+                pd, witness, wdeg = top, a, deg
+            if top2 > floor2:
+                pd2, witness2, wdeg2 = top2, a, deg
     if witness is None:  # unreachable for a valid pair: H_0 never vanishes
         raise InputError("no nonvanishing Koszul homology found")
     gf2 = None

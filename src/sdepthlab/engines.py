@@ -6,8 +6,10 @@ per-run cache keyed on (n, bits), the module's poset, pays for itself: a
 pair and every view of its poset share one entry.  Results are exact; the
 cache only avoids recomputation.  Depth, keyed on the characteristic too,
 is the one engine that reads it; a characteristic-0 depth also fills the
-characteristic-2 entry.  Strata and hdepth1 are kept on the module's view,
-which an input pair keeps too (the pair may outlive the cache).
+characteristic-2 entry, so `depths_agree(0, 2)` tells whether a
+characteristic-0 pass has met a characteristic-dependent module.  Strata
+and hdepth1 are kept on the module's view, which an input pair keeps too
+(the pair may outlive the cache).
 """
 from __future__ import annotations
 
@@ -60,6 +62,18 @@ class EngineCache:
             if got.gf2 is not None:
                 self._depth.setdefault((k, 2), got.gf2)
         return got
+
+    def depths_agree(self, a: int, b: int) -> bool:
+        """Whether characteristics `a` and `b` agree on every depth held:
+        each module with a depth held over one has the same depth held over
+        the other."""
+        held = self._depth
+        for (k, field), got in held.items():
+            if field == a or field == b:
+                other = held.get((k, b if field == a else a))
+                if other is None or other.depth != got.depth:
+                    return False
+        return True
 
     def hdepth(self, Q: QuotientPair | PosetView) -> HdepthResult:
         return hdepth1_pair(Q)

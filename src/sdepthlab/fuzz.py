@@ -3,8 +3,13 @@
 Every instance is generated from an RNG derived only from (seed, index), so
 a record replays bit-for-bit from its header.  Each instance runs the full
 pipeline — strata, Stanley depth, depth over characteristic 0 and 2, the
-bound verdicts and the exact-sequence audit.  The surgery driver is not run
-here: `sample_ml1_instance` draws its instances.
+bound verdicts and the exact-sequence audit.  The verdicts and audit run in
+characteristic 0; they run again in characteristic 2 only for an instance
+where some module they read has a different depth there, and otherwise
+their characteristic-0 inconsistencies are recorded for characteristic 2
+too (`run_instance` says why this is exact).  `FuzzReport.char2_passes`
+counts the instances that needed the second pass.  The surgery driver is not
+run here: `sample_ml1_instance` draws its instances.
 
 Inconsistent verdicts are collected in the main JSONL log (they fail the
 run); Stanley-positivity observations go to a separate findings log, since
@@ -39,7 +44,7 @@ from .verdicts import (
 _SEED_STRIDE = 1_000_003
 _J_RATE = 0.6             # share of pairs that get a nonzero J
 _MAX_J_PICKS = 4          # most elements drawn into J
-_AUDIT_CHARS = (0, 2)     # characteristics the verdicts and audit run in
+_AUDIT_CHARS = (0, 2)     # characteristics of the record's depths and audit
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,21 @@ def run_instance(Q: QuotientPair, cfg: FuzzConfig,
 
     `cfg` is the configuration of the stream that drew Q; no field of it
     changes the record.  It lists the verdicts of characteristic 0.
+
+    The verdicts and audit run in characteristic 0, and again in
+    characteristic 2 only when the cache then holds a module whose
+    characteristic-2 depth differs from its characteristic-0 depth; else
+    the characteristic-0 inconsistencies stand for characteristic 2 too.
+    This is exact.  Every verdict and audit check is a function of the
+    strata, Stanley depth and hdepth1 of the modules it reads, none of
+    which depends on the field, and of their depths.  Which modules they
+    read (Q, its derived pairs and its subideal split) does not depend on
+    any depth either, so the characteristic-2 pass reads the same modules.
+    Their characteristic-0 depths are all in the cache after the first
+    pass, each with its characteristic-2 twin from the same Koszul walk
+    (`DepthResult.gf2`).  Where every twin agrees, the second pass would
+    rebuild the same verdicts and checks.  `stanley_observation` runs in
+    each characteristic, since its finding names the field.
     """
     cache = cache or EngineCache()
     findings: list[dict] = []
@@ -122,21 +142,18 @@ def run_instance(Q: QuotientPair, cfg: FuzzConfig,
         "depth": depths,
         "hdepth": cache.hdepth(Q).value,
     }
-    bad: list[dict] = []
-    verdicts_json: list[dict] = []
+    verdicts = bounds_report(Q, cache=cache, field=0)
+    found = inconsistencies(verdicts, consistency_audit(Q, cache=cache, field=0))
+    bad = [dict(item.to_json(), char=0) for item in found]
+    if not cache.depths_agree(0, 2):
+        found = inconsistencies(bounds_report(Q, cache=cache, field=2),
+                                consistency_audit(Q, cache=cache, field=2))
+    bad += [dict(item.to_json(), char=2) for item in found]
     for char in _AUDIT_CHARS:
-        verdicts = bounds_report(Q, cache=cache, field=char)
-        audit = consistency_audit(Q, cache=cache, field=char)
-        for item in inconsistencies(verdicts, audit):
-            payload = item.to_json()
-            payload["char"] = char
-            bad.append(payload)
-        if char == 0:
-            verdicts_json = [v.to_json() for v in verdicts]
         obs = stanley_observation(Q, cache=cache, field=char)
         if obs is not None:
             findings.append(obs)
-    record["verdicts"] = verdicts_json
+    record["verdicts"] = [v.to_json() for v in verdicts]
     record["inconsistent"] = bad
     record["findings_count"] = len(findings)
     return record, findings
@@ -148,6 +165,9 @@ class FuzzReport:
     instances: int = 0
     inconsistent: int = 0
     findings: int = 0
+    # instances whose verdicts and audit ran again in characteristic 2,
+    # because some module they read has a characteristic-dependent depth
+    char2_passes: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -157,6 +177,7 @@ class FuzzReport:
             "instances": self.instances,
             "inconsistent": self.inconsistent,
             "findings": self.findings,
+            "char2_passes": self.char2_passes,
         }
 
 
@@ -170,10 +191,12 @@ def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
             rng = instance_rng(cfg.seed, index)
             Q = random_pair(rng, cfg)
             header = {"seed": cfg.seed, "index": index}
-            body, findings = run_instance(Q, cfg, cache=EngineCache())
+            cache = EngineCache()
+            body, findings = run_instance(Q, cfg, cache=cache)
             record = dict(header)
             record.update(body)
             report.instances += 1
+            report.char2_passes += not cache.depths_agree(0, 2)
             report.inconsistent += len(record["inconsistent"])
             report.findings += len(findings)
             if find_fh:

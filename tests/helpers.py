@@ -13,8 +13,9 @@ from itertools import combinations, product
 
 from hypothesis import strategies as st
 
-from sdepthlab.depth import _candidate_degrees, _top_homology
+from sdepthlab.depth import _candidates_by_degree, _top_homology
 from sdepthlab.hilbert import hdepth1_pair
+from sdepthlab.io import parse_input
 from sdepthlab.linalg import boundary_rank
 from sdepthlab.monomials import (
     Ideal,
@@ -23,7 +24,13 @@ from sdepthlab.monomials import (
     canonical_key,
     parse_monomial,
 )
-from sdepthlab.poset import PosetView, poset_view, strata
+from sdepthlab.poset import (
+    PosetView,
+    downward_closure,
+    poset_view,
+    strata,
+    upward_closure,
+)
 from sdepthlab.sdepth import sdepth_decide
 from sdepthlab.surgery import containment_violators, ml1_candidate_bs
 
@@ -41,6 +48,20 @@ CASE_WEAK_PATH = (
 CASE_TRAIL_REVISIT = (
     "n=6\nI = x1*x3, x1*x4, x1*x2*x5, x1*x5*x6\n"
     "J = x1*x2*x3*x6, x1*x2*x4*x6\n"
+)
+
+# the 6-vertex triangulation of the real projective plane as S/I, I its
+# Stanley-Reisner ideal: depth 3 in characteristic 0 and 2 in characteristic 2
+RP2 = parse_input(
+    "n=6\nI = 1\n"
+    "J = x1*x2*x4, x1*x2*x5, x1*x3*x5, x1*x3*x6, x1*x4*x6, "
+    "x2*x3*x4, x2*x3*x6, x2*x5*x6, x3*x4*x5, x4*x5*x6\n"
+)
+# the same plane on x1..x6 with x7 free: the colon by x7 is the pair again,
+# so derived pairs have depth 4 in char 0 and 3 in char 2
+RP2_FREE = (
+    "n=7\nI = 1\nJ = x1*x2*x4, x1*x2*x5, x1*x3*x5, x1*x3*x6, x1*x4*x6, "
+    "x2*x3*x4, x2*x3*x6, x2*x5*x6, x3*x4*x5, x4*x5*x6\n"
 )
 
 
@@ -126,6 +147,13 @@ def restrict_to_support(Q: QuotientPair) -> tuple[QuotientPair, int]:
 
 # -- brute-force oracles ------------------------------------------------------
 
+def is_convex(view: PosetView) -> bool:
+    """Whether the view's family is convex, the shape `poset.view_of` takes
+    on trust: every mask between two of its members is a member."""
+    n, bits = view.ambient, view.bits
+    return bits == upward_closure(bits, n) & downward_closure(bits, n)
+
+
 def brute_poset_masks(Q: QuotientPair) -> list[int]:
     """Masks of squarefree monomials in I\\J, by direct membership tests."""
     return [m for m in range(1 << Q.ambient)
@@ -163,7 +191,8 @@ def ascending_depth(Q: QuotientPair | PosetView, char: int) -> tuple:
     pbits = poset_view(Q).bits
     pd = pd2 = -1
     witness = witness2 = 0
-    for a in sorted(_candidate_degrees(Q), key=canonical_key):
+    cands = [a for _, bucket in _candidates_by_degree(Q) for a in bucket]
+    for a in sorted(cands, key=canonical_key):
         top, top2 = _top_homology(pbits, a, pd, char, pd2)
         if top > pd:
             pd, witness = top, a

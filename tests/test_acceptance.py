@@ -215,7 +215,8 @@ def test_criterion_09_bulk_stream_consistency():
         assert report.instances == 10_000
         assert report.inconsistent == 0
         entry["detail"] = (
-            f"instances={report.instances} findings={report.findings}"
+            f"instances={report.instances} findings={report.findings} "
+            f"char2_passes={report.char2_passes}"
         )
 
 

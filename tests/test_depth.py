@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    RP2,
     ascending_depth,
     from_strs,
     koszul_betti,
@@ -20,7 +21,7 @@ from helpers import (
 )
 import sdepthlab.depth as depth_module
 from sdepthlab import corpus
-from sdepthlab.depth import DepthResult, _candidate_degrees, depth
+from sdepthlab.depth import DepthResult, _candidates_by_degree, depth
 from sdepthlab.engines import EngineCache
 from sdepthlab.fuzz import FuzzConfig, instance_rng, random_pair, run_instance
 from sdepthlab.io import parse_input
@@ -156,15 +157,8 @@ def _assert_scans_agree(Q):
         assert (res.to_json(), gf2) == ascending_depth(Q, char), char
 
 
-# the real projective plane: pd over Q (3) lies below pd over GF(2) (4), so
-# the two floors of one scan differ
-RP2 = parse_input(
-    "n=6\nI = 1\n"
-    "J = x1*x2*x4, x1*x2*x5, x1*x3*x5, x1*x3*x6, x1*x4*x6, "
-    "x2*x3*x4, x2*x3*x6, x2*x5*x6, x3*x4*x5, x4*x5*x6\n"
-)
-
-
+# RP2, the real projective plane: pd over Q (3) lies below pd over GF(2)
+# (4), so the two floors of one scan differ
 @given(st.one_of(quotient_pairs(max_n=7, normalized=False), derived_views()))
 @settings(max_examples=150)
 @example(RP2)
@@ -206,7 +200,7 @@ def test_stream_pass_scans_from_the_top(monkeypatch):
 
 @given(st.one_of(quotient_pairs(normalized=False), proper_ideals().map(si_pair)))
 def test_homology_lies_in_the_lcm_candidates(Q):
-    cands = set(_candidate_degrees(Q))
+    cands = {a for _, bucket in _candidates_by_degree(Q) for a in bucket}
     for char in (0, 2, 3):
         for a in _all_submasks(Q):
             if any(koszul_betti(Q, a, char)):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_ml1_sampler
+from helpers import RP2, RP2_FREE, reference_ml1_sampler
 from sdepthlab import fuzz
 from sdepthlab.fuzz import (
     FuzzConfig,
@@ -21,6 +21,7 @@ from sdepthlab.fuzz import (
     sample_ml1_instance,
 )
 from sdepthlab.engines import EngineCache
+from sdepthlab.io import parse_input
 from sdepthlab.monomials import Ideal, InputError, Monomial, QuotientPair
 
 
@@ -117,6 +118,44 @@ def test_run_instance_record_shape():
     assert record["findings_count"] == len(findings)
     assert isinstance(record["verdicts"], list) and record["verdicts"]
     assert record["strata"].keys() == {"d", "r", "s", "q", "E_size"}
+
+
+def _audited_fields(monkeypatch, pairs: list[QuotientPair]) -> list[set]:
+    """Per pair, the (entry point, field) calls of the verdicts and audit
+    that one `run_instance` makes."""
+    seen: set = set()
+    for name in ("bounds_report", "consistency_audit"):
+        def spy(Q, cache=None, field=0, name=name, real=getattr(fuzz, name)):
+            seen.add((name, field))
+            return real(Q, cache=cache, field=field)
+
+        monkeypatch.setattr(fuzz, name, spy)
+    out = []
+    for Q in pairs:
+        seen.clear()
+        run_instance(Q, FuzzConfig(n=Q.ambient), cache=EngineCache())
+        out.append(set(seen))
+    return out
+
+
+def test_char2_pass_runs_exactly_where_a_char2_depth_differs(monkeypatch):
+    # the projective plane's depth drops in characteristic 2, alone and with
+    # a free variable; no module of the first 200 stream pairs does
+    cfg = FuzzConfig(n=6, seed=2026)
+    stream = [random_pair(instance_rng(cfg.seed, i), cfg) for i in range(200)]
+    got = _audited_fields(monkeypatch, [RP2, parse_input(RP2_FREE)] + stream)
+    entry_points = ("bounds_report", "consistency_audit")
+    both = {(name, c) for name in entry_points for c in (0, 2)}
+    char0 = {(name, 0) for name in entry_points}
+    assert got[:2] == [both, both]
+    assert got[2:] == [char0] * 200
+
+
+def test_report_counts_the_char2_passes(monkeypatch):
+    assert run_fuzz(FuzzConfig(n=6, count=30, seed=2026)).char2_passes == 0
+    monkeypatch.setattr(fuzz, "random_pair", lambda rng, cfg: RP2)
+    report = run_fuzz(FuzzConfig(n=6, count=3))
+    assert report.char2_passes == report.to_json()["char2_passes"] == 3
 
 
 def test_run_instance_builds_no_pair_past_its_input(monkeypatch):

@@ -307,6 +307,7 @@ def test_cli_fuzz(tmp_path, capsys):
     ]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["count"] == 5 and summary["inconsistent"] == 0
+    assert summary["char2_passes"] == 0
     lines = log.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 5
     assert all(json.loads(ln)["seed"] == 3 for ln in lines)

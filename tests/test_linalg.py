@@ -22,7 +22,7 @@ from sdepthlab.linalg import (
     rank_modp,
 )
 from sdepthlab import linalg
-from sdepthlab.depth import _candidate_degrees, depth
+from sdepthlab.depth import _candidates_by_degree, depth
 from sdepthlab.monomials import Ideal, Monomial, QuotientPair
 from sdepthlab.poset import poset_view
 
@@ -184,7 +184,7 @@ def _koszul_matrices(Q: QuotientPair):
     """(rows of K_i, column index of K_{i-1}) for every unreduced Koszul
     boundary map d_i of Q at its candidate multidegrees."""
     pbits = poset_view(Q).bits
-    for a in _candidate_degrees(Q):
+    for a in (a for _, bucket in _candidates_by_degree(Q) for a in bucket):
         levels: dict[int, list[int]] = {}
         for f in range(a + 1):
             if f & ~a == 0 and (pbits >> (a ^ f)) & 1:

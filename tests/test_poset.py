@@ -12,10 +12,12 @@ from helpers import (
     as_pair,
     brute_poset_masks,
     from_strs,
+    is_convex,
     quotient_pairs,
     si_pair,
     unit_ideal,
 )
+from sdepthlab.engines import EngineCache
 from sdepthlab.hilbert import hdepth1, hdepth1_pair, hilbert_series
 from sdepthlab.io import parse_input
 from sdepthlab.monomials import (
@@ -37,6 +39,7 @@ from sdepthlab.poset import (
     strata,
     upward_closure,
 )
+from sdepthlab.sdepth import _restrict, _support
 
 
 def _bits_to_masks(bits: int) -> list[int]:
@@ -53,6 +56,20 @@ def _bits_to_masks(bits: int) -> list[int]:
 @given(quotient_pairs(normalized=False))
 def test_poset_bitset_matches_brute(Q):
     assert _bits_to_masks(poset_bitset(Q)) == brute_poset_masks(Q)
+
+
+@given(quotient_pairs(max_n=7, normalized=False))
+def test_derived_views_are_convex(Q):
+    # view_of trusts its family to be convex; every view the engines derive
+    # must be, or they answer for a family no module has
+    cache = EngineCache()
+    views = [poset_view(Q), *cache.subideal_split(Q)]
+    for row in cache.derived_pairs(Q):
+        views.extend(row)
+    views = [poset_view(v) for v in views if v is not None]
+    views += [_restrict(v, support) for v in views
+              if (support := _support(v)[0])]
+    assert all(is_convex(v) for v in views)
 
 
 def test_poset_of_si_form_contains_unit():

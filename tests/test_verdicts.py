@@ -5,7 +5,7 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import as_pair, from_strs, quotient_pairs
+from helpers import RP2_FREE, as_pair, from_strs, quotient_pairs
 from sdepthlab.engines import EngineCache
 from sdepthlab.fuzz import FuzzConfig, instance_rng, random_pair
 from sdepthlab.io import parse_input, serialize_pair
@@ -253,14 +253,6 @@ def _reports(Q: QuotientPair, cache_for_call) -> list:
         out.append([v.to_json() for v in bounds_report(Q, cache_for_call(), char)])
         out.append(consistency_audit(Q, cache_for_call(), char).to_json())
     return out
-
-
-# the triangulated projective plane on x1..x6 with x7 free: the colon by x7
-# is the pair again, so derived pairs have depth 4 in char 0 and 3 in char 2
-RP2_FREE = (
-    "n=7\nI = 1\nJ = x1*x2*x4, x1*x2*x5, x1*x3*x5, x1*x3*x6, x1*x4*x6, "
-    "x2*x3*x4, x2*x3*x6, x2*x5*x6, x3*x4*x5, x4*x5*x6\n"
-)
 
 
 def test_shared_cache_reports_match_fresh_caches():
