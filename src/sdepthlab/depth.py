@@ -59,11 +59,11 @@ stop are never sorted.  The witness stays the canonically first a
 that reaches pd, which the upward scan in canonical order finds.  A
 candidate of lower degree than the current witness comes earlier in that
 order, so it is walked with floor pd − 1 and takes the witness on a tie;
-one of the same degree comes later and must exceed pd.  The GF(2) answer
-keeps its own floor and witness by the same rule.  So depth, pd, witness
-and the GF(2) answer are the upward scan's (`ascending_depth` in the tests
-keeps that scan as the reference); only the lower-degree candidates that
-cannot reach pd go unranked.
+one of the same degree comes later and must exceed pd, so it is not
+walked at all when k − d = pd.  The GF(2) answer keeps its own floor and
+witness by the same rule.  So depth, pd, witness and the GF(2) answer are
+the upward scan's (`ascending_depth` in the tests keeps that scan as the
+reference); only the candidates that cannot beat their floor go unranked.
 """
 from __future__ import annotations
 
@@ -230,6 +230,10 @@ def depth(Q: QuotientPair | PosetView, field: int) -> DepthResult:
         # when they are equal the GF(2) witness comes no later than the witness
         for a in sorted(bucket, key=canonical_key):
             floor, floor2 = pd - (deg < wdeg), pd2 - (deg < wdeg2)
+            # H_i = 0 for i > deg − d, so where deg − d <= floor <= floor2
+            # neither answer can rise: skip the walk
+            if deg - d <= floor:
+                continue
             top, top2 = _top_homology(pbits, a, floor, char, floor2)
             if top > floor:
                 pd, witness, wdeg = top, a, deg

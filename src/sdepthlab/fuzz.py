@@ -30,7 +30,6 @@ from .monomials import (
     Monomial,
     QuotientPair,
     canonical_key,
-    mask_of,
 )
 from .poset import degree_bits, filter_bitset, members
 from .surgery import ml1_candidate_bs
@@ -229,36 +228,48 @@ def sample_ml1_instance(rng: random.Random, n: int = 6,
     screen is exact.  r = 2 and "E in degree d+1" hold by construction: f1
     and f2 are distinct of degree d, and an extra is kept only when neither
     divides it, so the distinct generators drawn are the minimal ones.  J
-    is 0 or generated in degree d+2, so the pair carries no normalization
-    warning, B is the degree-(d+1) layer of I, and C is the degree-(d+2)
-    layer minus J's generators.  Killing the violators leaves the other
-    elements of C meeting the containment condition, so the final pair has
-    none.  That leaves 4 <= s <= q+2, which the screen reads off popcounts;
-    a try that passes it becomes a QuotientPair and `ml1_candidate_bs`
-    re-checks every hypothesis.
+    is 0 or generated in degree d+2, so B is the degree-(d+1) layer of I,
+    and C is the degree-(d+2) layer minus J's generators.  Killing the
+    violators leaves the other elements of C meeting the containment
+    condition, so the final pair has none.  That leaves 4 <= s <= q+2.  s
+    is a popcount, and q is the size of the pool of the other elements of
+    C, a popcount too, less the number of distinct picks.  A pick is drawn
+    as an index into that pool, so the screen needs neither the pool's
+    elements nor J.  Only a try that passes sorts the pool into canonical
+    order, maps its picks into it and becomes a QuotientPair, and
+    `ml1_candidate_bs` re-checks every hypothesis.
     """
     if not 3 <= n <= MAX_AMBIENT:
         raise InputError(
             f"ml1 sampler ambient n={n} outside the supported range [3, {MAX_AMBIENT}]"
         )
+    # x_1..x_n as one-bit masks.  `sample` draws positions, not values, so it
+    # draws the same here as on the indices 1..n; distinct bits sum to a mask
+    variables = [1 << i for i in range(n)]
+    rests = {v: [u for u in variables if u != v] for v in variables}
+    layers = {d: (degree_bits(n, d + 1), degree_bits(n, d + 2)) for d in (1, 2)}
     filters = _PrincipalFilters(n)
     for _ in range(max_tries):
         d = rng.randint(1, 2)
-        common = rng.sample(range(1, n + 1), d - 1) if d > 1 else []
-        rest = [v for v in range(1, n + 1) if v not in common]
+        if d > 1:
+            (common,) = rng.sample(variables, 1)
+            rest = rests[common]
+        else:
+            common, rest = 0, variables
         x_a, x_b = rng.sample(rest, 2)
-        f1 = mask_of(common + [x_a])
-        f2 = mask_of(common + [x_b])
+        f1, f2 = common | x_a, common | x_b
         extras = []
         for _ in range(rng.randint(0, 2)):
-            e = mask_of(rng.sample(range(1, n + 1), d + 1))
+            e = sum(rng.sample(variables, d + 1))
             if f1 & ~e and f2 & ~e:
                 extras.append(e)
         gens = (f1, f2, *dict.fromkeys(extras))
-        kills, picks, s, q = _containment_closure(n, gens, d, rng, filters)
+        kills, pool, picks, s, q = _containment_closure(gens, rng, filters,
+                                                        *layers[d])
         if not 4 <= s <= q + 2:
             continue
-        J = members(kills) + picks
+        ordered = sorted(members(pool), key=canonical_key)
+        J = members(kills) + [ordered[i] for i in picks]
         Q = QuotientPair(Ideal._of_masks(n, gens), Ideal._of_masks(n, J))
         bs = ml1_candidate_bs(Q)
         if bs:
@@ -279,13 +290,16 @@ class _PrincipalFilters(dict):
         return bits
 
 
-def _containment_closure(n: int, gens: tuple[int, ...], d: int,
-                         rng: random.Random, filters: _PrincipalFilters
-                         ) -> tuple[int, list[int], int, int]:
-    """For I/0, I generated by `gens` in degrees d and d+1: the bitset of
-    the C-elements breaking containment (kills), up to two random other
-    elements of C (picks), and s and q of the pair I/J with J generated by
-    kills and picks.  `filters` is shared by the tries of one sampler call."""
+def _containment_closure(gens: tuple[int, ...], rng: random.Random,
+                         filters: _PrincipalFilters, layer_b: int, layer_c: int
+                         ) -> tuple[int, int, list[int], int, int]:
+    """For I/0, I generated by `gens` in degrees d and d+1, and `layer_b`,
+    `layer_c` the bitsets of the degree-(d+1) and degree-(d+2) masks: the
+    bitset of the C-elements breaking containment (kills), the bitset of
+    the other elements of C (the pool), up to two random indices into the
+    pool in canonical order (picks), and s and q of the pair I/J with J
+    generated by the kills and the picked elements.  No element of the
+    pool is read.  `filters` is shared by the tries of one sampler call."""
     once = 0
     for g in gens:
         once |= filters[g]
@@ -293,17 +307,13 @@ def _containment_closure(n: int, gens: tuple[int, ...], d: int,
     twice = 0
     for a, b in combinations(gens, 2):
         twice |= filters[a | b]
-    C = once & degree_bits(n, d + 2)
-    kills, pool_bits = C & ~twice, C & twice
-    picks = []
+    C = once & layer_c
+    pool = C & twice
+    s, m = (once & layer_b).bit_count(), pool.bit_count()
     count = rng.randint(0, 2)
-    if count and pool_bits:
-        pool = sorted(members(pool_bits), key=canonical_key)
-        picks = [rng.choice(pool) for _ in range(count)]
+    # `choice` draws the same on a range as on any sequence of its length
+    indices = range(m)
+    picks = [rng.choice(indices) for _ in range(count)] if m else []
     # J lies in degree d+2, so it leaves B alone and removes its own
     # generators from C
-    killed = kills
-    for c in picks:
-        killed |= 1 << c
-    s = (once & degree_bits(n, d + 1)).bit_count()
-    return kills, picks, s, C.bit_count() - killed.bit_count()
+    return C & ~twice, pool, picks, s, m - len(set(picks))

@@ -181,19 +181,51 @@ def test_run_instance_builds_no_pair_past_its_input(monkeypatch):
     assert built == []
 
 
-@pytest.mark.parametrize("n, seeds", [(5, 30), (6, 60), (7, 30), (8, 4)])
-def test_ml1_sampler_replays_the_strata_based_tries(n, seeds):
-    # at n = 8 every try of these seeds is rejected: the screen must reject
-    # exactly the tries the reference rejects, after the same draws
+@pytest.mark.parametrize("n, seeds, max_tries", [
+    (3, 30, 400), (4, 60, 400), (5, 30, 400), (6, 60, 400), (7, 30, 400),
+    (8, 4, 400), (16, 3, 5),
+], ids=["3-30", "4-60", "5-30", "6-60", "7-30", "8-4", "16-3-5"])
+def test_ml1_sampler_replays_the_strata_based_tries(n, seeds, max_tries):
+    # at n >= 8 every try is rejected: the screen must reject exactly the
+    # tries the reference rejects, after the same draws.  At n = 3 a try
+    # with d = 2 has an empty pick pool, so it draws no index.  At n = 16 the
+    # reference's strata take about 0.2 s a try, so few tries are replayed
     for seed in range(seeds):
         rng, ref_rng = random.Random(seed), random.Random(seed)
-        got = sample_ml1_instance(rng, n=n)
-        want = reference_ml1_sampler(ref_rng, n=n)
+        got = sample_ml1_instance(rng, n=n, max_tries=max_tries)
+        want = reference_ml1_sampler(ref_rng, n=n, max_tries=max_tries)
         assert (got is None) == (want is None)
         if got is not None:
             assert got[0].key() == want[0].key()
             assert got[1] == want[1]
         assert rng.getstate() == ref_rng.getstate()
+
+
+def test_ml1_sampler_sorts_the_pick_pool_only_for_tries_that_pass(monkeypatch):
+    tries = []  # per try: [its pool, whether it passes the screen, keys read]
+    closure = fuzz._containment_closure
+
+    def spy(*args):
+        got = closure(*args)
+        _, pool, _, s, q = got
+        tries.append([pool, 4 <= s <= q + 2, 0])
+        return got
+
+    key = fuzz.canonical_key
+
+    def counted(mask):
+        tries[-1][2] += 1
+        return key(mask)
+
+    monkeypatch.setattr(fuzz, "_containment_closure", spy)
+    monkeypatch.setattr(fuzz, "canonical_key", counted)
+    for n in (5, 6, 7):
+        for seed in range(20):
+            sample_ml1_instance(random.Random(seed), n=n)
+    passed = [t for t in tries if t[1]]
+    assert 0 < len(passed) < len(tries) / 20
+    for pool, passes, keys in tries:
+        assert keys == (pool.bit_count() if passes else 0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 17])

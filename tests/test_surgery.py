@@ -27,6 +27,7 @@ from sdepthlab.monomials import (
     InputError,
     Monomial,
     QuotientPair,
+    canonical_key,
     intersect,
     minimalize,
     parse_monomial,
@@ -526,9 +527,9 @@ def test_sampler_closure_matches_one_kill_at_a_time(monkeypatch):
     tries = []
     closure = fuzz._containment_closure
 
-    def spy(n, gens, d, rng, filters):
-        got = closure(n, gens, d, rng, filters)
-        I = Ideal(n, map(Monomial, gens))
+    def spy(gens, rng, filters, *layers):
+        got = closure(gens, rng, filters, *layers)
+        I = Ideal(filters.n, map(Monomial, gens))
         # the distinct generators drawn are the minimal ones
         assert sorted(gens) == sorted(I.gen_masks())
         tries.append((I, got))
@@ -541,7 +542,7 @@ def test_sampler_closure_matches_one_kill_at_a_time(monkeypatch):
     # the tries repeat ideals and J's: check each distinct one once
     kills_of: dict = {}
     finals = set()
-    for I, (kill_bits, picks, s, q) in tries:
+    for I, (kill_bits, pool_bits, indices, s, q) in tries:
         n = I.ambient
         if I not in kills_of:
             Q0 = QuotientPair(I, Ideal(n))
@@ -550,7 +551,11 @@ def test_sampler_closure_matches_one_kill_at_a_time(monkeypatch):
         kill, rest = kills_of[I]
         kills = [m for m in range(1 << n) if kill_bits >> m & 1]
         assert sorted(kill) == kills
-        assert len(picks) <= 2 and set(picks) <= rest
+        # the pool is the rest of C, and the picks index it in canonical order
+        assert {m for m in range(1 << n) if pool_bits >> m & 1} == rest
+        assert len(indices) <= 2
+        picks = [sorted(rest, key=canonical_key)[i] for i in indices]
+        assert set(picks) <= rest
         J = Ideal(n, map(Monomial, kills + picks))
         finals.add((QuotientPair(I, J), s, q))
     for Q, s, q in finals:

@@ -338,3 +338,28 @@ def test_a_restriction_equal_to_the_pair_is_the_pair():
     derived = EngineCache().derived_pairs(Q)
     assert derived[0][1] is Q and derived[0][2] is None
     assert derived[1][1].gens[0] == from_strs(3, "x1*x2").gen_masks()  # I∩(x2)
+
+
+def test_relative_pair_with_sdepth_below_hilbert_depth():
+    # the smallest I_A/I_X of a relative-complex draw with sdepth < H(Q):
+    # sdepth = d+1 rests on a search refutation, and three_generators_step
+    # bounds depth there
+    I = from_strs(7, "x3", "x5", "x4*x7", "x1*x2*x4", "x1*x4*x6", "x2*x6*x7")
+    J = from_strs(7, "x1*x3", "x1*x5", "x2*x3", "x2*x5", "x3*x5", "x4*x5",
+                  "x1*x4*x7", "x2*x4*x7", "x3*x6*x7", "x4*x6*x7",
+                  "x1*x2*x4*x6", "x1*x2*x6*x7")
+    Q = QuotientPair(I, J)
+    cache = EngineCache()
+    assert len(poset_view(Q).elements) == 14
+    st_ = cache.strata(Q)
+    assert (st_.d, st_.r) == (1, 2)
+    sres = cache.sdepth(Q)
+    assert (sres.value, sres.refuted_by, sres.refuted_k) == (2, "search", 3)
+    assert cache.hdepth(Q).value == 3
+    for field in (0, 2):
+        assert cache.depth(Q, field).depth == 2
+        verdicts = bounds_report(Q, cache=cache, field=field)
+        (step,) = [v for v in verdicts if v.rule == "three_generators_step"]
+        assert step.applicable and step.consistent
+        audit = consistency_audit(Q, cache=cache, field=field)
+        assert inconsistencies(verdicts, audit) == ()
