@@ -73,13 +73,63 @@ def instance_rng(seed: int, index: int) -> random.Random:
     return random.Random(seed * _SEED_STRIDE + index)
 
 
+class _Draws:
+    """CPython's `random.Random` draw algorithms, run on one generator's
+    `getrandbits`.
+
+    Each method makes the same `getrandbits(k)` calls, in the same order, as
+    the `random.Random` method of its name, so it returns the same value and
+    leaves the generator in the same state; only the stdlib's call overhead
+    (argument handling, type checks and nested frames) goes.  `below(m)` is
+    `_randbelow_with_getrandbits`: k = m.bit_length(), redrawn while the
+    draw is >= m.  `sample` is the stdlib's pool branch, which the stdlib
+    takes for every population of at most 21 elements; every population
+    drawn from here has at most MAX_AMBIENT = 16, so the set branch is not
+    reproduced.  An empty range raises ValueError rather than redraw
+    forever.
+    """
+
+    __slots__ = ("getrandbits",)
+
+    def __init__(self, rng: random.Random):
+        self.getrandbits = rng.getrandbits
+
+    def below(self, m: int) -> int:
+        if m < 1:
+            raise ValueError(f"empty range for a draw below {m}")
+        k = m.bit_length()
+        r = self.getrandbits(k)
+        while r >= m:
+            r = self.getrandbits(k)
+        return r
+
+    def randint(self, a: int, b: int) -> int:
+        return a + self.below(b - a + 1)
+
+    def choice(self, seq):
+        return seq[self.below(len(seq))]
+
+    def sample(self, population, k: int) -> list:
+        pool = list(population)
+        n = len(pool)
+        if not 0 <= k <= n:
+            raise ValueError("sample larger than population or is negative")
+        result = [None] * k
+        for i in range(k):
+            j = self.below(n - i)
+            result[i] = pool[j]
+            pool[j] = pool[n - i - 1]  # refill the vacancy from the end
+        return result
+
+
 def random_pair(rng: random.Random, cfg: FuzzConfig) -> QuotientPair:
     n = cfg.n
-    k = rng.randint(1, cfg.max_gens)
+    draw = _Draws(rng)
+    k = draw.randint(1, cfg.max_gens)
     gens = []
     for _ in range(k):
-        deg = rng.randint(1, cfg.max_degree)
-        vars_ = rng.sample(range(1, n + 1), deg)
+        deg = draw.randint(1, cfg.max_degree)
+        vars_ = draw.sample(range(1, n + 1), deg)
         gens.append(Monomial.of(*vars_))
     I = Ideal(n, gens)
     d = min(m.bit_count() for m in I.gen_masks())
@@ -88,8 +138,8 @@ def random_pair(rng: random.Random, cfg: FuzzConfig) -> QuotientPair:
     if rng.random() < _J_RATE:
         pool = _upper_elements(I, d)
         if pool:
-            picks = rng.randint(1, _MAX_J_PICKS)
-            J = Ideal(n, [Monomial(rng.choice(pool)) for _ in range(picks)])
+            picks = draw.randint(1, _MAX_J_PICKS)
+            J = Ideal(n, [Monomial(draw.choice(pool)) for _ in range(picks)])
     return QuotientPair(I, J)
 
 
@@ -249,22 +299,23 @@ def sample_ml1_instance(rng: random.Random, n: int = 6,
     rests = {v: [u for u in variables if u != v] for v in variables}
     layers = {d: (degree_bits(n, d + 1), degree_bits(n, d + 2)) for d in (1, 2)}
     filters = _PrincipalFilters(n)
+    draw = _Draws(rng)
     for _ in range(max_tries):
-        d = rng.randint(1, 2)
+        d = draw.randint(1, 2)
         if d > 1:
-            (common,) = rng.sample(variables, 1)
+            common = draw.choice(variables)  # draws as sample(variables, 1)
             rest = rests[common]
         else:
             common, rest = 0, variables
-        x_a, x_b = rng.sample(rest, 2)
+        x_a, x_b = draw.sample(rest, 2)
         f1, f2 = common | x_a, common | x_b
         extras = []
-        for _ in range(rng.randint(0, 2)):
-            e = sum(rng.sample(variables, d + 1))
+        for _ in range(draw.randint(0, 2)):
+            e = sum(draw.sample(variables, d + 1))
             if f1 & ~e and f2 & ~e:
                 extras.append(e)
         gens = (f1, f2, *dict.fromkeys(extras))
-        kills, pool, picks, s, q = _containment_closure(gens, rng, filters,
+        kills, pool, picks, s, q = _containment_closure(gens, draw, filters,
                                                         *layers[d])
         if not 4 <= s <= q + 2:
             continue
@@ -290,7 +341,7 @@ class _PrincipalFilters(dict):
         return bits
 
 
-def _containment_closure(gens: tuple[int, ...], rng: random.Random,
+def _containment_closure(gens: tuple[int, ...], draw: _Draws,
                          filters: _PrincipalFilters, layer_b: int, layer_c: int
                          ) -> tuple[int, int, list[int], int, int]:
     """For I/0, I generated by `gens` in degrees d and d+1, and `layer_b`,
@@ -310,10 +361,9 @@ def _containment_closure(gens: tuple[int, ...], rng: random.Random,
     C = once & layer_c
     pool = C & twice
     s, m = (once & layer_b).bit_count(), pool.bit_count()
-    count = rng.randint(0, 2)
-    # `choice` draws the same on a range as on any sequence of its length
-    indices = range(m)
-    picks = [rng.choice(indices) for _ in range(count)] if m else []
+    count = draw.randint(0, 2)
+    # an index into the pool is what `choice` draws on any sequence of its length
+    picks = [draw.below(m) for _ in range(count)] if m else []
     # J lies in degree d+2, so it leaves B alone and removes its own
     # generators from C
     return C & ~twice, pool, picks, s, m - len(set(picks))

@@ -95,9 +95,20 @@ def _layer_counts(H: HilbertSeries) -> list[int]:
 
 
 def _first_negative_beta(alpha: list[int], p: int) -> int | None:
-    """The least j ≤ p with β_j^p < 0, or None when hdepth1 ≥ p."""
-    for j in range(p + 1):
-        if sum((-1) ** (j - e) * comb(p - e, j - e) * alpha[e] for e in range(j + 1)) < 0:
+    """The least j ≤ p with β_j^p < 0, or None when hdepth1 ≥ p.
+
+    β_0^p..β_p^p are the coefficients of Σ_{e≤p} α_e t^e (1-t)^{p-e}, built
+    by Horner's rule in (1-t): the sum so far is multiplied by (1-t), then
+    α_e t^e is added.  α_e past the last count reads 0.
+    """
+    beta = [0] * (p + 1)
+    for e in range(p + 1):
+        for i in range(e, 0, -1):  # times (1-t), from the top degree down
+            beta[i] -= beta[i - 1]
+        if e < len(alpha):
+            beta[e] += alpha[e]
+    for j, b in enumerate(beta):
+        if b < 0:
             return j
     return None
 
@@ -141,9 +152,7 @@ def colon_refuter(Q: QuotientPair | PosetView, k: int) -> int | None:
         if not on_j:
             continue  # (I:x_j) = (J:x_j)
         # a_j(e): degree-e elements of P that x_j divides (a_j(n+1) = 0).
-        # For k > n the check stops by j = n, so it reads no α'_e past n:
-        # (1-t)K'(t) has degree ≤ n and coefficient sum 0, and each further
-        # factor (1-t) moves its first negative coefficient no later
+        # α'_e is 0 past n, as `_first_negative_beta` reads it for k > n
         a_j = [(on_j & degree_bits(n, e)).bit_count() for e in range(n + 2)]
         alpha = [a_j[e] + a_j[e + 1] for e in range(n + 1)]
         if _first_negative_beta(alpha, k) is not None:

@@ -10,6 +10,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 from hypothesis import strategies as st
 
@@ -450,6 +451,17 @@ def expand_series(k_poly: tuple[int, ...], m: int, horizon: int) -> list[int]:
             run += coeffs[i]
             coeffs[i] = run
     return coeffs
+
+
+def first_negative_beta_closed(alpha: list[int], p: int) -> int | None:
+    """The least j ≤ p with β_j^p = Σ_{e≤j} (-1)^{j-e} binom(p-e, j-e) α_e
+    < 0, each coefficient by its closed binomial sum; α_e past the last
+    count is 0."""
+    for j in range(p + 1):
+        if sum((-1) ** (j - e) * comb(p - e, j - e) * alpha[e]
+               for e in range(min(j + 1, len(alpha)))) < 0:
+            return j
+    return None
 
 
 # -- acceptance-line registry -------------------------------------------------

@@ -181,6 +181,44 @@ def test_run_instance_builds_no_pair_past_its_input(monkeypatch):
     assert built == []
 
 
+# one draw: ("randint", a, width - 1), ("choice", size) or ("sample", size, k)
+_DRAW_CALLS = st.one_of(
+    st.tuples(st.just("randint"), st.integers(-50, 50), st.integers(0, 1 << 20)),
+    st.tuples(st.just("choice"), st.integers(1, 16)),
+    st.integers(1, 16).flatmap(lambda size: st.tuples(
+        st.just("sample"), st.just(size), st.integers(0, size))),
+)
+
+
+@given(st.integers(0, 1 << 32), st.lists(_DRAW_CALLS, max_size=40))
+@settings(max_examples=200)
+def test_draw_kernel_replays_the_stdlib(seed, calls):
+    # every value and the generator's whole state after every call
+    rng, ref = random.Random(seed), random.Random(seed)
+    draw = fuzz._Draws(rng)
+    for call in calls:
+        if call[0] == "randint":
+            a, b = call[1], call[1] + call[2]
+            got, want = draw.randint(a, b), ref.randint(a, b)
+        else:
+            population = [f"v{i}" for i in range(call[1])]
+            if call[0] == "choice":
+                got, want = draw.choice(population), ref.choice(population)
+            else:
+                got = draw.sample(population, call[2])
+                want = ref.sample(population, call[2])
+        assert got == want
+        assert rng.getstate() == ref.getstate()
+
+
+def test_draw_kernel_raises_on_an_empty_range():
+    draw = fuzz._Draws(random.Random(0))
+    for call in (lambda: draw.randint(1, 0), lambda: draw.choice([]),
+                 lambda: draw.sample(range(3), 4), lambda: draw.sample([], -1)):
+        with pytest.raises(ValueError):
+            call()
+
+
 @pytest.mark.parametrize("n, seeds, max_tries", [
     (3, 30, 400), (4, 60, 400), (5, 30, 400), (6, 60, 400), (7, 30, 400),
     (8, 4, 400), (16, 3, 5),

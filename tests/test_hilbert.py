@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (
     brute_monomial_count,
     expand_series,
+    first_negative_beta_closed,
     from_strs,
     quotient_pairs,
     rename_pair,
@@ -18,7 +19,9 @@ from helpers import (
     unit_ideal,
 )
 from sdepthlab import poset
+from sdepthlab.fuzz import FuzzConfig, instance_rng, random_pair
 from sdepthlab.hilbert import (
+    _first_negative_beta,
     HdepthResult,
     HilbertSeries,
     colon_refuter,
@@ -128,6 +131,31 @@ def test_hdepth1_from_layer_counts_matches_expansion(counts):
         above = expand_series(tuple(k_poly), n - res.value - 1, horizon)
         first = next(i for i, c in enumerate(above) if c < 0)
         assert first == res.failing_coefficient
+
+
+@given(st.lists(st.integers(0, 60), min_size=1, max_size=14), st.integers(0, 18))
+@settings(max_examples=150)
+def test_horner_beta_matches_the_binomial_sum(alpha, p):
+    # p may run past the counts, as the colon refuter's k > n does
+    assert _first_negative_beta(alpha, p) == first_negative_beta_closed(alpha, p)
+
+
+def test_horner_beta_matches_the_binomial_sum_on_the_pool_pairs():
+    # the layer counts of perfbench's stream pool (seed 2026, n = 6) and
+    # sdepth_hard seed-99 pool (n = 8, 9, 10), at every p through n + 2
+    pairs = [random_pair(instance_rng(2026, i), FuzzConfig(n=6, seed=2026))
+             for i in range(1000)]
+    for n in (8, 9, 10):
+        cfg = FuzzConfig(n=n, seed=99, max_gens=5, max_degree=3)
+        pairs += [random_pair(instance_rng(99, i), cfg) for i in range(30)]
+    negatives = 0
+    for Q in pairs:
+        alpha = poset.layer_counts(Q)
+        for p in range(Q.ambient + 3):
+            got = _first_negative_beta(alpha, p)
+            assert got == first_negative_beta_closed(alpha, p)
+            negatives += got is not None
+    assert negatives > 1000
 
 
 @pytest.mark.parametrize("H", [HilbertSeries(1, (1, 0, -1)), HilbertSeries(2, (1, -3))])
